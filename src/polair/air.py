@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import ChannelParams, Constellation, make_pilots
 from .estimators import EstimatorSpec, estimate_kabsch, estimate_ls
@@ -291,29 +290,53 @@ def air_synthetic_mc(
     return _mc_estimate(values)
 
 
+def _point_terms(points: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-point factors of the decoding metric, computed once per constellation.
+
+    Returns the points as real rows [Re s; Im s] scaled by 2/sigma2, shape
+    (2n, M); ||s||^2/sigma2, shape (M,); and the flattened outer products
+    P = conj(s) s^T as real rows [Re P; -Im P] scaled by 1/sigma2, shape
+    (2n^2, M).
+    """
+    M, n = points.shape
+    points_w = (2.0 / sigma2) * np.concatenate([points.real, points.imag], axis=1).T
+    energy = np.sum(np.abs(points) ** 2, axis=1) / sigma2
+    outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(M, n * n)
+    outer_w = np.concatenate([outer.real, -outer.imag], axis=1).T / sigma2
+    return points_w, energy, outer_w
+
+
+def _gram_energy(H_dec: np.ndarray, outer_w: np.ndarray) -> np.ndarray:
+    """s^dagger (H^dagger H) s / sigma2 for per-sample (B, n, n) ``H_dec``, shape (B, M).
+
+    One (B, 2n^2) x (2n^2, M) product of the Gram matrices with the point
+    outer products from :func:`_point_terms`.
+    """
+    b, n = H_dec.shape[0], H_dec.shape[-1]
+    G = np.einsum("bki,bkj->bij", H_dec.conj(), H_dec).reshape(b, n * n)
+    return np.concatenate([G.real, G.imag], axis=1) @ outer_w
+
+
 def _discrete_values(
-    x: np.ndarray, H_dec: np.ndarray, idx: np.ndarray, points: np.ndarray, sigma2: float
+    y: np.ndarray, energy: np.ndarray, idx: np.ndarray, points_w: np.ndarray
 ) -> np.ndarray:
     """Per-sample mismatched information density for a discrete input.
 
-    ``H_dec`` is the decoding-metric channel: (n, n) shared or (B, n, n)
-    per sample. ``idx`` indexes the transmitted point for each sample.
+    With y = H_dec^dagger x, the decoding metric of point s is
+    -(||x - H_dec s||^2 - ||x||^2)/sigma2 = (2 Re<y, s> - s^dagger H_dec^dagger H_dec s)/sigma2,
+    as ||x||^2 cancels between the numerator and the log-sum-exp.
+    ``points_w`` comes from :func:`_point_terms`; ``energy`` is the second
+    term, (M,) when it is the same for every sample or (B, M) from
+    :func:`_gram_energy`. ``idx`` indexes the transmitted point of each sample.
     """
-    M = points.shape[0]
-    if H_dec.ndim == 2:
-        ref = points @ H_dec.T  # (M, n)
-        ref_energy = np.sum(np.abs(ref) ** 2, axis=-1)  # (M,)
-        cross = x.conj() @ ref.T  # (B, M)
-    else:
-        ref = np.einsum("bij,mj->bmi", H_dec, points)  # (B, M, n)
-        ref_energy = np.sum(np.abs(ref) ** 2, axis=-1)  # (B, M)
-        cross = np.einsum("bi,bmi->bm", x.conj(), ref)
-    x_energy = np.sum(np.abs(x) ** 2, axis=-1)  # (B,)
-    dist = x_energy[:, None] + ref_energy - 2.0 * cross.real  # (B, M)
-    metric = -dist / sigma2
-    lse = logsumexp(metric, axis=1)
-    num = metric[np.arange(metric.shape[0]), idx]
-    return np.log2(M) + (num - lse) / LN2
+    M = points_w.shape[1]
+    metric = np.concatenate([y.real, y.imag], axis=1) @ points_w
+    metric -= energy
+    peak = metric.max(axis=1)
+    num = metric[np.arange(metric.shape[0]), idx] - peak
+    metric -= peak[:, None]
+    np.exp(metric, out=metric)
+    return np.log2(M) + (num - np.log(metric.sum(axis=1))) / LN2
 
 
 def mi_discrete_mc(
@@ -333,13 +356,15 @@ def mi_discrete_mc(
     H = as_complex_matrix(H, "H")
     points = constellation.points
     sent = points @ H.T  # (M, n) noiseless receptions
+    points_w = _point_terms(points, sigma2)[0]
+    energy = np.sum(np.abs(sent) ** 2, axis=1) / sigma2  # s^dagger H^dagger H s, once
     values = np.empty(trials)
     done = 0
     while done < trials:
         b = min(_DISCRETE_CHUNK, trials - done)
         idx = rng.integers(0, points.shape[0], size=b)
         x = sent[idx] + sample_cgauss((b, H.shape[0]), sigma2, rng)
-        values[done : done + b] = _discrete_values(x, H, idx, points, sigma2)
+        values[done : done + b] = _discrete_values(x @ H.conj(), energy, idx, points_w)
         done += b
     return _mc_estimate(values)
 
@@ -367,6 +392,7 @@ def air_discrete_paired_mc(
     n = params.n
     pilots = make_pilots(n, L, params.power)
     points = constellation.points
+    points_w, unit_energy, outer_w = _point_terms(points, params.sigma2)
     values = {k: np.empty(trials) for k in kinds}
     done = 0
     while done < trials:
@@ -377,15 +403,19 @@ def air_discrete_paired_mc(
         s = points[idx]
         x = np.einsum("bij,bj->bi", H, s) + sample_cgauss((b, n), params.sigma2, rng)
         for kind in kinds:
+            # The true channel and the Kabsch estimate are unitary, so their
+            # metric energy s^dagger H^dagger H s is ||s||^2; LS needs the Gram term.
             if kind == "perfect":
-                H_dec = H
+                H_dec, energy = H, unit_energy
             elif kind == "ls":
                 H_dec = estimate_ls(X, pilots)
+                energy = _gram_energy(H_dec, outer_w)
             elif kind == "kabsch":
-                H_dec = estimate_kabsch(X, pilots)
+                H_dec, energy = estimate_kabsch(X, pilots), unit_energy
             else:
                 raise ValueError(f"unknown estimator kind {kind!r}")
-            values[kind][done : done + b] = _discrete_values(x, H_dec, idx, points, params.sigma2)
+            y = np.einsum("bji,bj->bi", H_dec.conj(), x)
+            values[kind][done : done + b] = _discrete_values(y, energy, idx, points_w)
         done += b
     out = {k: _mc_estimate(v) for k, v in values.items()}
     for i, a in enumerate(kinds):

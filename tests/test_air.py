@@ -3,8 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import polair.air
 from polair.air import (
     AirEstimate,
+    _discrete_values,
+    _gram_energy,
+    _point_terms,
     air_corollary1,
     air_corollary2_mc,
     air_corollary4,
@@ -18,8 +22,8 @@ from polair.air import (
     mi_gaussian_given_H,
     synthetic_estimates,
 )
-from polair.channel import ChannelParams, Constellation, make_constellation
-from polair.estimators import EstimatorSpec
+from polair.channel import ChannelParams, Constellation, make_constellation, make_pilots
+from polair.estimators import EstimatorSpec, estimate_kabsch, estimate_ls
 from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
 
 LN2 = np.log(2.0)
@@ -277,6 +281,89 @@ class TestDiscreteAir:
         assert diff.value <= 3 * diff.std_error
         ls_vs_kabsch = out["ls-kabsch"]
         assert -ls_vs_kabsch.value >= -3 * ls_vs_kabsch.std_error  # kabsch >= ls
+
+
+def reference_density(x, H_dec, idx, points, sigma2):
+    """Independent form of the information density: the full (B, M, n) distances.
+
+    ``H_dec`` is (n, n) shared or (B, n, n) per sample. The log-sum-exp is
+    np.logaddexp.reduce, not the max-shifted sum of the kernel.
+    """
+    ref = np.einsum("...ij,mj->...mi", H_dec, points)  # (M, n) or (B, M, n)
+    dist = np.sum(np.abs(x[:, None, :] - ref) ** 2, axis=-1)  # (B, M)
+    metric = -dist / sigma2
+    lse = np.logaddexp.reduce(metric, axis=1)
+    num = metric[np.arange(metric.shape[0]), idx]
+    return np.log2(points.shape[0]) + (num - lse) / LN2
+
+
+def paired_draws(constellation, params, L, trials, seed):
+    """The draws of one chunk of air_discrete_paired_mc, in its order."""
+    rng = np.random.default_rng(seed)
+    n, points = params.n, constellation.points
+    pilots = make_pilots(n, L, params.power)
+    H = haar_unitary(n, rng, size=trials)
+    X = H @ pilots.D + sample_cgauss((trials, n, L), params.sigma2, rng)
+    idx = rng.integers(0, points.shape[0], size=trials)
+    x = np.einsum("bij,bj->bi", H, points[idx]) + sample_cgauss((trials, n), params.sigma2, rng)
+    return H, X, pilots, idx, x
+
+
+class TestDiscreteKernel:
+    """The expanded-metric kernel against the direct distance form, to 1e-12."""
+
+    @pytest.mark.parametrize("input_kind", ["dp_qpsk", "dp_16qam"])  # M = 16, 256
+    def test_matches_reference(self, input_kind):
+        for eta_db in range(-10, 41, 5):
+            params = ChannelParams.from_eta_db(2, float(eta_db))
+            c = make_constellation(input_kind, 2, params.power)
+            points, sigma2 = c.points, params.sigma2
+            points_w, unit_energy, outer_w = _point_terms(points, sigma2)
+            H, X, pilots, idx, x = paired_draws(c, params, 8, 512, 100 + eta_db)
+            H_ls = estimate_ls(X, pilots)
+            H_k = estimate_kabsch(X, pilots)
+            cases = {
+                "ls": (H_ls, _gram_energy(H_ls, outer_w)),
+                "kabsch": (H_k, unit_energy),
+                "perfect": (H, unit_energy),
+            }
+            for name, (H_dec, energy) in cases.items():
+                y = np.einsum("bji,bj->bi", H_dec.conj(), x)
+                got = _discrete_values(y, energy, idx, points_w)
+                want = reference_density(x, H_dec, idx, points, sigma2)
+                assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
+            # shared channel, as in mi_discrete_mc
+            Hs = H[0]
+            xs = points[idx] @ Hs.T + sample_cgauss(x.shape, sigma2, np.random.default_rng(200 + eta_db))
+            energy = np.sum(np.abs(points @ Hs.T) ** 2, axis=1) / sigma2
+            got = _discrete_values(xs @ Hs.conj(), energy, idx, points_w)
+            want = reference_density(xs, Hs, idx, points, sigma2)
+            assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, "shared")
+
+    @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
+    def test_paired_mc_matches_reference(self, kind):
+        params = ChannelParams.from_eta_db(2, 12.0)
+        c = make_constellation("dp_16qam", 2, params.power)
+        out = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(31), kinds=(kind,))
+        H, X, pilots, idx, x = paired_draws(c, params, 8, 1000, 31)
+        H_dec = {"ls": estimate_ls, "kabsch": estimate_kabsch}.get(kind, lambda X, p: H)(X, pilots)
+        want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
+        assert abs(out[kind].value - want) <= 1e-12
+
+    def test_nonunitary_estimate_gets_gram_energy(self, monkeypatch):
+        # A per-sample 1.1 U estimate is not unitary: LS must not use ||s||^2.
+        params = ChannelParams.from_eta_db(2, 12.0)
+        c = make_constellation("dp_16qam", 2, params.power)
+        monkeypatch.setattr(polair.air, "estimate_ls", lambda X, p: 1.1 * estimate_kabsch(X, p))
+        out = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(32), kinds=("ls",))
+        H, X, pilots, idx, x = paired_draws(c, params, 8, 1000, 32)
+        H_dec = 1.1 * estimate_kabsch(X, pilots)
+        want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
+        assert abs(out["ls"].value - want) <= 1e-12
+        points_w, unit_energy, _ = _point_terms(c.points, params.sigma2)
+        y = np.einsum("bji,bj->bi", H_dec.conj(), x)
+        shortcut = _discrete_values(y, unit_energy, idx, points_w).mean()
+        assert abs(shortcut - want) > 1e-2
 
 
 class TestGaussianPaired:
