@@ -48,10 +48,10 @@ class ChannelParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.power <= 0:
-            raise ValueError(f"power must be > 0, got {self.power}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        if not (0 < self.power < np.inf):
+            raise ValueError(f"power must be finite and > 0, got {self.power}")
+        if not (0 < self.sigma2 < np.inf):
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
 
     @property
     def eta(self) -> float:

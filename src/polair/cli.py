@@ -9,13 +9,15 @@ Subcommands:
 * ``sweep``     -- a named figure experiment (fig2, fig3a, fig3b, fig4),
                    written as CSV.
 
-Exit codes: 0 success, 2 bad flags, 3 configuration violations,
-4 numerical failure.
+Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
+unparsable or non-finite grid values), 4 numerical failure (including any
+value the numeric core rejects that the configuration checks let through).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -113,12 +115,14 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
     else:
         config = default_config(experiment, master_seed=args.seed or 0)
     overrides = {}
-    if args.eta_db is not None:
-        overrides["eta_db_grid"] = tuple(float(v) for v in args.eta_db.split(","))
-    if args.L is not None:
-        overrides["L_grid"] = tuple(int(v) for v in args.L.split(","))
-    if args.E2 is not None:
-        overrides["E2_grid"] = tuple(float(v) for v in args.E2.split(","))
+    grids = (("eta-db", "eta_db_grid", float), ("L", "L_grid", int), ("E2", "E2_grid", float))
+    for flag, key, cast in grids:
+        text = getattr(args, flag.replace("-", "_"))
+        if text is not None:
+            try:
+                overrides[key] = tuple(cast(v) for v in text.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"--{flag}: {exc}") from exc
     if args.input is not None:
         overrides["input"] = args.input
     if args.estimator is not None:
@@ -134,10 +138,14 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
-    eta = 10.0 ** (args.eta_db / 10.0)
-    est = capacity_perfect(args.n, eta)
+    if args.n < 2:
+        raise ConfigError(f"--n must be >= 2, got {args.n}")
+    if not math.isfinite(args.eta_db):
+        raise ConfigError(f"--eta-db must be finite, got {args.eta_db}")
+    try:
+        est = capacity_perfect(args.n, 10.0 ** (args.eta_db / 10.0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"{est.value:.4f} bits/symbol")
     return EXIT_OK
 
@@ -186,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         raise ConfigError(f"unknown subcommand {args.subcommand!r}")
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
         return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
     except OSError as exc:
         return _fail(str(exc), EXIT_CONFIG)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -99,6 +100,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if len(self.eta_db_grid) == 0:
             raise ConfigError("eta_db_grid must be non-empty")
+        for name in ("eta_db_grid", "E2_grid"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must be finite")
         if any(not (-10.0 <= e <= 40.0) for e in self.eta_db_grid):
             raise ConfigError("eta_db values must lie in [-10, 40]")
         if self.trials < 100:

@@ -153,8 +153,9 @@ def svd(A) -> SvdResult:
 def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Sample Haar-distributed n x n unitary matrices.
 
-    Uses the QR decomposition of a complex Ginibre matrix with the R-diagonal
-    phase correction that makes the map measure-correct.
+    Uses the QR decomposition Z = QR of a complex Ginibre matrix and returns
+    Q diag(d/|d|), d = diag(R), the phase correction that makes the map
+    measure-correct (Mezzadri 2007).
 
     Parameters
     ----------
@@ -182,7 +183,7 @@ def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> n
         q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=-2, axis2=-1)
     phases = d / np.abs(d)
-    return q * np.conj(phases)[..., None, :]
+    return q * phases[..., None, :]
 
 
 def sample_cgauss(shape, variance_per_entry: float, rng: np.random.Generator) -> np.ndarray:

@@ -28,6 +28,13 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelParams(n=2, power=value, sigma2=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ChannelParams(n=2, power=1.0, sigma2=value)
+
 
 class TestConstellation:
     def test_dp_qpsk_constant_modulus(self):

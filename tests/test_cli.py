@@ -3,7 +3,8 @@ import json
 import pytest
 
 from polair import __version__
-from polair.cli import EXIT_CONFIG, EXIT_OK, main
+import polair.cli
+from polair.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from polair.experiments import CSV_COLUMNS, config_to_text, default_config
 from dataclasses import replace
 
@@ -19,6 +20,16 @@ class TestCapacity:
 
     def test_bad_dimension(self, capsys):
         assert main(["capacity", "--n", "0", "--eta-db", "10"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_single_dimension_rejected(self, capsys):
+        # same rule as sweeps and ChannelParams: n >= 2
+        assert main(["capacity", "--n", "1", "--eta-db", "10"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_snr(self, capsys, value):
+        assert main(["capacity", "--eta-db", value]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_required_flag(self):
@@ -101,6 +112,35 @@ class TestSweep:
     def test_eta_out_of_range(self, capsys):
         code = main(["sweep", "--experiment", "fig3a", "--eta-db", "99", "--trials", "200"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "args",
+        [["--experiment", "fig2", "--E2"], ["--experiment", "fig3a", "--eta-db"]],
+    )
+    def test_nonfinite_grid_value(self, capsys, args, value):
+        code = main(["sweep", *args, f"0.01,{value}", "--trials", "200", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_nonfinite_error_cov_snr(self, capsys):
+        assert main(["error-cov", "--eta-db", "nan", "--trials", "200", "--out", "-"]) == EXIT_CONFIG
+
+    def test_unparsable_grid_value(self, capsys):
+        code = main(["sweep", "--experiment", "fig2", "--E2", "abc", "--trials", "200"])
+        assert code == EXIT_CONFIG
+        assert "--E2" in capsys.readouterr().err
+
+    def test_stray_value_error_is_numerical_failure(self, capsys, monkeypatch):
+        def reject(config):
+            raise ValueError("value must be finite")
+
+        monkeypatch.setattr(polair.cli, "run_experiment", reject)
+        code = main(["sweep", "--experiment", "fig3a", "--eta-db", "10", "--trials", "200"])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: numerical failure: value must be finite\n"
 
     def test_config_file_with_flag_overrides(self, tmp_path, capsys):
         config = replace(

@@ -58,6 +58,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config("fig3a", eta_db_grid=(-11.0,)).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_grid_values(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            small_config("fig2", E2_grid=(1e-2, value)).validate()
+        with pytest.raises(ConfigError, match="finite"):
+            small_config("fig3a", eta_db_grid=(value,)).validate()
+
+    def test_nonfinite_value_in_config_file(self):
+        text = config_to_text(small_config("fig2")).replace("E2_grid = 0.01,", "E2_grid = nan,")
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_text(text).validate()
+
     def test_bad_pilot_lengths(self):
         with pytest.raises(ConfigError):
             small_config("fig4", L_grid=(3,)).validate()

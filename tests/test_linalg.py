@@ -149,6 +149,15 @@ class TestHaarUnitary:
         se = samples.std(ddof=1) / np.sqrt(draws)
         assert abs(samples.mean() - 1.0 / n) < 3 * se
 
+    def test_first_entry_fourth_moment(self):
+        # Haar moment: E[|u11|^4] = 2/(n(n+1)).
+        for n in (2, 4):
+            draws = 100_000
+            U = haar_unitary(n, np.random.default_rng(10 + n), size=draws)
+            samples = np.abs(U[:, 0, 0]) ** 4
+            se = samples.std(ddof=1) / np.sqrt(draws)
+            assert abs(samples.mean() - 2.0 / (n * (n + 1))) < 3 * se
+
     def test_seed_determinism(self):
         a = haar_unitary(4, np.random.default_rng(99))
         b = haar_unitary(4, np.random.default_rng(99))
