@@ -115,14 +115,15 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
     else:
         config = default_config(experiment, master_seed=args.seed or 0)
     overrides = {}
-    grids = (("eta-db", "eta_db_grid", float), ("L", "L_grid", int), ("E2", "E2_grid", float))
-    for flag, key, cast in grids:
-        text = getattr(args, flag.replace("-", "_"))
-        if text is not None:
-            try:
-                overrides[key] = tuple(cast(v) for v in text.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"--{flag}: {exc}") from exc
+    try:
+        if args.eta_db is not None:
+            overrides["eta_db_grid"] = tuple(float(v) for v in args.eta_db.split(","))
+        if args.L is not None:
+            overrides["L_grid"] = tuple(int(v) for v in args.L.split(","))
+        if args.E2 is not None:
+            overrides["E2_grid"] = tuple(float(v) for v in args.E2.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad grid value: {exc}") from exc
     if args.input is not None:
         overrides["input"] = args.input
     if args.estimator is not None:

@@ -131,7 +131,7 @@ class TestSweep:
     def test_unparsable_grid_value(self, capsys):
         code = main(["sweep", "--experiment", "fig2", "--E2", "abc", "--trials", "200"])
         assert code == EXIT_CONFIG
-        assert "--E2" in capsys.readouterr().err
+        assert "'abc'" in capsys.readouterr().err
 
     def test_stray_value_error_is_numerical_failure(self, capsys, monkeypatch):
         def reject(config):
