@@ -290,53 +290,57 @@ def air_synthetic_mc(
     return _mc_estimate(values)
 
 
-def _point_terms(points: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point factors of the decoding metric, computed once per constellation.
+def _metric_weights(points: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the decoding metric, computed once per constellation.
 
-    Returns the points as real rows [Re s; Im s] scaled by 2/sigma2, shape
-    (2n, M); ||s||^2/sigma2, shape (M,); and the flattened outer products
-    P = conj(s) s^T as real rows [Re P; -Im P] scaled by 1/sigma2, shape
-    (2n^2, M).
+    The metric of point s is (2 Re<y, s> - s^dagger G s)/sigma2 with
+    y = H_dec^dagger x and G = H_dec^dagger H_dec. Its product with per-sample
+    features [Re y, Im y, Re G, Im G] takes the weights
+    [2 Re s; 2 Im s; -Re P; Im P]/sigma2, P = conj(s) s^T flattened, shape
+    (2n + 2n^2, M); the first 2n rows give the cross term alone. Also returns
+    ||s||^2/sigma2, shape (M,), the energy term of a unitary H_dec.
     """
     M, n = points.shape
-    points_w = (2.0 / sigma2) * np.concatenate([points.real, points.imag], axis=1).T
-    energy = np.sum(np.abs(points) ** 2, axis=1) / sigma2
     outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(M, n * n)
-    outer_w = np.concatenate([outer.real, -outer.imag], axis=1).T / sigma2
-    return points_w, energy, outer_w
+    rows = [2.0 * points.real, 2.0 * points.imag, -outer.real, outer.imag]
+    weights = np.concatenate(rows, axis=1).T / sigma2
+    return weights, np.sum(np.abs(points) ** 2, axis=1) / sigma2
 
 
-def _gram_energy(H_dec: np.ndarray, outer_w: np.ndarray) -> np.ndarray:
-    """s^dagger (H^dagger H) s / sigma2 for per-sample (B, n, n) ``H_dec``, shape (B, M).
-
-    One (B, 2n^2) x (2n^2, M) product of the Gram matrices with the point
-    outer products from :func:`_point_terms`.
-    """
-    b, n = H_dec.shape[0], H_dec.shape[-1]
-    G = np.einsum("bki,bkj->bij", H_dec.conj(), H_dec).reshape(b, n * n)
-    return np.concatenate([G.real, G.imag], axis=1) @ outer_w
-
-
-def _discrete_values(
-    y: np.ndarray, energy: np.ndarray, idx: np.ndarray, points_w: np.ndarray
+def _decoding_metric(
+    H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray, energy: np.ndarray | None = None
 ) -> np.ndarray:
+    """Decoding metric -(||x - H_dec s||^2 - ||x||^2)/sigma2 of every point s, shape (B, M).
+
+    ``H_dec`` is (n, n) shared or (B, n, n) per sample; ``weights`` come from
+    :func:`_metric_weights`. ``energy`` is s^dagger H_dec^dagger H_dec s/sigma2
+    when it is the same for every sample, shape (M,): ||s||^2/sigma2 for a
+    unitary H_dec, or a shared H_dec's values computed once. Without it, the
+    per-sample Gram term joins the cross term in one matrix product.
+    """
+    n = x.shape[-1]
+    y = np.einsum("...ji,...j->...i", H_dec.conj(), x)
+    if energy is not None:
+        metric = np.concatenate([y.real, y.imag], axis=1) @ weights[: 2 * n]
+        metric -= energy  # in place: a second (B, M) array costs more than the product
+        return metric
+    G = np.einsum("bki,bkj->bij", H_dec.conj(), H_dec).reshape(x.shape[0], n * n)
+    return np.concatenate([y.real, y.imag, G.real, G.imag], axis=1) @ weights
+
+
+def _discrete_values(metric: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per-sample mismatched information density for a discrete input.
 
-    With y = H_dec^dagger x, the decoding metric of point s is
-    -(||x - H_dec s||^2 - ||x||^2)/sigma2 = (2 Re<y, s> - s^dagger H_dec^dagger H_dec s)/sigma2,
-    as ||x||^2 cancels between the numerator and the log-sum-exp.
-    ``points_w`` comes from :func:`_point_terms`; ``energy`` is the second
-    term, (M,) when it is the same for every sample or (B, M) from
-    :func:`_gram_energy`. ``idx`` indexes the transmitted point of each sample.
+    ``metric`` is the (B, M) decoding metric from :func:`_decoding_metric`
+    and is overwritten; ``idx`` indexes the transmitted point of each
+    sample. The ||x||^2 the metric leaves out cancels between the numerator
+    and the log-sum-exp.
     """
-    M = points_w.shape[1]
-    metric = np.concatenate([y.real, y.imag], axis=1) @ points_w
-    metric -= energy
     peak = metric.max(axis=1)
     num = metric[np.arange(metric.shape[0]), idx] - peak
     metric -= peak[:, None]
     np.exp(metric, out=metric)
-    return np.log2(M) + (num - np.log(metric.sum(axis=1))) / LN2
+    return np.log2(metric.shape[1]) + (num - np.log(metric.sum(axis=1))) / LN2
 
 
 def mi_discrete_mc(
@@ -356,7 +360,7 @@ def mi_discrete_mc(
     H = as_complex_matrix(H, "H")
     points = constellation.points
     sent = points @ H.T  # (M, n) noiseless receptions
-    points_w = _point_terms(points, sigma2)[0]
+    weights = _metric_weights(points, sigma2)[0]
     energy = np.sum(np.abs(sent) ** 2, axis=1) / sigma2  # s^dagger H^dagger H s, once
     values = np.empty(trials)
     done = 0
@@ -364,7 +368,7 @@ def mi_discrete_mc(
         b = min(_DISCRETE_CHUNK, trials - done)
         idx = rng.integers(0, points.shape[0], size=b)
         x = sent[idx] + sample_cgauss((b, H.shape[0]), sigma2, rng)
-        values[done : done + b] = _discrete_values(x @ H.conj(), energy, idx, points_w)
+        values[done : done + b] = _discrete_values(_decoding_metric(H, x, weights, energy), idx)
         done += b
     return _mc_estimate(values)
 
@@ -392,7 +396,7 @@ def air_discrete_paired_mc(
     n = params.n
     pilots = make_pilots(n, L, params.power)
     points = constellation.points
-    points_w, unit_energy, outer_w = _point_terms(points, params.sigma2)
+    weights, unit_energy = _metric_weights(points, params.sigma2)
     values = {k: np.empty(trials) for k in kinds}
     done = 0
     while done < trials:
@@ -404,18 +408,16 @@ def air_discrete_paired_mc(
         x = np.einsum("bij,bj->bi", H, s) + sample_cgauss((b, n), params.sigma2, rng)
         for kind in kinds:
             # The true channel and the Kabsch estimate are unitary, so their
-            # metric energy s^dagger H^dagger H s is ||s||^2; LS needs the Gram term.
+            # metric energy is ||s||^2; the LS estimate needs its Gram term.
             if kind == "perfect":
-                H_dec, energy = H, unit_energy
+                metric = _decoding_metric(H, x, weights, unit_energy)
             elif kind == "ls":
-                H_dec = estimate_ls(X, pilots)
-                energy = _gram_energy(H_dec, outer_w)
+                metric = _decoding_metric(estimate_ls(X, pilots), x, weights)
             elif kind == "kabsch":
-                H_dec, energy = estimate_kabsch(X, pilots), unit_energy
+                metric = _decoding_metric(estimate_kabsch(X, pilots), x, weights, unit_energy)
             else:
                 raise ValueError(f"unknown estimator kind {kind!r}")
-            y = np.einsum("bji,bj->bi", H_dec.conj(), x)
-            values[kind][done : done + b] = _discrete_values(y, energy, idx, points_w)
+            values[kind][done : done + b] = _discrete_values(metric, idx)
         done += b
     out = {k: _mc_estimate(v) for k, v in values.items()}
     for i, a in enumerate(kinds):

@@ -6,9 +6,9 @@ import pytest
 import polair.air
 from polair.air import (
     AirEstimate,
+    _decoding_metric,
     _discrete_values,
-    _gram_energy,
-    _point_terms,
+    _metric_weights,
     air_corollary1,
     air_corollary2_mc,
     air_corollary4,
@@ -318,25 +318,22 @@ class TestDiscreteKernel:
             params = ChannelParams.from_eta_db(2, float(eta_db))
             c = make_constellation(input_kind, 2, params.power)
             points, sigma2 = c.points, params.sigma2
-            points_w, unit_energy, outer_w = _point_terms(points, sigma2)
+            weights, unit_energy = _metric_weights(points, sigma2)
             H, X, pilots, idx, x = paired_draws(c, params, 8, 512, 100 + eta_db)
-            H_ls = estimate_ls(X, pilots)
-            H_k = estimate_kabsch(X, pilots)
             cases = {
-                "ls": (H_ls, _gram_energy(H_ls, outer_w)),
-                "kabsch": (H_k, unit_energy),
+                "ls": (estimate_ls(X, pilots), None),
+                "kabsch": (estimate_kabsch(X, pilots), unit_energy),
                 "perfect": (H, unit_energy),
             }
             for name, (H_dec, energy) in cases.items():
-                y = np.einsum("bji,bj->bi", H_dec.conj(), x)
-                got = _discrete_values(y, energy, idx, points_w)
+                got = _discrete_values(_decoding_metric(H_dec, x, weights, energy), idx)
                 want = reference_density(x, H_dec, idx, points, sigma2)
                 assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
             # shared channel, as in mi_discrete_mc
             Hs = H[0]
             xs = points[idx] @ Hs.T + sample_cgauss(x.shape, sigma2, np.random.default_rng(200 + eta_db))
             energy = np.sum(np.abs(points @ Hs.T) ** 2, axis=1) / sigma2
-            got = _discrete_values(xs @ Hs.conj(), energy, idx, points_w)
+            got = _discrete_values(_decoding_metric(Hs, xs, weights, energy), idx)
             want = reference_density(xs, Hs, idx, points, sigma2)
             assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, "shared")
 
@@ -360,9 +357,8 @@ class TestDiscreteKernel:
         H_dec = 1.1 * estimate_kabsch(X, pilots)
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out["ls"].value - want) <= 1e-12
-        points_w, unit_energy, _ = _point_terms(c.points, params.sigma2)
-        y = np.einsum("bji,bj->bi", H_dec.conj(), x)
-        shortcut = _discrete_values(y, unit_energy, idx, points_w).mean()
+        weights, unit_energy = _metric_weights(c.points, params.sigma2)
+        shortcut = _discrete_values(_decoding_metric(H_dec, x, weights, unit_energy), idx).mean()
         assert abs(shortcut - want) > 1e-2
 
 

@@ -125,9 +125,6 @@ class TestSweep:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
-    def test_nonfinite_error_cov_snr(self, capsys):
-        assert main(["error-cov", "--eta-db", "nan", "--trials", "200", "--out", "-"]) == EXIT_CONFIG
-
     def test_unparsable_grid_value(self, capsys):
         code = main(["sweep", "--experiment", "fig2", "--E2", "abc", "--trials", "200"])
         assert code == EXIT_CONFIG
