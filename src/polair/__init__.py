@@ -27,8 +27,6 @@ from .channel import (
     ChannelParams,
     Constellation,
     PilotMatrix,
-    TransmissionBlock,
-    constellation_to_csv,
     make_constellation,
     make_pilots,
     sample_channel,
@@ -40,7 +38,6 @@ from .estimators import (
     KabschEstimator,
     LeastSquaresEstimator,
     empirical_error_covariance,
-    error_matrix,
     error_stats_to_json,
     estimate_kabsch,
     estimate_ls,
@@ -56,19 +53,11 @@ from .experiments import (
     run_experiment,
     run_fig2,
     run_fig3,
-    run_fig4,
 )
 from .linalg import (
     SingularMatrixError,
-    SvdResult,
     dagger,
-    det,
     fro_norm,
     haar_unitary,
-    inverse,
-    matmul,
     sample_cgauss,
-    sample_cgauss_vector,
-    svd,
-    trace,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, Constellation, make_pilots
-from .estimators import EstimatorSpec, estimate_kabsch, estimate_ls
+from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, EstimatorSpec, get_estimator
 from .linalg import as_complex_matrix, dagger, fro_norm, haar_unitary, sample_cgauss
 
 __all__ = [
@@ -73,8 +73,36 @@ class AirEstimate:
 def _mc_estimate(values: np.ndarray) -> AirEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
+    if np.all(values == values[0]):
+        # A constant sample (the perfect-CSI capacity, a zero synthetic error) is
+        # exact: its summed mean could be off by round-off, its spread is zero.
+        return AirEstimate(value=float(values[0]), trials=n, kind="monte_carlo")
     std_error = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return AirEstimate(value=float(values.mean()), std_error=std_error, trials=n, kind="monte_carlo")
+
+
+def _paired_mc(step, kinds: tuple[str, ...], trials: int, chunk: int) -> dict[str, AirEstimate]:
+    """The one chunked Monte Carlo driver: per-kind rates on shared draws.
+
+    ``step(b)`` draws the next ``b`` trials from the caller's generator and
+    returns ``{kind: (b,) per-trial values}`` for every kind in ``kinds``.
+    The driver calls it on chunks of at most ``chunk`` trials, in trial
+    order, so the random stream and the results depend on ``chunk``. It
+    returns each kind's estimate and, under keys ``"a-b"``, the paired
+    differences, whose standard errors reflect the shared draws.
+    """
+    values = {k: np.empty(trials) for k in kinds}
+    done = 0
+    while done < trials:
+        b = min(chunk, trials - done)
+        for kind, chunk_values in step(b).items():
+            values[kind][done : done + b] = chunk_values
+        done += b
+    out = {k: _mc_estimate(v) for k, v in values.items()}
+    for i, a in enumerate(kinds):
+        for bname in kinds[i + 1 :]:
+            out[f"{a}-{bname}"] = _mc_estimate(values[a] - values[bname])
+    return out
 
 
 def _check_hermitian_psd(Q: np.ndarray, name: str) -> np.ndarray:
@@ -189,16 +217,6 @@ def air_corollary4(n: int, eta: float, R_E) -> AirEstimate:
     return AirEstimate(value=value)
 
 
-def _pilot_estimates(kind: str, H: np.ndarray, pilots, sigma2: float, rng) -> np.ndarray:
-    """Estimate stacked channels from one fresh pilot block each."""
-    X = H @ pilots.D + sample_cgauss(H.shape[:-2] + (H.shape[-2], pilots.L), sigma2, rng)
-    if kind == "ls":
-        return estimate_ls(X, pilots)
-    if kind == "kabsch":
-        return estimate_kabsch(X, pilots)
-    raise ValueError(f"unknown estimator kind {kind!r}")
-
-
 def air_corollary2_mc(
     H_u,
     estimator: EstimatorSpec | str,
@@ -209,30 +227,11 @@ def air_corollary2_mc(
 ) -> AirEstimate:
     """Average AIR over random pilot-block estimates of a fixed unitary channel.
 
-    ``estimator`` is an :class:`EstimatorSpec` or the string ``"perfect"``
-    (the H_hat = H_u stub, useful as a sanity reference).
+    ``estimator`` is an :class:`EstimatorSpec` or a kind string, including
+    ``"perfect"`` (the H_hat = H_u stub, useful as a sanity reference).
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    H_u = _check_unitary(H_u, "H_u")
     kind = estimator if isinstance(estimator, str) else estimator.kind
-    if kind == "perfect":
-        return AirEstimate(
-            value=capacity_perfect(params.n, params.eta).value,
-            std_error=0.0,
-            trials=trials,
-            kind="monte_carlo",
-        )
-    pilots = make_pilots(params.n, L, params.power)
-    values = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_GAUSS_CHUNK, trials - done)
-        H = np.broadcast_to(H_u, (b,) + H_u.shape)
-        H_hat = _pilot_estimates(kind, H, pilots, params.sigma2, rng)
-        values[done : done + b] = _corollary1_values(H_u, H_hat, params.eta)
-        done += b
-    return _mc_estimate(values)
+    return air_gaussian_paired_mc(params, L, trials, rng, kinds=(kind,), H_u=H_u)[kind]
 
 
 def synthetic_estimates(
@@ -280,14 +279,12 @@ def air_synthetic_mc(
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     H_u = _check_unitary(H_u, "H_u")
-    values = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_GAUSS_CHUNK, trials - done)
+
+    def step(b):
         H_hat = synthetic_estimates(H_u, error_per_dof, model, b, rng)
-        values[done : done + b] = _corollary1_values(H_u, H_hat, eta)
-        done += b
-    return _mc_estimate(values)
+        return {model: _corollary1_values(H_u, H_hat, eta)}
+
+    return _paired_mc(step, (model,), trials, _GAUSS_CHUNK)[model]
 
 
 def _metric_weights(points: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -362,15 +359,13 @@ def mi_discrete_mc(
     sent = points @ H.T  # (M, n) noiseless receptions
     weights = _metric_weights(points, sigma2)[0]
     energy = np.sum(np.abs(sent) ** 2, axis=1) / sigma2  # s^dagger H^dagger H s, once
-    values = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_DISCRETE_CHUNK, trials - done)
+
+    def step(b):
         idx = rng.integers(0, points.shape[0], size=b)
         x = sent[idx] + sample_cgauss((b, H.shape[0]), sigma2, rng)
-        values[done : done + b] = _discrete_values(_decoding_metric(H, x, weights, energy), idx)
-        done += b
-    return _mc_estimate(values)
+        return {"mi": _discrete_values(_decoding_metric(H, x, weights, energy), idx)}
+
+    return _paired_mc(step, ("mi",), trials, _DISCRETE_CHUNK)["mi"]
 
 
 def air_discrete_paired_mc(
@@ -379,7 +374,7 @@ def air_discrete_paired_mc(
     L: int,
     trials: int,
     rng: np.random.Generator,
-    kinds: tuple[str, ...] = ("ls", "kabsch"),
+    kinds: tuple[str, ...] = ESTIMATOR_KINDS,
 ) -> dict[str, AirEstimate]:
     """Average discrete-input AIR for several estimators on shared draws.
 
@@ -393,37 +388,25 @@ def air_discrete_paired_mc(
         raise ValueError("constellation must be discrete")
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
+    estimators = {kind: get_estimator(kind) for kind in kinds}
     n = params.n
     pilots = make_pilots(n, L, params.power)
     points = constellation.points
     weights, unit_energy = _metric_weights(points, params.sigma2)
-    values = {k: np.empty(trials) for k in kinds}
-    done = 0
-    while done < trials:
-        b = min(_DISCRETE_CHUNK, trials - done)
+
+    def step(b):
         H = haar_unitary(n, rng, size=b)
         X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
         idx = rng.integers(0, points.shape[0], size=b)
-        s = points[idx]
-        x = np.einsum("bij,bj->bi", H, s) + sample_cgauss((b, n), params.sigma2, rng)
-        for kind in kinds:
-            # The true channel and the Kabsch estimate are unitary, so their
-            # metric energy is ||s||^2; the LS estimate needs its Gram term.
-            if kind == "perfect":
-                metric = _decoding_metric(H, x, weights, unit_energy)
-            elif kind == "ls":
-                metric = _decoding_metric(estimate_ls(X, pilots), x, weights)
-            elif kind == "kabsch":
-                metric = _decoding_metric(estimate_kabsch(X, pilots), x, weights, unit_energy)
-            else:
-                raise ValueError(f"unknown estimator kind {kind!r}")
-            values[kind][done : done + b] = _discrete_values(metric, idx)
-        done += b
-    out = {k: _mc_estimate(v) for k, v in values.items()}
-    for i, a in enumerate(kinds):
-        for bname in kinds[i + 1 :]:
-            out[f"{a}-{bname}"] = _mc_estimate(values[a] - values[bname])
-    return out
+        x = np.einsum("bij,bj->bi", H, points[idx]) + sample_cgauss((b, n), params.sigma2, rng)
+        out = {}
+        for kind, estimate in estimators.items():
+            # A unitary decoder's metric energy is ||s||^2; any other needs its Gram term.
+            energy = unit_energy if kind in UNITARY_KINDS else None
+            out[kind] = _discrete_values(_decoding_metric(estimate(X, pilots, H), x, weights, energy), idx)
+        return out
+
+    return _paired_mc(step, kinds, trials, _DISCRETE_CHUNK)
 
 
 def air_discrete_mc(
@@ -444,7 +427,7 @@ def air_gaussian_paired_mc(
     L: int,
     trials: int,
     rng: np.random.Generator,
-    kinds: tuple[str, ...] = ("ls", "kabsch"),
+    kinds: tuple[str, ...] = ESTIMATOR_KINDS,
     H_u=None,
 ) -> dict[str, AirEstimate]:
     """Average Gaussian-input AIR for several estimators on shared draws.
@@ -456,32 +439,21 @@ def air_gaussian_paired_mc(
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
+    estimators = {kind: get_estimator(kind) for kind in kinds}
     n = params.n
     eta = params.eta
     pilots = make_pilots(n, L, params.power)
     if H_u is not None:
         H_u = _check_unitary(H_u, "H_u")
-    values = {k: np.empty(trials) for k in kinds}
     cap = capacity_perfect(n, eta).value
-    done = 0
-    while done < trials:
-        b = min(_GAUSS_CHUNK, trials - done)
+
+    def step(b):
         H = np.broadcast_to(H_u, (b, n, n)) if H_u is not None else haar_unitary(n, rng, size=b)
         X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
-        for kind in kinds:
-            if kind == "perfect":
-                values[kind][done : done + b] = cap
-            elif kind == "ls":
-                values[kind][done : done + b] = _corollary1_values(H, estimate_ls(X, pilots), eta)
-            elif kind == "kabsch":
-                values[kind][done : done + b] = _corollary1_values(
-                    H, estimate_kabsch(X, pilots), eta
-                )
-            else:
-                raise ValueError(f"unknown estimator kind {kind!r}")
-        done += b
-    out = {k: _mc_estimate(v) for k, v in values.items()}
-    for i, a in enumerate(kinds):
-        for bname in kinds[i + 1 :]:
-            out[f"{a}-{bname}"] = _mc_estimate(values[a] - values[bname])
-    return out
+        # The perfect-CSI rate is the exact capacity, not a rate evaluated at H_hat = H.
+        return {
+            kind: cap if kind == "perfect" else _corollary1_values(H, estimate(X, pilots, H), eta)
+            for kind, estimate in estimators.items()
+        }
+
+    return _paired_mc(step, kinds, trials, _GAUSS_CHUNK)

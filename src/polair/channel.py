@@ -11,24 +11,22 @@ total symbol power is P, and the per-channel SNR is eta = P / (n * sigma2).
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dagger, fro_norm, haar_unitary, sample_cgauss
+from .linalg import as_complex_matrix, haar_unitary, sample_cgauss
 
 __all__ = [
+    "CONSTELLATION_KINDS",
     "ChannelParams",
     "Constellation",
     "PilotMatrix",
-    "TransmissionBlock",
     "make_constellation",
     "make_pilots",
     "transmit",
     "sample_channel",
-    "constellation_to_csv",
 ]
 
 CONSTELLATION_KINDS = ("gaussian", "dp_qpsk", "dp_16qam")
@@ -168,24 +166,6 @@ def make_pilots(n: int, L: int, power: float) -> PilotMatrix:
     return PilotMatrix(D=D, L=L, power=power)
 
 
-@dataclass(frozen=True)
-class TransmissionBlock:
-    """One block's channel realization, pilots and received pilot samples."""
-
-    H: np.ndarray = field(repr=False)
-    pilots: PilotMatrix
-    X: np.ndarray = field(repr=False)
-    block_length: int = 0  # metadata only; rate loss is not modeled
-
-    def __post_init__(self):
-        H = as_complex_matrix(self.H, "H")
-        n = H.shape[0]
-        if self.X.shape != (n, self.pilots.L):
-            raise ValueError(f"X must be {(n, self.pilots.L)}, got {self.X.shape}")
-        if fro_norm(H @ dagger(H) - np.eye(n)) > 1e-10:
-            raise ValueError("H is not unitary to tolerance")
-
-
 def transmit(H, S, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Pass symbols through the channel: X = H S + Z.
 
@@ -206,18 +186,3 @@ def transmit(H, S, sigma2: float, rng: np.random.Generator) -> np.ndarray:
 def sample_channel(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw the channel for a new block: a Haar-random unitary."""
     return haar_unitary(n, rng, size=size)
-
-
-def constellation_to_csv(constellation: Constellation, path) -> None:
-    """Export constellation points (index, per-dimension re/im) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["index"]
-        for d in range(constellation.n):
-            header += [f"re{d}", f"im{d}"]
-        writer.writerow(header)
-        for i, point in enumerate(constellation.points):
-            row = [i]
-            for v in point:
-                row += [repr(float(v.real)), repr(float(v.imag))]
-            writer.writerow(row)

@@ -10,14 +10,14 @@ Subcommands:
                    written as CSV.
 
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
-unparsable or non-finite grid values), 4 numerical failure (including any
-value the numeric core rejects that the configuration checks let through).
+unparsable or non-finite grid values, SNRs outside [-10, 40] dB and E2
+values outside [0, 1]), 4 numerical failure (including any value the
+numeric core rejects that the configuration checks let through).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,12 +26,13 @@ import numpy as np
 
 from . import __version__
 from .air import capacity_perfect
-from .channel import ChannelParams
-from .estimators import EstimatorSpec, empirical_error_covariance, error_stats_to_json
+from .channel import CONSTELLATION_KINDS, ChannelParams
+from .estimators import ESTIMATOR_KINDS, empirical_error_covariance, error_stats_to_json
 from .experiments import (
     CSV_SCHEMA_VERSION,
     EXPERIMENTS,
     ConfigError,
+    check_eta_db,
     config_from_text,
     default_config,
     run_experiment,
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--eta-db", type=float, required=True, help="per-channel SNR in dB")
 
     p_est = sub.add_parser("estimate", help="empirical error covariance for one setting")
-    p_est.add_argument("--estimator", choices=("ls", "kabsch"), required=True)
+    p_est.add_argument("--estimator", choices=ESTIMATOR_KINDS, required=True)
     p_est.add_argument("--n", type=int, default=2)
     p_est.add_argument("--eta-db", type=float, required=True)
     p_est.add_argument("--L", type=int, default=8, help="pilot length (default 8)")
@@ -81,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-db", help="comma-separated SNR grid in dB")
         p.add_argument("--L", help="comma-separated pilot-length grid")
         p.add_argument("--E2", help="comma-separated per-DOF error grid (fig2)")
-        p.add_argument("--input", choices=("gaussian", "dp_qpsk", "dp_16qam"))
-        p.add_argument("--estimator", help="comma-separated subset of ls,kabsch")
+        p.add_argument("--input", choices=CONSTELLATION_KINDS)
+        p.add_argument("--estimator", help=f"comma-separated subset of {','.join(ESTIMATOR_KINDS)}")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path, - for stdout (default ./out/<experiment>-<seed>.csv)")
@@ -141,22 +142,19 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
 def _cmd_capacity(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
-    if not math.isfinite(args.eta_db):
-        raise ConfigError(f"--eta-db must be finite, got {args.eta_db}")
-    try:
-        est = capacity_perfect(args.n, 10.0 ** (args.eta_db / 10.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_eta_db(args.eta_db)
+    est = capacity_perfect(args.n, 10.0 ** (args.eta_db / 10.0))
     print(f"{est.value:.4f} bits/symbol")
     return EXIT_OK
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    check_eta_db(args.eta_db)
     try:
         params = ChannelParams.from_eta_db(args.n, args.eta_db)
-        spec = EstimatorSpec(args.estimator)
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        stats = empirical_error_covariance(spec, params, args.L, args.trials, rng)
+        kind = args.estimator
+        stats = empirical_error_covariance((kind,), params, args.L, args.trials, rng)[kind]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     record = error_stats_to_json(stats, params, args.L)
@@ -169,9 +167,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, experiment: str) -> int:
-    if experiment == "" and args.experiment is None and not args.config:
+    if not experiment and not args.config:
         raise ConfigError("sweep requires --experiment or --config")
-    config = _build_sweep_config(args, experiment or args.experiment or "")
+    config = _build_sweep_config(args, experiment)
     result = run_experiment(config)
     default_path = Path("out") / f"{config.experiment}-{config.master_seed}.csv"
     _write_text(args.out, default_path, result.to_csv_string())
@@ -189,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "error-cov":
             return _cmd_sweep(args, "error_cov")
         if args.subcommand == "sweep":
-            if args.experiment is None and not args.config:
-                raise ConfigError("sweep requires --experiment or --config")
             return _cmd_sweep(args, args.experiment or "")
         raise ConfigError(f"unknown subcommand {args.subcommand!r}")
     except ConfigError as exc:

@@ -9,6 +9,13 @@ Two estimators are provided:
 
 Both are exposed as plain functions (vectorized over stacked pilot blocks)
 and as small fit/predict estimator classes for pipeline-style use.
+
+:data:`ESTIMATORS` is the one registry of estimator kinds,
+``{kind: (X, pilots, H) -> H_hat}``; besides ``ls`` and ``kabsch`` it holds
+the perfect-CSI stub ``perfect``, which returns the true channel H. The
+kinds in :data:`UNITARY_KINDS` give unitary estimates. Everything that
+dispatches on a kind (the classes, the error covariance, the Monte Carlo
+rates in :mod:`polair.air`) reads the registry.
 """
 
 from __future__ import annotations
@@ -29,20 +36,20 @@ from .linalg import (
 )
 
 __all__ = [
+    "ESTIMATORS",
     "ESTIMATOR_KINDS",
+    "UNITARY_KINDS",
+    "get_estimator",
     "EstimatorSpec",
     "ErrorStats",
     "estimate_ls",
     "estimate_kabsch",
-    "error_matrix",
     "empirical_error_covariance",
     "error_stats_to_json",
     "LeastSquaresEstimator",
     "KabschEstimator",
     "make_estimator",
 ]
-
-ESTIMATOR_KINDS = ("ls", "kabsch")
 
 
 @dataclass(frozen=True)
@@ -57,13 +64,12 @@ class EstimatorSpec:
 
     def dof(self, n: int) -> int:
         """Independent real values the estimator must find."""
-        return 2 * n * n if self.kind == "ls" else n * n
+        return n * n if self.kind in UNITARY_KINDS else 2 * n * n
 
 
 def _pilot_arrays(pilots: PilotMatrix) -> tuple[np.ndarray, np.ndarray]:
     D = pilots.D
     gram = D @ dagger(D)
-    n = D.shape[0]
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] < 1e-13 * max(fro_norm(gram), np.finfo(float).tiny):
         raise SingularMatrixError("pilot Gram matrix D D^dagger is singular")
@@ -98,13 +104,22 @@ def estimate_kabsch(X, pilots: PilotMatrix) -> np.ndarray:
     return U @ Vh
 
 
-def error_matrix(H, H_hat) -> np.ndarray:
-    """Estimation error E = H - H_hat."""
-    H = np.asarray(H, dtype=complex)
-    H_hat = np.asarray(H_hat, dtype=complex)
-    if H.shape != H_hat.shape:
-        raise ValueError(f"shape mismatch: {H.shape} vs {H_hat.shape}")
-    return H - H_hat
+# The entries look estimate_ls and estimate_kabsch up as module globals at
+# call time, so a wrapped or patched module attribute is what gets called.
+ESTIMATORS = {
+    "ls": lambda X, pilots, H: estimate_ls(X, pilots),
+    "kabsch": lambda X, pilots, H: estimate_kabsch(X, pilots),
+    "perfect": lambda X, pilots, H: H,
+}
+UNITARY_KINDS = frozenset({"kabsch", "perfect"})  # these decode with energy ||s||^2
+ESTIMATOR_KINDS = tuple(k for k in ESTIMATORS if k != "perfect")  # the pilot-based kinds
+
+
+def get_estimator(kind: str):
+    """The registry entry of ``kind``; an unknown kind raises ``ValueError``."""
+    if kind not in ESTIMATORS:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    return ESTIMATORS[kind]
 
 
 @dataclass(frozen=True)
@@ -143,35 +158,40 @@ _TRIAL_CHUNK = 4096
 
 
 def empirical_error_covariance(
-    spec: EstimatorSpec,
+    kinds: tuple[str, ...],
     params: ChannelParams,
     L: int,
     trials: int,
     rng: np.random.Generator,
-) -> ErrorStats:
-    """Average E^dagger E over independent (channel, noise) draws.
+) -> dict[str, ErrorStats]:
+    """Average E^dagger E over independent (channel, noise) draws, per estimator kind.
 
     Each trial draws a fresh Haar channel and a fresh pilot-noise
-    realization, estimates the channel and accumulates the error Gram
-    matrix in deterministic trial order.
+    realization; every requested kind (``"ls"``, ``"kabsch"``) estimates the
+    channel from the same draws and accumulates its error Gram matrix in
+    deterministic trial order.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
+    specs = [EstimatorSpec(kind) for kind in kinds]
     n = params.n
     pilots = make_pilots(n, L, params.power)
-    acc = np.zeros((n, n), dtype=complex)
+    acc = {spec.kind: np.zeros((n, n), dtype=complex) for spec in specs}
     done = 0
     while done < trials:
         b = min(_TRIAL_CHUNK, trials - done)
         H = haar_unitary(n, rng, size=b)
         X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
-        H_hat = estimate_ls(X, pilots) if spec.kind == "ls" else estimate_kabsch(X, pilots)
-        E = H - H_hat
-        acc += np.einsum("bij,bik->jk", np.conj(E), E)
+        for kind in acc:
+            E = H - ESTIMATORS[kind](X, pilots, H)
+            acc[kind] += np.einsum("bij,bik->jk", np.conj(E), E)
         done += b
-    R = acc / trials
-    R = 0.5 * (R + dagger(R))  # symmetrize away accumulation round-off
-    return ErrorStats(kind=spec.kind, R_E=R, trials=trials, dof=spec.dof(n))
+    out = {}
+    for spec in specs:
+        R = acc[spec.kind] / trials
+        R = 0.5 * (R + dagger(R))  # symmetrize away accumulation round-off
+        out[spec.kind] = ErrorStats(kind=spec.kind, R_E=R, trials=trials, dof=spec.dof(n))
+    return out
 
 
 def error_stats_to_json(stats: ErrorStats, params: ChannelParams, L: int) -> str:
@@ -215,7 +235,7 @@ class _BaseChannelEstimator:
         return self.channel_ @ S
 
     def _estimate(self, X, pilots):
-        raise NotImplementedError
+        return ESTIMATORS[self.kind](X, pilots, None)
 
 
 class LeastSquaresEstimator(_BaseChannelEstimator):
@@ -223,22 +243,16 @@ class LeastSquaresEstimator(_BaseChannelEstimator):
 
     kind = "ls"
 
-    def _estimate(self, X, pilots):
-        return estimate_ls(X, pilots)
-
 
 class KabschEstimator(_BaseChannelEstimator):
     """Unitary-constrained (Procrustes/Kabsch) channel estimator."""
 
     kind = "kabsch"
 
-    def _estimate(self, X, pilots):
-        return estimate_kabsch(X, pilots)
-
 
 def make_estimator(kind: str) -> _BaseChannelEstimator:
-    if kind == "ls":
-        return LeastSquaresEstimator()
-    if kind == "kabsch":
-        return KabschEstimator()
+    """A fresh estimator object of a pilot-based kind."""
+    for cls in (LeastSquaresEstimator, KabschEstimator):
+        if cls.kind == kind:
+            return cls()
     raise ValueError(f"unknown estimator kind {kind!r}")

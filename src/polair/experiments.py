@@ -15,7 +15,8 @@ Experiments:
                   estimators (shared draws), against the perfect-CSI capacity.
 * ``fig3b``    -- same comparison with uniformly distributed DP-16-QAM
                   inputs, against the perfect-CSI mutual information.
-* ``fig4``     -- information gap vs pilot length.
+* ``fig4``     -- information gap vs pilot length (the fig3 runner on an
+                  (SNR, pilot length) grid).
 * ``error_cov``-- empirical estimation-error covariance statistics.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -37,9 +37,8 @@ from .air import (
     air_synthetic_mc,
     capacity_perfect,
 )
-from .channel import CONSTELLATION_KINDS, ChannelParams, make_constellation, make_pilots
-from .estimators import ESTIMATOR_KINDS, EstimatorSpec, estimate_kabsch, estimate_ls
-from .linalg import dagger, haar_unitary, sample_cgauss
+from .channel import CONSTELLATION_KINDS, ChannelParams, make_constellation
+from .estimators import ESTIMATOR_KINDS, empirical_error_covariance
 
 __all__ = [
     "ConfigError",
@@ -49,11 +48,12 @@ __all__ = [
     "EXPERIMENTS",
     "CSV_SCHEMA_VERSION",
     "CSV_COLUMNS",
+    "ETA_DB_RANGE",
+    "check_eta_db",
     "default_config",
     "run_experiment",
     "run_fig2",
     "run_fig3",
-    "run_fig4",
     "run_error_cov",
     "config_to_text",
     "config_from_text",
@@ -83,14 +83,27 @@ class ConfigError(ValueError):
     """An experiment configuration violates its constraints."""
 
 
+ETA_DB_RANGE = (-10.0, 40.0)  # the SNRs, in dB, that sweeps, `capacity` and `estimate` accept
+
+
+def check_eta_db(eta_db: float) -> None:
+    """Apply the one SNR range rule; a non-finite value fails it too."""
+    lo, hi = ETA_DB_RANGE
+    if not lo <= eta_db <= hi:
+        raise ConfigError(f"eta_db values must lie in [{lo:g}, {hi:g}], got {eta_db!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     eta_db_grid: tuple[float, ...]
     L_grid: tuple[int, ...] = (8,)
-    E2_grid: tuple[float, ...] = ()  # fig2 only
+    # fig2 only: per-DOF error levels in [0, 1]. At E2 = 1 the synthetic error
+    # already has 2 n^2 (general model) or n^2 (unitary model) times the power
+    # of a channel entry; the paper's largest level is 1e-1.
+    E2_grid: tuple[float, ...] = ()
     input: str = "gaussian"
-    estimators: tuple[str, ...] = ("ls", "kabsch")
+    estimators: tuple[str, ...] = ESTIMATOR_KINDS
     trials: int = 10_000
     master_seed: int = 0
     n: int = 2
@@ -103,8 +116,8 @@ class ExperimentConfig:
         for name in ("eta_db_grid", "E2_grid"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be finite")
-        if any(not (-10.0 <= e <= 40.0) for e in self.eta_db_grid):
-            raise ConfigError("eta_db values must lie in [-10, 40]")
+        for eta_db in self.eta_db_grid:
+            check_eta_db(eta_db)
         if self.trials < 100:
             raise ConfigError(f"trials must be >= 100, got {self.trials}")
         if not (0 <= self.master_seed < 2**64):
@@ -116,8 +129,8 @@ class ExperimentConfig:
         if self.experiment == "fig2":
             if len(self.E2_grid) == 0:
                 raise ConfigError("fig2 requires a non-empty E2_grid")
-            if any(e < 0 for e in self.E2_grid):
-                raise ConfigError("E2 values must be >= 0")
+            if any(not (0.0 <= e <= 1.0) for e in self.E2_grid):
+                raise ConfigError("E2 values must lie in [0, 1]")
         else:
             if len(self.L_grid) == 0:
                 raise ConfigError("L_grid must be non-empty")
@@ -198,7 +211,6 @@ class SweepRow:
 class SweepResult:
     config: ExperimentConfig
     rows: tuple[SweepRow, ...] = field(repr=False)
-    schema_version: int = CSV_SCHEMA_VERSION
 
     def to_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -226,32 +238,17 @@ class SweepResult:
         self.to_csv(buf)
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "config": _config_dict(self.config),
-            "rows": [
-                {
-                    "experiment": r.experiment,
-                    "estimator": r.estimator,
-                    "input": r.input,
-                    "eta_db": r.eta_db,
-                    "L": r.L,
-                    "E2": r.E2,
-                    "air": r.air.to_dict(),
-                    "capacity_bits": r.reference_capacity,
-                    "gap_bits": r.gap,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
 
 def _substream(config: ExperimentConfig, *key: int) -> np.random.Generator:
     """Deterministic per-grid-point stream from (seed, experiment, indices)."""
     spawn_key = (_EXPERIMENT_ID[config.experiment],) + tuple(key)
     return np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=spawn_key))
+
+
+def _check_experiment(config: ExperimentConfig, *experiments: str) -> None:
+    config.validate()
+    if config.experiment not in experiments:
+        raise ConfigError(f"expected experiment {' or '.join(experiments)}, got {config.experiment!r}")
 
 
 def run_fig2(config: ExperimentConfig) -> SweepResult:
@@ -262,9 +259,7 @@ def run_fig2(config: ExperimentConfig) -> SweepResult:
     identity is used); the unitary model is the closed form with
     tr(R_E) = n^3 * E2.
     """
-    config.validate()
-    if config.experiment != "fig2":
-        raise ConfigError(f"expected experiment fig2, got {config.experiment!r}")
+    _check_experiment(config, "fig2")
     n = config.n
     eye = np.eye(n)
     rows = []
@@ -321,23 +316,13 @@ def _rate_rows_at(
 
 
 def run_fig3(config: ExperimentConfig) -> SweepResult:
-    """AIR vs SNR for pilot-based estimators at fixed pilot length."""
-    config.validate()
-    if config.experiment not in ("fig3a", "fig3b"):
-        raise ConfigError(f"expected experiment fig3a or fig3b, got {config.experiment!r}")
-    rows = []
-    for i_eta, eta_db in enumerate(config.eta_db_grid):
-        for i_L, L in enumerate(config.L_grid):
-            rng = _substream(config, i_eta, i_L)
-            rows.extend(_rate_rows_at(config, eta_db, L, rng))
-    return SweepResult(config=config, rows=tuple(rows))
+    """AIR and information gap of pilot-based estimators over (SNR, pilot length).
 
-
-def run_fig4(config: ExperimentConfig) -> SweepResult:
-    """Information gap (reference - AIR) over a range of pilot lengths."""
-    config.validate()
-    if config.experiment != "fig4":
-        raise ConfigError(f"expected experiment fig4, got {config.experiment!r}")
+    Serves fig3a and fig3b (AIR vs SNR at a fixed pilot length) and fig4
+    (gap vs pilot length at a few SNRs); all estimators share the draws of
+    each grid point.
+    """
+    _check_experiment(config, "fig3a", "fig3b", "fig4")
     rows = []
     for i_eta, eta_db in enumerate(config.eta_db_grid):
         for i_L, L in enumerate(config.L_grid):
@@ -354,34 +339,16 @@ def run_error_cov(config: ExperimentConfig) -> SweepResult:
     tr(R_E)/(n * dof); the air column reports the unitary-estimate bound
     implied by the measured covariance, n log2(1+eta) - eta tr(R_E)/ln 2.
     """
-    config.validate()
-    if config.experiment != "error_cov":
-        raise ConfigError(f"expected experiment error_cov, got {config.experiment!r}")
+    _check_experiment(config, "error_cov")
     n = config.n
-    chunk = 4096
     rows = []
     for i_eta, eta_db in enumerate(config.eta_db_grid):
         params = ChannelParams.from_eta_db(n, eta_db)
         cap = capacity_perfect(n, params.eta).value
         for i_L, L in enumerate(config.L_grid):
             rng = _substream(config, i_eta, i_L)
-            pilots = make_pilots(n, L, params.power)
-            acc = {k: np.zeros((n, n), dtype=complex) for k in config.estimators}
-            done = 0
-            while done < config.trials:
-                b = min(chunk, config.trials - done)
-                H = haar_unitary(n, rng, size=b)
-                X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
-                for kind in config.estimators:
-                    H_hat = estimate_ls(X, pilots) if kind == "ls" else estimate_kabsch(X, pilots)
-                    E = H - H_hat
-                    acc[kind] += np.einsum("bij,bik->jk", np.conj(E), E)
-                done += b
+            stats = empirical_error_covariance(config.estimators, params, L, config.trials, rng)
             for kind in config.estimators:
-                R = acc[kind] / config.trials
-                R = 0.5 * (R + dagger(R))
-                dof = EstimatorSpec(kind).dof(n)
-                e2 = float(np.trace(R).real) / (n * dof)
                 rows.append(
                     SweepRow(
                         experiment="error_cov",
@@ -389,8 +356,8 @@ def run_error_cov(config: ExperimentConfig) -> SweepResult:
                         input=config.input,
                         eta_db=eta_db,
                         L=L,
-                        E2=e2,
-                        air=air_corollary4(n, params.eta, R),
+                        E2=stats[kind].error_per_dof,
+                        air=air_corollary4(n, params.eta, stats[kind].R_E),
                         reference_capacity=cap,
                     )
                 )
@@ -401,7 +368,7 @@ _RUNNERS = {
     "fig2": run_fig2,
     "fig3a": run_fig3,
     "fig3b": run_fig3,
-    "fig4": run_fig4,
+    "fig4": run_fig3,
     "error_cov": run_error_cov,
 }
 
@@ -416,14 +383,6 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 
 _LIST_FIELDS = {"eta_db_grid", "L_grid", "E2_grid", "estimators"}
 _INT_FIELDS = {"trials", "master_seed", "n"}
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def config_to_text(config: ExperimentConfig) -> str:

@@ -1,8 +1,12 @@
-"""Dense complex linear algebra for small matrices (2 <= n <= 8).
+"""Small complex-matrix helpers and the simulator's random sampling primitives.
 
-Thin, validated wrappers around numpy's LAPACK-backed routines plus the
-random sampling primitives used throughout the simulator: Haar-distributed
-unitary matrices and circularly symmetric complex Gaussian draws.
+The helpers validate a matrix argument (:func:`as_complex_matrix`), form a
+conjugate transpose (:func:`dagger`) and a Frobenius norm (:func:`fro_norm`);
+products, inverses and factorizations are numpy's, called directly where
+they are needed. The samplers draw Haar-distributed unitary matrices and
+circularly symmetric complex Gaussian arrays, both vectorized over a stack
+of draws. :class:`SingularMatrixError` is what the estimators raise for a
+singular pilot Gram matrix.
 
 All functions are pure; arrays are never modified in place. Random sampling
 takes an explicit ``numpy.random.Generator`` so that streams can be split
@@ -11,30 +15,16 @@ deterministically by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SingularMatrixError",
-    "SvdResult",
     "as_complex_matrix",
-    "as_complex_vector",
-    "matmul",
     "dagger",
-    "trace",
-    "det",
     "fro_norm",
-    "inverse",
-    "svd",
     "haar_unitary",
     "sample_cgauss",
-    "sample_cgauss_vector",
 ]
-
-# Smallest acceptable singular value relative to ||A||_F before a matrix is
-# declared singular.
-_SINGULARITY_RTOL = 1e-13
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -56,98 +46,16 @@ def as_complex_matrix(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def as_complex_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate and convert ``v`` to a 1-D complex ndarray."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got ndim={v.ndim}")
-    if v.shape[0] < 1:
-        raise ValueError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
-def _require_square(A: np.ndarray, name: str) -> None:
-    if A.shape[-2] != A.shape[-1]:
-        raise ValueError(f"{name} must be square, got {A.shape}")
-
-
-def matmul(A, B) -> np.ndarray:
-    """Complex matrix product with an explicit dimension check."""
-    A = as_complex_matrix(A, "A")
-    B = as_complex_matrix(B, "B")
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
-    return A @ B
-
-
 def dagger(A) -> np.ndarray:
     """Conjugate transpose. Supports stacked (..., m, n) inputs."""
     A = np.asarray(A, dtype=complex)
     return np.conj(np.swapaxes(A, -2, -1))
 
 
-def trace(A) -> complex:
-    """Trace of a square matrix."""
-    A = as_complex_matrix(A, "A")
-    _require_square(A, "A")
-    return complex(np.trace(A))
-
-
-def det(A) -> complex:
-    """Determinant of a square matrix."""
-    A = as_complex_matrix(A, "A")
-    _require_square(A, "A")
-    return complex(np.linalg.det(A))
-
-
 def fro_norm(A) -> float:
     """Frobenius norm sqrt(sum |a_ij|^2)."""
     A = np.asarray(A, dtype=complex)
     return float(np.sqrt(np.sum(np.abs(A) ** 2)))
-
-
-def inverse(A) -> np.ndarray:
-    """Inverse of a square matrix.
-
-    Raises :class:`SingularMatrixError` when the smallest singular value is
-    below ``1e-13 * ||A||_F``.
-    """
-    A = as_complex_matrix(A, "A")
-    _require_square(A, "A")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] < _SINGULARITY_RTOL * max(fro_norm(A), np.finfo(float).tiny):
-        raise SingularMatrixError("matrix is singular to working tolerance")
-    return np.linalg.inv(A)
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """SVD of a square matrix A = U diag(s) V^dagger.
-
-    ``U`` and ``V`` are unitary; ``singular_values`` are nonnegative and
-    sorted in descending order.
-    """
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ dagger(self.V)
-
-
-def svd(A) -> SvdResult:
-    """Singular value decomposition of a square complex matrix.
-
-    Non-convergence in the underlying LAPACK driver propagates as
-    ``numpy.linalg.LinAlgError``.
-    """
-    A = as_complex_matrix(A, "A")
-    _require_square(A, "A")
-    U, s, Vh = np.linalg.svd(A)
-    return SvdResult(U=U, singular_values=s, V=dagger(Vh))
 
 
 def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -196,10 +104,3 @@ def sample_cgauss(shape, variance_per_entry: float, rng: np.random.Generator) ->
         raise ValueError(f"variance_per_entry must be > 0, got {variance_per_entry}")
     scale = np.sqrt(variance_per_entry / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def sample_cgauss_vector(n: int, variance_per_entry: float, rng: np.random.Generator) -> np.ndarray:
-    """Length-n circularly symmetric complex Gaussian vector."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return sample_cgauss((n,), variance_per_entry, rng)

@@ -25,12 +25,11 @@ from polair.air import (
 )
 from polair.channel import ChannelParams, make_constellation, make_pilots
 from polair.estimators import (
-    EstimatorSpec,
     empirical_error_covariance,
     estimate_kabsch,
     estimate_ls,
 )
-from polair.experiments import default_config, run_fig2, run_fig4
+from polair.experiments import default_config, run_fig2, run_fig3
 from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
 
 
@@ -67,8 +66,8 @@ def test_criterion_02_ls_covariance_reference_law():
         for L in (8, 16):
             params = ChannelParams(n=n, power=n * eta, sigma2=1.0)
             stats = empirical_error_covariance(
-                EstimatorSpec("ls"), params, L, 10_000, np.random.default_rng(1002)
-            )
+                ("ls",), params, L, 10_000, np.random.default_rng(1002)
+            )["ls"]
             expected = 2.0 / (eta * L)
             where = f"eta={eta:g},L={L}"
             for k in range(n):
@@ -233,7 +232,7 @@ def test_criterion_09_fixed_error_curve_shape():
 
 def test_criterion_10_gap_vs_pilot_length():
     config = replace(default_config("fig4", master_seed=1010), eta_db_grid=(14.0,), trials=10_000)
-    result = run_fig4(config)
+    result = run_fig3(config)
     gaps = {}
     errs = {}
     for row in result.rows:

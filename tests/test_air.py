@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-import polair.air
+import polair.estimators
 from polair.air import (
     AirEstimate,
     _decoding_metric,
@@ -158,9 +158,10 @@ class TestCorollary2MonteCarlo:
     def test_perfect_stub(self):
         params = ChannelParams.from_eta_db(2, 10.0)
         U = haar_unitary(2, np.random.default_rng(8))
-        est = air_corollary2_mc(U, "perfect", params, 8, 1000, np.random.default_rng(9))
-        assert est.value == pytest.approx(capacity_perfect(2, params.eta).value, abs=1e-12)
-        assert est.std_error == 0.0
+        for trials in (1000, 9000):  # one chunk and two
+            est = air_corollary2_mc(U, "perfect", params, 8, trials, np.random.default_rng(9))
+            assert est.value == pytest.approx(capacity_perfect(2, params.eta).value, abs=1e-12)
+            assert est.std_error == 0.0
 
     def test_ls_below_capacity(self):
         params = ChannelParams.from_eta_db(2, 10.0)
@@ -351,7 +352,7 @@ class TestDiscreteKernel:
         # A per-sample 1.1 U estimate is not unitary: LS must not use ||s||^2.
         params = ChannelParams.from_eta_db(2, 12.0)
         c = make_constellation("dp_16qam", 2, params.power)
-        monkeypatch.setattr(polair.air, "estimate_ls", lambda X, p: 1.1 * estimate_kabsch(X, p))
+        monkeypatch.setattr(polair.estimators, "estimate_ls", lambda X, p: 1.1 * estimate_kabsch(X, p))
         out = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(32), kinds=("ls",))
         H, X, pilots, idx, x = paired_draws(c, params, 8, 1000, 32)
         H_dec = 1.1 * estimate_kabsch(X, pilots)
@@ -360,6 +361,43 @@ class TestDiscreteKernel:
         weights, unit_energy = _metric_weights(c.points, params.sigma2)
         shortcut = _discrete_values(_decoding_metric(H_dec, x, weights, unit_energy), idx).mean()
         assert abs(shortcut - want) > 1e-2
+
+
+class TestSharedDraws:
+    """Requesting more estimator kinds must not change the draws of the others."""
+
+    def test_gaussian_ls_independent_of_other_kinds(self):
+        params = ChannelParams.from_eta_db(2, 8.0)
+        alone = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(40), kinds=("ls",))
+        for kinds in (("ls", "kabsch"), ("kabsch", "perfect", "ls")):
+            out = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(40), kinds=kinds)
+            assert out["ls"] == alone["ls"]
+
+    def test_discrete_ls_independent_of_other_kinds(self):
+        params = ChannelParams.from_eta_db(2, 8.0)
+        c = make_constellation("dp_qpsk", 2, params.power)
+        alone = air_discrete_paired_mc(c, params, 8, 3000, np.random.default_rng(41), kinds=("ls",))
+        for kinds in (("ls", "kabsch"), ("perfect", "kabsch", "ls")):
+            out = air_discrete_paired_mc(c, params, 8, 3000, np.random.default_rng(41), kinds=kinds)
+            assert out["ls"] == alone["ls"]
+
+    @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
+    def test_corollary2_is_gaussian_paired_with_fixed_channel(self, kind):
+        params = ChannelParams.from_eta_db(2, 6.0)
+        U = haar_unitary(2, np.random.default_rng(42))
+        got = air_corollary2_mc(U, kind, params, 8, 9000, np.random.default_rng(43))
+        out = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(43), kinds=(kind,), H_u=U)
+        assert got == out[kind]
+
+    def test_unknown_kind_is_value_error(self):
+        params = ChannelParams.from_eta_db(2, 6.0)
+        c = make_constellation("dp_qpsk", 2, params.power)
+        with pytest.raises(ValueError):
+            air_gaussian_paired_mc(params, 8, 200, np.random.default_rng(0), kinds=("ls", "mmse"))
+        with pytest.raises(ValueError):
+            air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("mmse",))
+        with pytest.raises(ValueError):
+            air_corollary2_mc(np.eye(2), "mmse", params, 8, 200, np.random.default_rng(0))
 
 
 class TestGaussianPaired:

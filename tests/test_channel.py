@@ -3,8 +3,6 @@ import pytest
 
 from polair.channel import (
     ChannelParams,
-    TransmissionBlock,
-    constellation_to_csv,
     make_constellation,
     make_pilots,
     sample_channel,
@@ -59,14 +57,6 @@ class TestConstellation:
             make_constellation("dp_qpsk", 4, 2.0)
         with pytest.raises(ValueError):
             make_constellation("8psk", 2, 2.0)
-
-    def test_csv_export(self, tmp_path):
-        c = make_constellation("dp_qpsk", 2, 2.0)
-        path = tmp_path / "points.csv"
-        constellation_to_csv(c, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,re0,im0,re1,im1"
-        assert len(lines) == 1 + 16
 
 
 class TestPilots:
@@ -144,23 +134,3 @@ class TestTransmit:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             transmit(np.eye(2), np.ones((3, 4)), 1.0, np.random.default_rng(0))
-
-
-class TestTransmissionBlock:
-    def test_valid_block(self):
-        rng = np.random.default_rng(6)
-        H = sample_channel(2, rng)
-        pil = make_pilots(2, 8, 2.0)
-        X = transmit(H, pil.D, 1.0, rng)
-        block = TransmissionBlock(H=H, pilots=pil, X=X, block_length=1000)
-        assert block.block_length == 1000
-
-    def test_nonunitary_rejected(self):
-        pil = make_pilots(2, 8, 2.0)
-        with pytest.raises(ValueError):
-            TransmissionBlock(H=2 * np.eye(2), pilots=pil, X=np.zeros((2, 8)))
-
-    def test_shape_mismatch_rejected(self):
-        pil = make_pilots(2, 8, 2.0)
-        with pytest.raises(ValueError):
-            TransmissionBlock(H=np.eye(2), pilots=pil, X=np.zeros((2, 4)))

@@ -32,6 +32,15 @@ class TestCapacity:
         assert main(["capacity", "--eta-db", value]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["4000", "-4000", "40.5", "-10.5"])
+    def test_snr_out_of_range(self, capsys, value):
+        assert main(["capacity", f"--eta-db={value}"]) == EXIT_CONFIG
+        assert "[-10, 40]" in capsys.readouterr().err
+
+    def test_snr_range_edges(self, capsys):
+        assert main(["capacity", "--eta-db=-10"]) == EXIT_OK
+        assert main(["capacity", "--eta-db", "40"]) == EXIT_OK
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["capacity"])
@@ -64,6 +73,14 @@ class TestEstimate:
         code = main(["estimate", "--estimator", "ls", "--eta-db", "10", "--trials", "10"])
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["4000", "-4000", "nan"])
+    def test_snr_out_of_range(self, capsys, value):
+        code = main(["estimate", "--estimator", "ls", f"--eta-db={value}", "--trials", "500"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[-10, 40]" in captured.err
 
     def test_unknown_estimator_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -124,6 +141,18 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    def test_e2_above_one_rejected(self, capsys):
+        code = main(["sweep", "--experiment", "fig2", "--E2", "1e300", "--eta-db", "10", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "E2 values must lie in [0, 1]" in captured.err
+
+    def test_e2_of_one_accepted(self, capsys):
+        code = main(["sweep", "--experiment", "fig2", "--E2", "1", "--eta-db", "10", "--trials", "200", "--out", "-"])
+        assert code == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2  # general and unitary rows
 
     def test_unparsable_grid_value(self, capsys):
         code = main(["sweep", "--experiment", "fig2", "--E2", "abc", "--trials", "200"])

@@ -5,12 +5,14 @@ import pytest
 
 from polair.channel import ChannelParams, make_pilots
 from polair.estimators import (
+    ESTIMATOR_KINDS,
+    ESTIMATORS,
+    UNITARY_KINDS,
     ErrorStats,
     EstimatorSpec,
     KabschEstimator,
     LeastSquaresEstimator,
     empirical_error_covariance,
-    error_matrix,
     error_stats_to_json,
     estimate_kabsch,
     estimate_ls,
@@ -69,8 +71,8 @@ class TestLeastSquares:
             for L in (8, 16):
                 params = ChannelParams(n=n, power=n * eta, sigma2=1.0)
                 stats = empirical_error_covariance(
-                    EstimatorSpec("ls"), params, L, trials, np.random.default_rng(7)
-                )
+                    ("ls",), params, L, trials, np.random.default_rng(7)
+                )["ls"]
                 expected = (n / (eta * L)) * np.eye(n)
                 atol = 0.05 * n / (eta * L)
                 assert np.allclose(stats.R_E, expected, atol=atol)
@@ -86,8 +88,8 @@ class TestLeastSquares:
 
     def test_trace_halves_with_double_pilots(self):
         params = ChannelParams(n=2, power=4.0, sigma2=1.0)
-        t8 = empirical_error_covariance(EstimatorSpec("ls"), params, 8, 10_000, np.random.default_rng(8)).trace_re
-        t16 = empirical_error_covariance(EstimatorSpec("ls"), params, 16, 10_000, np.random.default_rng(9)).trace_re
+        t8 = empirical_error_covariance(("ls",), params, 8, 10_000, np.random.default_rng(8))["ls"].trace_re
+        t16 = empirical_error_covariance(("ls",), params, 16, 10_000, np.random.default_rng(9))["ls"].trace_re
         assert t16 == pytest.approx(t8 / 2, rel=0.10)
 
 
@@ -132,28 +134,12 @@ class TestKabsch:
             assert 0.4 <= t_k / t_ls <= 0.6
 
 
-class TestErrorMatrix:
-    def test_zero_for_perfect_estimate(self):
-        H = haar_unitary(2, np.random.default_rng(5))
-        assert fro_norm(error_matrix(H, H)) == 0.0
-
-    def test_phase_error_norm(self):
-        theta = 0.3
-        H_hat = np.diag([np.exp(1j * theta), 1.0])
-        E = error_matrix(np.eye(2), H_hat)
-        assert fro_norm(E) ** 2 == pytest.approx(abs(1 - np.exp(1j * theta)) ** 2, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            error_matrix(np.eye(2), np.eye(3))
-
-
 class TestErrorStats:
     def test_hermitian_psd(self):
         params = ChannelParams.from_eta_db(2, 5.0)
         stats = empirical_error_covariance(
-            EstimatorSpec("kabsch"), params, 8, 500, np.random.default_rng(12)
-        )
+            ("kabsch",), params, 8, 500, np.random.default_rng(12)
+        )["kabsch"]
         R = stats.R_E
         assert fro_norm(R - dagger(R)) < 1e-12
         assert np.min(np.linalg.eigvalsh(R)) >= -1e-12
@@ -163,18 +149,32 @@ class TestErrorStats:
         for eta_db in (0.0, 10.0, 20.0):
             for L in (8, 16):
                 params = ChannelParams.from_eta_db(2, eta_db)
-                ls = empirical_error_covariance(EstimatorSpec("ls"), params, L, 2000, np.random.default_rng(13))
-                kb = empirical_error_covariance(EstimatorSpec("kabsch"), params, L, 2000, np.random.default_rng(13))
+                both = empirical_error_covariance(("ls", "kabsch"), params, L, 2000, np.random.default_rng(13))
+                ls, kb = both["ls"], both["kabsch"]
                 assert kb.error_per_dof <= ls.error_per_dof * 1.1
+
+    def test_ls_independent_of_other_kinds(self):
+        # One call for several kinds shares the draws without changing any kind's result.
+        params = ChannelParams.from_eta_db(2, 5.0)
+        alone = empirical_error_covariance(("ls",), params, 8, 9000, np.random.default_rng(15))["ls"]
+        both = empirical_error_covariance(("kabsch", "ls"), params, 8, 9000, np.random.default_rng(15))
+        assert np.array_equal(both["ls"].R_E, alone.R_E)
+        assert both["ls"].error_per_dof == alone.error_per_dof
+
+    def test_unknown_kind(self):
+        params = ChannelParams.from_eta_db(2, 5.0)
+        for kinds in (("mmse",), ("ls", "perfect")):
+            with pytest.raises(ValueError):
+                empirical_error_covariance(kinds, params, 8, 500, np.random.default_rng(0))
 
     def test_min_trials(self):
         params = ChannelParams.from_eta_db(2, 10.0)
         with pytest.raises(ValueError):
-            empirical_error_covariance(EstimatorSpec("ls"), params, 8, 50, np.random.default_rng(0))
+            empirical_error_covariance(("ls",), params, 8, 50, np.random.default_rng(0))
 
     def test_json_record(self):
         params = ChannelParams.from_eta_db(2, 10.0)
-        stats = empirical_error_covariance(EstimatorSpec("ls"), params, 8, 500, np.random.default_rng(14))
+        stats = empirical_error_covariance(("ls",), params, 8, 500, np.random.default_rng(14))["ls"]
         record = json.loads(error_stats_to_json(stats, params, 8))
         assert record["estimator"] == "ls"
         assert record["n"] == 2 and record["L"] == 8
@@ -208,3 +208,26 @@ class TestEstimatorApi:
             est.set_params(bogus=1)
         with pytest.raises(ValueError):
             make_estimator("mmse")
+
+
+class TestRegistry:
+    def test_kinds(self):
+        assert ESTIMATOR_KINDS == ("ls", "kabsch")
+        assert set(ESTIMATORS) == {"ls", "kabsch", "perfect"}
+        assert UNITARY_KINDS == {"kabsch", "perfect"}
+
+    def test_entries_match_functions_and_classes(self):
+        params, pilots, H, X, _ = pilot_block(seed=22)
+        assert np.array_equal(ESTIMATORS["ls"](X, pilots, H), estimate_ls(X, pilots))
+        assert np.array_equal(ESTIMATORS["kabsch"](X, pilots, H), estimate_kabsch(X, pilots))
+        assert ESTIMATORS["perfect"](X, pilots, H) is H
+        for kind in ESTIMATOR_KINDS:
+            est = make_estimator(kind)
+            assert est.kind == kind
+            assert np.array_equal(est.fit(X, pilots).channel_, ESTIMATORS[kind](X, pilots, H))
+
+    def test_perfect_is_not_a_pilot_estimator(self):
+        with pytest.raises(ValueError):
+            make_estimator("perfect")
+        with pytest.raises(ValueError):
+            EstimatorSpec("perfect")

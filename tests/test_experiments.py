@@ -1,10 +1,12 @@
 import csv
 import io
-import json
 from dataclasses import replace
 
 import pytest
 
+from polair.air import air_corollary4
+from polair.channel import ChannelParams
+from polair.estimators import empirical_error_covariance
 from polair.experiments import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -18,7 +20,7 @@ from polair.experiments import (
     run_experiment,
     run_fig2,
     run_fig3,
-    run_fig4,
+    _substream,
 )
 
 
@@ -70,6 +72,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="finite"):
             config_from_text(text).validate()
 
+    def test_e2_upper_bound(self):
+        for value in (1.0 + 1e-9, 1e3, 1e300):
+            with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+                small_config("fig2", E2_grid=(1e-2, value)).validate()
+        small_config("fig2", E2_grid=(0.0, 1.0)).validate()
+
     def test_bad_pilot_lengths(self):
         with pytest.raises(ConfigError):
             small_config("fig4", L_grid=(3,)).validate()
@@ -92,7 +100,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_fig2(small_config("fig3a"))
         with pytest.raises(ConfigError):
-            run_fig4(small_config("fig2"))
+            run_fig3(small_config("fig2"))
 
 
 class TestDeterminism:
@@ -146,7 +154,7 @@ class TestRowContents:
 
     def test_fig4_gap_shrinks_with_pilot_length(self):
         config = small_config("fig4", trials=2000, eta_db_grid=(14.0,), L_grid=(4, 16))
-        result = run_fig4(config)
+        result = run_fig3(config)
         by_kind = {}
         for r in result.rows:
             by_kind.setdefault(r.estimator, {})[r.L] = r.gap
@@ -162,6 +170,23 @@ class TestRowContents:
         assert by_kind["kabsch"].E2 == pytest.approx(2 / (10.0 * 8) / 8, rel=0.10)
         for r in result.rows:
             assert r.air.value <= r.reference_capacity
+
+
+class TestErrorCovRows:
+    def test_rows_equal_error_covariance_on_substream(self):
+        config = small_config("error_cov", trials=5000, eta_db_grid=(0.0, 10.0))
+        rows = iter(run_error_cov(config).rows)
+        for i_eta, eta_db in enumerate(config.eta_db_grid):
+            params = ChannelParams.from_eta_db(config.n, eta_db)
+            for i_L, L in enumerate(config.L_grid):
+                rng = _substream(config, i_eta, i_L)
+                stats = empirical_error_covariance(config.estimators, params, L, config.trials, rng)
+                for kind in config.estimators:
+                    row = next(rows)
+                    assert (row.estimator, row.eta_db, row.L) == (kind, eta_db, L)
+                    assert row.E2 == stats[kind].error_per_dof
+                    assert row.air == air_corollary4(config.n, params.eta, stats[kind].R_E)
+        assert next(rows, None) is None
 
 
 class TestSerialization:
@@ -185,15 +210,6 @@ class TestSerialization:
         reader = csv.DictReader(io.StringIO(result.to_csv_string()))
         for raw, row in zip(reader, result.rows):
             assert float(raw["air_bits"]) == row.air.value
-
-    def test_json_payload(self):
-        result = run_experiment(small_config("fig2", trials=200))
-        payload = json.loads(result.to_json())
-        assert payload["schema_version"] == CSV_SCHEMA_VERSION
-        assert payload["config"]["experiment"] == "fig2"
-        assert len(payload["rows"]) == len(result.rows)
-        first = payload["rows"][0]
-        assert first["air"]["value_bits"] == result.rows[0].air.value
 
 
 class TestConfigText:

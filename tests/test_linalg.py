@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from polair.channel import PilotMatrix
+from polair.estimators import estimate_ls
 from polair.linalg import (
     SingularMatrixError,
+    as_complex_matrix,
     dagger,
-    det,
     fro_norm,
     haar_unitary,
-    inverse,
-    matmul,
     sample_cgauss,
-    sample_cgauss_vector,
-    svd,
-    trace,
 )
 
 
@@ -23,24 +18,6 @@ def random_complex(shape, rng, scale=1.0):
 
 
 class TestBasics:
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(0)
-        A = random_complex((2, 2), rng)
-        assert np.allclose(matmul(np.eye(2), A), A)
-
-    def test_matmul_inverse_gives_identity(self):
-        rng = np.random.default_rng(1)
-        A = random_complex((2, 2), rng) + 3 * np.eye(2)
-        assert fro_norm(matmul(A, inverse(A)) - np.eye(2)) < 1e-12
-
-    def test_matmul_imaginary_square(self):
-        J = np.array([[1j, 0], [0, 1j]])
-        assert np.allclose(matmul(J, J), -np.eye(2))
-
-    def test_matmul_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
     def test_dagger(self):
         A = np.array([[0, 1], [0, 0]], dtype=complex)
         assert np.array_equal(dagger(A), np.array([[0, 0], [1, 0]], dtype=complex))
@@ -49,33 +26,28 @@ class TestBasics:
         rng = np.random.default_rng(2)
         for _ in range(20):
             U = haar_unitary(3, rng)
-            assert abs(abs(det(U)) - 1.0) < 1e-10
+            assert abs(abs(np.linalg.det(U)) - 1.0) < 1e-10
 
     def test_fro_norm_identity(self):
         for n in (1, 2, 4, 8):
             assert fro_norm(np.eye(n)) == pytest.approx(np.sqrt(n))
 
-    def test_trace_requires_square(self):
-        with pytest.raises(ValueError):
-            trace(np.ones((2, 3)))
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            det(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+            as_complex_matrix(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
 
 class TestInverse:
-    def test_scaled_identity(self):
-        assert np.allclose(inverse(2 * np.eye(2)), 0.5 * np.eye(2))
-
     def test_unitary_inverse_is_dagger(self):
         rng = np.random.default_rng(3)
         U = haar_unitary(4, rng)
-        assert fro_norm(inverse(U) - dagger(U)) < 1e-10
+        assert fro_norm(np.linalg.inv(U) - dagger(U)) < 1e-10
 
     def test_singular_raises(self):
+        # The LS estimator needs (D D^dagger)^-1 and refuses a singular pilot Gram matrix.
+        pilots = PilotMatrix(D=np.ones((2, 2), dtype=complex), L=2, power=1.0)
         with pytest.raises(SingularMatrixError):
-            inverse(np.ones((2, 2)))
+            estimate_ls(np.ones((2, 2)), pilots)
 
 
 def eigvals_2x2_charpoly(G):
@@ -89,15 +61,30 @@ def eigvals_2x2_charpoly(G):
     return (tr + disc) / 2, (tr - disc) / 2
 
 
+def svd(A):
+    """numpy's SVD as (U, singular values, V), with A = U diag(s) V^dagger.
+
+    It is the factorization behind the Kabsch estimator and the unitary
+    synthetic error model (U V^dagger), and the reference for any
+    closed-form replacement of it.
+    """
+    U, s, Vh = np.linalg.svd(A)
+    return U, s, dagger(Vh)
+
+
+def reconstruct(U, s, V):
+    return (U * s) @ dagger(V)
+
+
 class TestSvd:
     def test_identity(self):
-        res = svd(np.eye(2))
-        assert np.allclose(res.singular_values, [1.0, 1.0])
-        assert fro_norm(res.U @ dagger(res.V) - np.eye(2)) < 1e-12
+        U, s, V = svd(np.eye(2))
+        assert np.allclose(s, [1.0, 1.0])
+        assert fro_norm(U @ dagger(V) - np.eye(2)) < 1e-12
 
     def test_diagonal(self):
-        res = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(res.singular_values, [3.0, 1.0])
+        _, s, _ = svd(np.diag([3.0, 1.0]))
+        assert np.allclose(s, [3.0, 1.0])
 
     def test_against_charpoly_eigenvalues_of_gram(self):
         # Singular values of A are the square roots of the eigenvalues of
@@ -105,31 +92,31 @@ class TestSvd:
         rng = np.random.default_rng(4)
         for _ in range(50):
             A = random_complex((2, 2), rng)
-            res = svd(A)
+            U, s, V = svd(A)
             G = dagger(A) @ A
             lam_hi, lam_lo = eigvals_2x2_charpoly(G)
             expected = np.sqrt(np.array([lam_hi.real, lam_lo.real]))
-            assert np.allclose(res.singular_values, expected, atol=1e-9)
-            assert fro_norm(res.reconstruct() - A) <= 1e-9 * max(1.0, fro_norm(A))
+            assert np.allclose(s, expected, atol=1e-9)
+            assert fro_norm(reconstruct(U, s, V) - A) <= 1e-9 * max(1.0, fro_norm(A))
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_roundtrip_many(self, n):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             A = random_complex((n, n), rng)
-            res = svd(A)
-            assert fro_norm(res.U @ dagger(res.U) - np.eye(n)) <= 1e-10
-            assert fro_norm(res.V @ dagger(res.V) - np.eye(n)) <= 1e-10
-            assert np.all(np.diff(res.singular_values) <= 0)
-            assert np.all(res.singular_values >= 0)
-            assert fro_norm(res.reconstruct() - A) <= 1e-9 * max(1.0, fro_norm(A))
+            U, s, V = svd(A)
+            assert fro_norm(U @ dagger(U) - np.eye(n)) <= 1e-10
+            assert fro_norm(V @ dagger(V) - np.eye(n)) <= 1e-10
+            assert np.all(np.diff(s) <= 0)
+            assert np.all(s >= 0)
+            assert fro_norm(reconstruct(U, s, V) - A) <= 1e-9 * max(1.0, fro_norm(A))
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         A = random_complex((3, 3), rng)
         r1, r2 = svd(A), svd(A)
-        assert np.array_equal(r1.U, r2.U)
-        assert np.array_equal(r1.singular_values, r2.singular_values)
+        assert np.array_equal(r1[0], r2[0])
+        assert np.array_equal(r1[1], r2[1])
 
 
 class TestHaarUnitary:
@@ -181,24 +168,4 @@ class TestComplexGaussian:
 
     def test_nonpositive_variance(self):
         with pytest.raises(ValueError):
-            sample_cgauss_vector(2, 0.0, np.random.default_rng(0))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_det_multiplicative(seed):
-    rng = np.random.default_rng(seed)
-    A = random_complex((2, 2), rng)
-    B = random_complex((2, 2), rng)
-    lhs = det(A @ B)
-    rhs = det(A) * det(B)
-    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_trace_cyclic(seed):
-    rng = np.random.default_rng(seed)
-    A = random_complex((3, 3), rng)
-    B = random_complex((3, 3), rng)
-    assert abs(trace(A @ B) - trace(B @ A)) <= 1e-10 * max(1.0, abs(trace(A @ B)))
+            sample_cgauss((2,), 0.0, np.random.default_rng(0))
