@@ -13,7 +13,6 @@ from .air import (
     air_corollary1,
     air_corollary2_mc,
     air_corollary4,
-    air_discrete_mc,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
     air_synthetic_mc,
@@ -29,19 +28,13 @@ from .channel import (
     PilotMatrix,
     make_constellation,
     make_pilots,
-    sample_channel,
-    transmit,
 )
 from .estimators import (
     ErrorStats,
-    EstimatorSpec,
-    KabschEstimator,
-    LeastSquaresEstimator,
     empirical_error_covariance,
     error_stats_to_json,
     estimate_kabsch,
     estimate_ls,
-    make_estimator,
 )
 from .experiments import (
     ConfigError,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, Constellation, make_pilots
-from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, EstimatorSpec, get_estimator
+from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator
 from .linalg import as_complex_matrix, dagger, fro_norm, haar_unitary, sample_cgauss
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "synthetic_estimates",
     "air_synthetic_mc",
     "mi_discrete_mc",
-    "air_discrete_mc",
     "air_gaussian_paired_mc",
     "air_discrete_paired_mc",
 ]
@@ -44,30 +43,21 @@ _DISCRETE_CHUNK = 2048
 
 @dataclass(frozen=True)
 class AirEstimate:
-    """A rate value in bits/symbol with its Monte Carlo uncertainty."""
+    """A rate value in bits/symbol with its Monte Carlo uncertainty.
+
+    ``trials`` is the Monte Carlo sample size; a closed form has one trial
+    and no standard error.
+    """
 
     value: float
     std_error: float = 0.0
     trials: int = 1
-    kind: str = "closed_form"
 
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise ValueError("value must be finite")
         if self.std_error < 0:
             raise ValueError("std_error must be >= 0")
-        if self.kind not in ("closed_form", "monte_carlo"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "monte_carlo" and self.trials < 100:
-            raise ValueError("monte_carlo estimates require trials >= 100")
-
-    def to_dict(self) -> dict:
-        return {
-            "value_bits": self.value,
-            "std_error": self.std_error,
-            "trials": self.trials,
-            "kind": self.kind,
-        }
 
 
 def _mc_estimate(values: np.ndarray) -> AirEstimate:
@@ -76,9 +66,9 @@ def _mc_estimate(values: np.ndarray) -> AirEstimate:
     if np.all(values == values[0]):
         # A constant sample (the perfect-CSI capacity, a zero synthetic error) is
         # exact: its summed mean could be off by round-off, its spread is zero.
-        return AirEstimate(value=float(values[0]), trials=n, kind="monte_carlo")
+        return AirEstimate(value=float(values[0]), trials=n)
     std_error = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return AirEstimate(value=float(values.mean()), std_error=std_error, trials=n, kind="monte_carlo")
+    return AirEstimate(value=float(values.mean()), std_error=std_error, trials=n)
 
 
 def _paired_mc(step, kinds: tuple[str, ...], trials: int, chunk: int) -> dict[str, AirEstimate]:
@@ -219,7 +209,7 @@ def air_corollary4(n: int, eta: float, R_E) -> AirEstimate:
 
 def air_corollary2_mc(
     H_u,
-    estimator: EstimatorSpec | str,
+    kind: str,
     params: ChannelParams,
     L: int,
     trials: int,
@@ -227,10 +217,9 @@ def air_corollary2_mc(
 ) -> AirEstimate:
     """Average AIR over random pilot-block estimates of a fixed unitary channel.
 
-    ``estimator`` is an :class:`EstimatorSpec` or a kind string, including
-    ``"perfect"`` (the H_hat = H_u stub, useful as a sanity reference).
+    ``kind`` is an estimator kind, including ``"perfect"`` (the H_hat = H_u
+    stub, useful as a sanity reference).
     """
-    kind = estimator if isinstance(estimator, str) else estimator.kind
     return air_gaussian_paired_mc(params, L, trials, rng, kinds=(kind,), H_u=H_u)[kind]
 
 
@@ -407,19 +396,6 @@ def air_discrete_paired_mc(
         return out
 
     return _paired_mc(step, kinds, trials, _DISCRETE_CHUNK)
-
-
-def air_discrete_mc(
-    estimator: EstimatorSpec | str,
-    constellation: Constellation,
-    params: ChannelParams,
-    L: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> AirEstimate:
-    """Average discrete-input AIR for one estimator (fresh draws per trial)."""
-    kind = estimator if isinstance(estimator, str) else estimator.kind
-    return air_discrete_paired_mc(constellation, params, L, trials, rng, kinds=(kind,))[kind]
 
 
 def air_gaussian_paired_mc(

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex_matrix, haar_unitary, sample_cgauss
-
 __all__ = [
     "CONSTELLATION_KINDS",
     "ChannelParams",
@@ -25,8 +23,6 @@ __all__ = [
     "PilotMatrix",
     "make_constellation",
     "make_pilots",
-    "transmit",
-    "sample_channel",
 ]
 
 CONSTELLATION_KINDS = ("gaussian", "dp_qpsk", "dp_16qam")
@@ -164,25 +160,3 @@ def make_pilots(n: int, L: int, power: float) -> PilotMatrix:
     base = base * np.sqrt(power / n)
     D = np.tile(base, (1, L // n))
     return PilotMatrix(D=D, L=L, power=power)
-
-
-def transmit(H, S, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Pass symbols through the channel: X = H S + Z.
-
-    ``S`` is n x K (one column per symbol); the noise Z has i.i.d.
-    circularly symmetric entries of variance ``sigma2``.
-    """
-    H = as_complex_matrix(H, "H")
-    S = as_complex_matrix(S, "S")
-    if H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got {H.shape}")
-    if H.shape[1] != S.shape[0]:
-        raise ValueError(f"dimension mismatch: H {H.shape}, S {S.shape}")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    return H @ S + sample_cgauss(S.shape, sigma2, rng)
-
-
-def sample_channel(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw the channel for a new block: a Haar-random unitary."""
-    return haar_unitary(n, rng, size=size)

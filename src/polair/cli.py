@@ -10,9 +10,10 @@ Subcommands:
                    written as CSV.
 
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
-unparsable or non-finite grid values, SNRs outside [-10, 40] dB and E2
-values outside [0, 1]), 4 numerical failure (including any value the
-numeric core rejects that the configuration checks let through).
+unparsable or non-finite grid values, SNRs outside [-10, 40] dB, E2
+values outside [0, 1] and repeated estimator kinds), 4 numerical failure
+(including any value the numeric core rejects that the configuration
+checks let through).
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path, - for stdout (default ./out/<experiment>-<seed>.csv)")
-        p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto (results are thread-count independent)")
     return parser
 
 

@@ -7,15 +7,16 @@ Two estimators are provided:
 * Kabsch: ``H = U V^dagger`` from the SVD of ``X D^dagger``, the minimizer
   of the same cost over the unitary group, with n^2 degrees of freedom.
 
-Both are exposed as plain functions (vectorized over stacked pilot blocks)
-and as small fit/predict estimator classes for pipeline-style use.
+Both are plain functions, :func:`estimate_ls` and :func:`estimate_kabsch`,
+vectorized over stacked pilot blocks.
 
 :data:`ESTIMATORS` is the one registry of estimator kinds,
 ``{kind: (X, pilots, H) -> H_hat}``; besides ``ls`` and ``kabsch`` it holds
 the perfect-CSI stub ``perfect``, which returns the true channel H. The
-kinds in :data:`UNITARY_KINDS` give unitary estimates. Everything that
-dispatches on a kind (the classes, the error covariance, the Monte Carlo
-rates in :mod:`polair.air`) reads the registry.
+kinds in :data:`UNITARY_KINDS` give unitary estimates and have n^2 real
+degrees of freedom; the others have 2 n^2. Everything that dispatches on a
+kind (the error covariance here, the Monte Carlo rates in
+:mod:`polair.air`) reads the registry.
 """
 
 from __future__ import annotations
@@ -40,31 +41,12 @@ __all__ = [
     "ESTIMATOR_KINDS",
     "UNITARY_KINDS",
     "get_estimator",
-    "EstimatorSpec",
     "ErrorStats",
     "estimate_ls",
     "estimate_kabsch",
     "empirical_error_covariance",
     "error_stats_to_json",
-    "LeastSquaresEstimator",
-    "KabschEstimator",
-    "make_estimator",
 ]
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Estimator family tag with its real degrees of freedom."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
-
-    def dof(self, n: int) -> int:
-        """Independent real values the estimator must find."""
-        return n * n if self.kind in UNITARY_KINDS else 2 * n * n
 
 
 def _pilot_arrays(pilots: PilotMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -124,12 +106,18 @@ def get_estimator(kind: str):
 
 @dataclass(frozen=True)
 class ErrorStats:
-    """Empirical error covariance R_E = E[E^dagger E] and derived scalars."""
+    """Empirical error covariance R_E = E[E^dagger E] and derived scalars.
+
+    ``dof`` is the estimator's number of real degrees of freedom;
+    ``trace_stderr`` is the standard error of tr(R_E) as the mean of the
+    per-trial ||E_t||_F^2.
+    """
 
     kind: str
     R_E: np.ndarray = field(repr=False)
     trials: int
     dof: int
+    trace_stderr: float
 
     def __post_init__(self):
         R = as_complex_matrix(self.R_E, "R_E")
@@ -169,28 +157,39 @@ def empirical_error_covariance(
     Each trial draws a fresh Haar channel and a fresh pilot-noise
     realization; every requested kind (``"ls"``, ``"kabsch"``) estimates the
     channel from the same draws and accumulates its error Gram matrix in
-    deterministic trial order.
+    deterministic trial order. The per-trial ||E_t||_F^2, whose mean is
+    tr(R_E), give each kind's ``trace_stderr``.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    specs = [EstimatorSpec(kind) for kind in kinds]
+    estimators = {kind: get_estimator(kind) for kind in kinds}
+    if "perfect" in estimators:
+        raise ValueError("'perfect' is not a pilot-based estimator kind")
     n = params.n
     pilots = make_pilots(n, L, params.power)
-    acc = {spec.kind: np.zeros((n, n), dtype=complex) for spec in specs}
+    acc = {kind: np.zeros((n, n), dtype=complex) for kind in estimators}
+    sq_norms = {kind: np.empty(trials) for kind in estimators}
     done = 0
     while done < trials:
         b = min(_TRIAL_CHUNK, trials - done)
         H = haar_unitary(n, rng, size=b)
         X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
-        for kind in acc:
-            E = H - ESTIMATORS[kind](X, pilots, H)
+        for kind, estimate in estimators.items():
+            E = H - estimate(X, pilots, H)
             acc[kind] += np.einsum("bij,bik->jk", np.conj(E), E)
+            sq_norms[kind][done : done + b] = np.sum(np.abs(E) ** 2, axis=(1, 2))
         done += b
     out = {}
-    for spec in specs:
-        R = acc[spec.kind] / trials
+    for kind in estimators:
+        R = acc[kind] / trials
         R = 0.5 * (R + dagger(R))  # symmetrize away accumulation round-off
-        out[spec.kind] = ErrorStats(kind=spec.kind, R_E=R, trials=trials, dof=spec.dof(n))
+        out[kind] = ErrorStats(
+            kind=kind,
+            R_E=R,
+            trials=trials,
+            dof=n * n if kind in UNITARY_KINDS else 2 * n * n,
+            trace_stderr=float(sq_norms[kind].std(ddof=1) / np.sqrt(trials)),
+        )
     return out
 
 
@@ -206,53 +205,3 @@ def error_stats_to_json(stats: ErrorStats, params: ChannelParams, L: int) -> str
         "E2": stats.error_per_dof,
     }
     return json.dumps(record)
-
-
-class _BaseChannelEstimator:
-    """Minimal fit/predict estimator API over the functional core."""
-
-    kind = ""
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {}
-
-    def set_params(self, **params) -> "_BaseChannelEstimator":
-        for key in params:
-            raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
-        return self
-
-    def fit(self, X, pilots: PilotMatrix) -> "_BaseChannelEstimator":
-        """Estimate the channel from a received pilot block X (n x L)."""
-        X = as_complex_matrix(X, "X")
-        self.channel_ = self._estimate(X, pilots)
-        return self
-
-    def predict(self, S) -> np.ndarray:
-        """Noiseless channel response H_hat @ S of the fitted estimate."""
-        if not hasattr(self, "channel_"):
-            raise RuntimeError("estimator is not fitted; call fit(X, pilots) first")
-        S = np.asarray(S, dtype=complex)
-        return self.channel_ @ S
-
-    def _estimate(self, X, pilots):
-        return ESTIMATORS[self.kind](X, pilots, None)
-
-
-class LeastSquaresEstimator(_BaseChannelEstimator):
-    """Unconstrained least-squares channel estimator."""
-
-    kind = "ls"
-
-
-class KabschEstimator(_BaseChannelEstimator):
-    """Unitary-constrained (Procrustes/Kabsch) channel estimator."""
-
-    kind = "kabsch"
-
-
-def make_estimator(kind: str) -> _BaseChannelEstimator:
-    """A fresh estimator object of a pilot-based kind."""
-    for cls in (LeastSquaresEstimator, KabschEstimator):
-        if cls.kind == kind:
-            return cls()
-    raise ValueError(f"unknown estimator kind {kind!r}")

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .air import (
+    LN2,
     AirEstimate,
     air_corollary4,
     air_discrete_paired_mc,
@@ -140,6 +141,8 @@ class ExperimentConfig:
                 raise ConfigError("estimators must be non-empty")
             if any(k not in ESTIMATOR_KINDS for k in self.estimators):
                 raise ConfigError(f"estimators must be a subset of {ESTIMATOR_KINDS}")
+            if len(set(self.estimators)) != len(self.estimators):
+                raise ConfigError(f"estimators must not repeat a kind, got {','.join(self.estimators)}")
         if self.experiment == "fig3b" and self.input == "gaussian":
             raise ConfigError("fig3b requires a discrete input kind")
 
@@ -337,7 +340,9 @@ def run_error_cov(config: ExperimentConfig) -> SweepResult:
     Both estimators see the same channel and noise draws at each grid
     point. The E2 column carries the measured per-DOF error
     tr(R_E)/(n * dof); the air column reports the unitary-estimate bound
-    implied by the measured covariance, n log2(1+eta) - eta tr(R_E)/ln 2.
+    implied by the measured covariance, n log2(1+eta) - eta tr(R_E)/ln 2,
+    with the standard error of the per-trial values
+    n log2(1+eta) - eta ||E_t||_F^2/ln 2 over ``config.trials`` trials.
     """
     _check_experiment(config, "error_cov")
     n = config.n
@@ -349,6 +354,8 @@ def run_error_cov(config: ExperimentConfig) -> SweepResult:
             rng = _substream(config, i_eta, i_L)
             stats = empirical_error_covariance(config.estimators, params, L, config.trials, rng)
             for kind in config.estimators:
+                s = stats[kind]
+                bound = air_corollary4(n, params.eta, s.R_E)
                 rows.append(
                     SweepRow(
                         experiment="error_cov",
@@ -356,8 +363,8 @@ def run_error_cov(config: ExperimentConfig) -> SweepResult:
                         input=config.input,
                         eta_db=eta_db,
                         L=L,
-                        E2=stats[kind].error_per_dof,
-                        air=air_corollary4(n, params.eta, stats[kind].R_E),
+                        E2=s.error_per_dof,
+                        air=replace(bound, std_error=params.eta * s.trace_stderr / LN2, trials=s.trials),
                         reference_capacity=cap,
                     )
                 )

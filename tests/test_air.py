@@ -12,7 +12,6 @@ from polair.air import (
     air_corollary1,
     air_corollary2_mc,
     air_corollary4,
-    air_discrete_mc,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
     air_synthetic_mc,
@@ -23,7 +22,7 @@ from polair.air import (
     synthetic_estimates,
 )
 from polair.channel import ChannelParams, Constellation, make_constellation, make_pilots
-from polair.estimators import EstimatorSpec, estimate_kabsch, estimate_ls
+from polair.estimators import estimate_kabsch, estimate_ls
 from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
 
 LN2 = np.log(2.0)
@@ -166,7 +165,7 @@ class TestCorollary2MonteCarlo:
     def test_ls_below_capacity(self):
         params = ChannelParams.from_eta_db(2, 10.0)
         U = haar_unitary(2, np.random.default_rng(10))
-        est = air_corollary2_mc(U, EstimatorSpec("ls"), params, 8, 4000, np.random.default_rng(11))
+        est = air_corollary2_mc(U, "ls", params, 8, 4000, np.random.default_rng(11))
         cap = capacity_perfect(2, params.eta).value
         assert est.value < cap
         # the dominant penalty is (eta/ln2) tr(R_E) with tr(R_E) = n^2/(eta L)
@@ -266,7 +265,7 @@ class TestDiscreteAir:
     def test_perfect_stub_matches_mi(self):
         params = ChannelParams.from_eta_db(2, 8.0)
         c = make_constellation("dp_qpsk", 2, params.power)
-        air = air_discrete_mc("perfect", c, params, 8, 30_000, np.random.default_rng(25))
+        air = air_discrete_paired_mc(c, params, 8, 30_000, np.random.default_rng(25), kinds=("perfect",))["perfect"]
         H = haar_unitary(2, np.random.default_rng(26))
         mi = mi_discrete_mc(H, c, params.sigma2, 30_000, np.random.default_rng(27))
         margin = 3 * np.hypot(air.std_error, mi.std_error)
@@ -418,14 +417,19 @@ class TestGaussianPaired:
 
 
 class TestAirEstimate:
-    def test_serialization(self):
-        est = AirEstimate(value=1.5, std_error=0.01, trials=1000, kind="monte_carlo")
-        d = est.to_dict()
-        assert d == {"value_bits": 1.5, "std_error": 0.01, "trials": 1000, "kind": "monte_carlo"}
-
     def test_mc_requires_trials(self):
+        # Monte Carlo estimates are checked for enough trials where they are made.
+        params = ChannelParams.from_eta_db(2, 10.0)
+        c = make_constellation("dp_qpsk", 2, params.power)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            AirEstimate(value=1.0, std_error=0.1, trials=10, kind="monte_carlo")
+            air_gaussian_paired_mc(params, 8, 10, rng)
+        with pytest.raises(ValueError):
+            air_synthetic_mc(np.eye(2), 1e-2, "general", 10.0, 10, rng)
+        with pytest.raises(ValueError):
+            air_discrete_paired_mc(c, params, 8, 999, rng)
+        with pytest.raises(ValueError):
+            mi_discrete_mc(np.eye(2), c, params.sigma2, 999, rng)
 
     def test_finite_value_required(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,8 @@ from polair.channel import (
     ChannelParams,
     make_constellation,
     make_pilots,
-    sample_channel,
-    transmit,
 )
-from polair.linalg import dagger, fro_norm, sample_cgauss
+from polair.linalg import dagger, fro_norm
 
 
 class TestChannelParams:
@@ -98,39 +96,3 @@ class TestPilots:
         assert np.allclose(mags, 1.0, atol=1e-12)
         phases = np.angle(pil.D) / (np.pi / 4)
         assert np.allclose(phases, np.round(phases), atol=1e-12)
-
-
-class TestTransmit:
-    def test_noiseless_limit(self):
-        rng = np.random.default_rng(0)
-        H = sample_channel(2, rng)
-        S = sample_cgauss((2, 10), 1.0, rng)
-        X = transmit(H, S, 1e-30, rng)
-        assert fro_norm(X - H @ S) < 1e-12
-
-    def test_noise_variance(self):
-        rng = np.random.default_rng(1)
-        X = transmit(np.eye(2), np.zeros((2, 50_000)), 0.7, rng)
-        var = np.mean(np.abs(X) ** 2)
-        assert var == pytest.approx(0.7, rel=0.02)
-
-    def test_energy_split(self):
-        rng = np.random.default_rng(2)
-        H = sample_channel(2, rng)
-        s = sample_cgauss((2, 1), 1.0, rng)
-        draws = np.array([np.sum(np.abs(transmit(H, s, 0.5, rng)) ** 2) for _ in range(4000)])
-        expected = np.sum(np.abs(H @ s) ** 2) + 2 * 0.5
-        assert draws.mean() == pytest.approx(expected, rel=0.05)
-
-    def test_linear_in_signal_for_fixed_noise(self):
-        H = sample_channel(2, np.random.default_rng(3))
-        rng1 = np.random.default_rng(42)
-        rng2 = np.random.default_rng(42)
-        S1 = sample_cgauss((2, 5), 1.0, np.random.default_rng(4))
-        S2 = sample_cgauss((2, 5), 1.0, np.random.default_rng(5))
-        lhs = transmit(H, S1 + S2, 1.0, rng1) - transmit(H, S1, 1.0, rng2)
-        assert fro_norm(lhs - H @ S2) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            transmit(np.eye(2), np.ones((3, 4)), 1.0, np.random.default_rng(0))

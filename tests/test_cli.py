@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -192,6 +193,33 @@ class TestSweep:
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/sweep.cfg"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--experiment", "fig3a", "--estimator", "ls,ls"],
+            ["error-cov", "--estimator", "kabsch,kabsch"],
+        ],
+    )
+    def test_repeated_estimator_rejected(self, capsys, args):
+        code = main(args + ["--eta-db", "10", "--trials", "200", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeat" in captured.err
+
+    def test_repeated_estimator_in_config_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text("experiment = fig3a\neta_db_grid = 10\nestimators = ls,ls\ntrials = 200\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("removed_flag", ["threads"])
+    def test_removed_flag_is_usage_error(self, capsys, removed_flag):
+        # A worker-count flag returns only with a worker pool.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--experiment", "fig3a", "--eta-db", "10", f"--{removed_flag}", "2", "--out", "-"])
+        assert exc.value.code == 2
+
 
 class TestErrorCov:
     def test_writes_csv(self, tmp_path, capsys):
@@ -203,6 +231,9 @@ class TestErrorCov:
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 2
+        for row in csv.DictReader(lines):
+            assert row["trials"] == "500"
+            assert float(row["air_stderr"]) > 0
 
 
 class TestTopLevel:

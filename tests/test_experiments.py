@@ -2,11 +2,13 @@ import csv
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import polair.estimators
 from polair.air import air_corollary4
-from polair.channel import ChannelParams
-from polair.estimators import empirical_error_covariance
+from polair.channel import ChannelParams, make_pilots
+from polair.estimators import empirical_error_covariance, estimate_kabsch, estimate_ls
 from polair.experiments import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -22,6 +24,7 @@ from polair.experiments import (
     run_fig3,
     _substream,
 )
+from polair.linalg import haar_unitary, sample_cgauss
 
 
 def small_config(experiment, **overrides):
@@ -185,8 +188,33 @@ class TestErrorCovRows:
                     row = next(rows)
                     assert (row.estimator, row.eta_db, row.L) == (kind, eta_db, L)
                     assert row.E2 == stats[kind].error_per_dof
-                    assert row.air == air_corollary4(config.n, params.eta, stats[kind].R_E)
+                    assert row.air.value == air_corollary4(config.n, params.eta, stats[kind].R_E).value
+                    assert row.air.trials == config.trials
         assert next(rows, None) is None
+
+    def test_air_stderr_of_per_trial_bounds(self):
+        # Redo the draws of one grid point by hand; the per-trial Corollary-4
+        # values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to air_bits
+        # and give air_stderr. The trials span two chunks.
+        chunk = polair.estimators._TRIAL_CHUNK
+        config = small_config("error_cov", trials=chunk + 904, eta_db_grid=(10.0,), L_grid=(8,))
+        n, L = config.n, 8
+        params = ChannelParams.from_eta_db(n, 10.0)
+        pilots = make_pilots(n, L, params.power)
+        rng = _substream(config, 0, 0)
+        sq = {"ls": [], "kabsch": []}
+        for b in (chunk, config.trials - chunk):
+            H = haar_unitary(n, rng, size=b)
+            X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+            sq["ls"].append(np.sum(np.abs(H - estimate_ls(X, pilots)) ** 2, axis=(1, 2)))
+            sq["kabsch"].append(np.sum(np.abs(H - estimate_kabsch(X, pilots)) ** 2, axis=(1, 2)))
+        for row in run_error_cov(config).rows:
+            values = n * np.log2(1.0 + params.eta) - params.eta * np.concatenate(sq[row.estimator]) / np.log(2.0)
+            stderr = np.sqrt(np.sum((values - values.mean()) ** 2) / (values.size - 1) / values.size)
+            assert row.air.value == pytest.approx(values.mean(), abs=1e-12)
+            assert row.air.std_error == pytest.approx(stderr, rel=1e-9)
+            assert row.air.std_error > 0
+            assert row.air.trials == config.trials
 
 
 class TestSerialization:
