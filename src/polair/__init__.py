@@ -32,7 +32,6 @@ from .channel import (
 from .estimators import (
     ErrorStats,
     empirical_error_covariance,
-    error_stats_to_json,
     estimate_kabsch,
     estimate_ls,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelParams, Constellation, make_pilots
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator
-from .linalg import as_complex_matrix, dagger, fro_norm, haar_unitary, sample_cgauss
+from .linalg import as_complex_matrix, check_hermitian_psd, dagger, fro_norm, haar_unitary, sample_cgauss
 
 __all__ = [
     "AirEstimate",
@@ -95,16 +95,6 @@ def _paired_mc(step, kinds: tuple[str, ...], trials: int, chunk: int) -> dict[st
     return out
 
 
-def _check_hermitian_psd(Q: np.ndarray, name: str) -> np.ndarray:
-    Q = as_complex_matrix(Q, name)
-    scale = max(1.0, fro_norm(Q))
-    if fro_norm(Q - dagger(Q)) > 1e-10 * scale:
-        raise ValueError(f"{name} is not Hermitian to tolerance")
-    if np.min(np.linalg.eigvalsh(0.5 * (Q + dagger(Q)))) < -1e-10 * scale:
-        raise ValueError(f"{name} is not positive semidefinite to tolerance")
-    return Q
-
-
 def _check_unitary(H: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
     H = as_complex_matrix(H, name)
     n = H.shape[0]
@@ -124,15 +114,13 @@ def capacity_perfect(n: int, eta: float) -> AirEstimate:
     return AirEstimate(value=n * np.log2(1.0 + eta))
 
 
-def mi_gaussian_given_H(H, Q, sigma2: float = 1.0) -> AirEstimate:
+def mi_gaussian_given_H(H, Q) -> AirEstimate:
     """Mutual information log2|I + H^dagger H Q| for Gaussian inputs.
 
-    ``Q`` is the input covariance normalized by the noise variance; sigma2
-    is kept in the signature for symmetry with the mismatched forms but
-    does not enter the expression.
+    ``Q`` is the input covariance normalized by the noise variance.
     """
     H = as_complex_matrix(H, "H")
-    Q = _check_hermitian_psd(Q, "Q")
+    Q = check_hermitian_psd(Q, "Q")
     n = H.shape[1]
     _, logdet = np.linalg.slogdet(np.eye(n) + dagger(H) @ H @ Q)
     return AirEstimate(value=float(logdet) / LN2)
@@ -152,7 +140,7 @@ def air_theorem1(H, H_hat, Q, sigma2: float) -> AirEstimate:
     H_hat = as_complex_matrix(H_hat, "H_hat")
     if H.shape != H_hat.shape:
         raise ValueError(f"shape mismatch: H {H.shape}, H_hat {H_hat.shape}")
-    Q = _check_hermitian_psd(Q, "Q")
+    Q = check_hermitian_psd(Q, "Q")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     n = H.shape[0]
@@ -200,7 +188,7 @@ def air_corollary4(n: int, eta: float, R_E) -> AirEstimate:
     """Average AIR with a unitary estimate: n log2(1+eta) - eta tr(R_E)/ln 2."""
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    R_E = _check_hermitian_psd(R_E, "R_E")
+    R_E = check_hermitian_psd(R_E, "R_E")
     if R_E.shape != (n, n):
         raise ValueError(f"R_E must be {n}x{n}, got {R_E.shape}")
     value = n * np.log2(1.0 + eta) - eta * float(np.trace(R_E).real) / LN2
@@ -226,54 +214,41 @@ def air_corollary2_mc(
 def synthetic_estimates(
     H_u: np.ndarray,
     error_per_dof: float,
-    model: str,
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw channel estimates from the two synthetic error models.
+    """Draw channel estimates H_hat = H_u - E under a synthetic error.
 
-    ``general``: H_hat = H_u - E with E i.i.d. circular Gaussian scaled so
-    that tr E[E^dagger E] = n * (2 n^2) * error_per_dof.
-    ``unitary``: same construction with the n^2-DOF scaling, followed by
-    projection onto the nearest unitary matrix (SVD -> U V^dagger).
+    E is i.i.d. circular Gaussian, scaled so that
+    tr E[E^dagger E] = n * (2 n^2) * error_per_dof: the general (nonunitary)
+    error model of fig2. fig2's unitary curve needs no draws; it is the
+    closed form :func:`air_corollary4`.
     """
-    n = H_u.shape[-1]
-    if model == "general":
-        var = 2.0 * n * error_per_dof
-    elif model == "unitary":
-        var = n * error_per_dof
-    else:
-        raise ValueError(f"unknown synthetic error model {model!r}")
     if error_per_dof < 0:
         raise ValueError("error_per_dof must be >= 0")
+    n = H_u.shape[-1]
     if error_per_dof == 0.0:
         return np.broadcast_to(H_u, (size, n, n)).copy()
-    E = sample_cgauss((size, n, n), var, rng)
-    H_hat = H_u - E
-    if model == "unitary":
-        U, _, Vh = np.linalg.svd(H_hat)
-        H_hat = U @ Vh
-    return H_hat
+    return H_u - sample_cgauss((size, n, n), 2.0 * n * error_per_dof, rng)
 
 
 def air_synthetic_mc(
     H_u,
     error_per_dof: float,
-    model: str,
     eta: float,
     trials: int,
     rng: np.random.Generator,
 ) -> AirEstimate:
-    """Average AIR under a synthetic spherically symmetric estimation error."""
+    """Average AIR under the synthetic general-model estimation error."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     H_u = _check_unitary(H_u, "H_u")
 
     def step(b):
-        H_hat = synthetic_estimates(H_u, error_per_dof, model, b, rng)
-        return {model: _corollary1_values(H_u, H_hat, eta)}
+        H_hat = synthetic_estimates(H_u, error_per_dof, b, rng)
+        return {"general": _corollary1_values(H_u, H_hat, eta)}
 
-    return _paired_mc(step, (model,), trials, _GAUSS_CHUNK)[model]
+    return _paired_mc(step, ("general",), trials, _GAUSS_CHUNK)["general"]
 
 
 def _metric_weights(points: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:

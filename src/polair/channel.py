@@ -52,10 +52,9 @@ class ChannelParams:
         return self.power / (self.n * self.sigma2)
 
     @classmethod
-    def from_eta_db(cls, n: int, eta_db: float, sigma2: float = 1.0) -> "ChannelParams":
-        """Build params from SNR in dB with sigma2 fixed (P = n * sigma2 * eta)."""
-        eta = 10.0 ** (eta_db / 10.0)
-        return cls(n=n, power=n * sigma2 * eta, sigma2=sigma2)
+    def from_eta_db(cls, n: int, eta_db: float) -> "ChannelParams":
+        """Build params from SNR in dB with unit noise variance (P = n * eta)."""
+        return cls(n=n, power=n * 10.0 ** (eta_db / 10.0), sigma2=1.0)
 
 
 @dataclass(frozen=True)

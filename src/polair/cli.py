@@ -3,17 +3,18 @@
 Subcommands:
 
 * ``capacity``  -- print the perfect-CSI capacity for given n and SNR.
-* ``estimate``  -- empirical error-covariance statistics for one estimator
-                   setting, printed as a JSON record.
-* ``error-cov`` -- the error-covariance sweep, written as CSV.
+* ``error-cov`` -- the error-covariance sweep, written as CSV; one grid
+                   point and one ``--estimator`` give one setting's
+                   statistics, with tr(R_E) = E2 * n * dof.
 * ``sweep``     -- a named figure experiment (fig2, fig3a, fig3b, fig4),
                    written as CSV.
 
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
 unparsable or non-finite grid values, SNRs outside [-10, 40] dB, E2
-values outside [0, 1] and repeated estimator kinds), 4 numerical failure
-(including any value the numeric core rejects that the configuration
-checks let through).
+values outside [0, 1], repeated grid values or estimator kinds, an E2
+grid outside fig2 and a discrete input for fig2 or error_cov), 4
+numerical failure (including any value the numeric core rejects that the
+configuration checks let through).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .air import capacity_perfect
-from .channel import CONSTELLATION_KINDS, ChannelParams
-from .estimators import ESTIMATOR_KINDS, empirical_error_covariance, error_stats_to_json
+from .channel import CONSTELLATION_KINDS
+from .estimators import ESTIMATOR_KINDS
 from .experiments import (
     CSV_SCHEMA_VERSION,
     EXPERIMENTS,
@@ -62,15 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = sub.add_parser("capacity", help="perfect-CSI capacity in bits/symbol")
     p_cap.add_argument("--n", type=int, default=2, help="channel dimension (default 2)")
     p_cap.add_argument("--eta-db", type=float, required=True, help="per-channel SNR in dB")
-
-    p_est = sub.add_parser("estimate", help="empirical error covariance for one setting")
-    p_est.add_argument("--estimator", choices=ESTIMATOR_KINDS, required=True)
-    p_est.add_argument("--n", type=int, default=2)
-    p_est.add_argument("--eta-db", type=float, required=True)
-    p_est.add_argument("--L", type=int, default=8, help="pilot length (default 8)")
-    p_est.add_argument("--trials", type=int, default=10_000)
-    p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--out", default="-", help="output path, or - for stdout (default)")
 
     for name, help_text in (
         ("error-cov", "error-covariance sweep (CSV)"),
@@ -148,24 +140,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    check_eta_db(args.eta_db)
-    try:
-        params = ChannelParams.from_eta_db(args.n, args.eta_db)
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        kind = args.estimator
-        stats = empirical_error_covariance((kind,), params, args.L, args.trials, rng)[kind]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    record = error_stats_to_json(stats, params, args.L)
-    if args.out == "-":
-        print(record)
-    else:
-        Path(args.out).write_text(record + "\n")
-        print(f"wrote {args.out}")
-    return EXIT_OK
-
-
 def _cmd_sweep(args: argparse.Namespace, experiment: str) -> int:
     if not experiment and not args.config:
         raise ConfigError("sweep requires --experiment or --config")
@@ -182,8 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "capacity":
             return _cmd_capacity(args)
-        if args.subcommand == "estimate":
-            return _cmd_estimate(args)
         if args.subcommand == "error-cov":
             return _cmd_sweep(args, "error_cov")
         if args.subcommand == "sweep":

@@ -21,20 +21,12 @@ kind (the error covariance here, the Monte Carlo rates in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelParams, PilotMatrix, make_pilots
-from .linalg import (
-    SingularMatrixError,
-    as_complex_matrix,
-    dagger,
-    fro_norm,
-    haar_unitary,
-    sample_cgauss,
-)
+from .linalg import SingularMatrixError, check_hermitian_psd, dagger, fro_norm, haar_unitary, sample_cgauss
 
 __all__ = [
     "ESTIMATORS",
@@ -45,7 +37,6 @@ __all__ = [
     "estimate_ls",
     "estimate_kabsch",
     "empirical_error_covariance",
-    "error_stats_to_json",
 ]
 
 
@@ -120,13 +111,9 @@ class ErrorStats:
     trace_stderr: float
 
     def __post_init__(self):
-        R = as_complex_matrix(self.R_E, "R_E")
+        check_hermitian_psd(self.R_E, "R_E")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if fro_norm(R - dagger(R)) > 1e-10 * max(1.0, fro_norm(R)):
-            raise ValueError("R_E is not Hermitian to tolerance")
-        if np.min(np.linalg.eigvalsh(0.5 * (R + dagger(R)))) < -1e-10:
-            raise ValueError("R_E is not positive semidefinite to tolerance")
 
     @property
     def n(self) -> int:
@@ -191,17 +178,3 @@ def empirical_error_covariance(
             trace_stderr=float(sq_norms[kind].std(ddof=1) / np.sqrt(trials)),
         )
     return out
-
-
-def error_stats_to_json(stats: ErrorStats, params: ChannelParams, L: int) -> str:
-    """Serialize an ErrorStats record to the JSON wire format."""
-    record = {
-        "estimator": stats.kind,
-        "n": stats.n,
-        "L": L,
-        "eta_db": 10.0 * np.log10(params.eta),
-        "trials": stats.trials,
-        "trace_RE": stats.trace_re,
-        "E2": stats.error_per_dof,
-    }
-    return json.dumps(record)

@@ -9,8 +9,8 @@ produces byte-identical results regardless of execution order.
 Experiments:
 
 * ``fig2``     -- Gaussian-input average AIR vs SNR for fixed per-DOF
-                  error levels, under the general (nonunitary) and unitary
-                  synthetic error models.
+                  error levels: the general (nonunitary) synthetic error
+                  model by Monte Carlo, the unitary one in closed form.
 * ``fig3a``    -- Gaussian-input AIR vs SNR for the LS and Kabsch pilot
                   estimators (shared draws), against the perfect-CSI capacity.
 * ``fig3b``    -- same comparison with uniformly distributed DP-16-QAM
@@ -84,7 +84,7 @@ class ConfigError(ValueError):
     """An experiment configuration violates its constraints."""
 
 
-ETA_DB_RANGE = (-10.0, 40.0)  # the SNRs, in dB, that sweeps, `capacity` and `estimate` accept
+ETA_DB_RANGE = (-10.0, 40.0)  # the SNRs, in dB, that sweeps and `capacity` accept
 
 
 def check_eta_db(eta_db: float) -> None:
@@ -127,22 +127,27 @@ class ExperimentConfig:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.input not in CONSTELLATION_KINDS:
             raise ConfigError(f"unknown input kind {self.input!r}")
+        if len(self.L_grid) == 0:
+            raise ConfigError("L_grid must be non-empty")
+        if any(L < self.n or L % self.n != 0 for L in self.L_grid):
+            raise ConfigError("every L must be >= n and a multiple of n")
+        if len(self.estimators) == 0:
+            raise ConfigError("estimators must be non-empty")
+        if any(k not in ESTIMATOR_KINDS for k in self.estimators):
+            raise ConfigError(f"estimators must be a subset of {ESTIMATOR_KINDS}")
+        for name in ("eta_db_grid", "L_grid", "E2_grid", "estimators"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {','.join(map(str, values))}")
         if self.experiment == "fig2":
             if len(self.E2_grid) == 0:
                 raise ConfigError("fig2 requires a non-empty E2_grid")
             if any(not (0.0 <= e <= 1.0) for e in self.E2_grid):
                 raise ConfigError("E2 values must lie in [0, 1]")
-        else:
-            if len(self.L_grid) == 0:
-                raise ConfigError("L_grid must be non-empty")
-            if any(L < self.n or L % self.n != 0 for L in self.L_grid):
-                raise ConfigError("every L must be >= n and a multiple of n")
-            if len(self.estimators) == 0:
-                raise ConfigError("estimators must be non-empty")
-            if any(k not in ESTIMATOR_KINDS for k in self.estimators):
-                raise ConfigError(f"estimators must be a subset of {ESTIMATOR_KINDS}")
-            if len(set(self.estimators)) != len(self.estimators):
-                raise ConfigError(f"estimators must not repeat a kind, got {','.join(self.estimators)}")
+        elif self.E2_grid:
+            raise ConfigError(f"E2_grid is a fig2 setting; {self.experiment} requires it empty")
+        if self.experiment in ("fig2", "error_cov") and self.input != "gaussian":
+            raise ConfigError(f"{self.experiment} requires input gaussian, got {self.input!r}")
         if self.experiment == "fig3b" and self.input == "gaussian":
             raise ConfigError("fig3b requires a discrete input kind")
 
@@ -271,7 +276,7 @@ def run_fig2(config: ExperimentConfig) -> SweepResult:
         cap = capacity_perfect(n, eta).value
         for i_e2, e2 in enumerate(config.E2_grid):
             rng = _substream(config, i_eta, i_e2)
-            general = air_synthetic_mc(eye, e2, "general", eta, config.trials, rng)
+            general = air_synthetic_mc(eye, e2, eta, config.trials, rng)
             unitary = air_corollary4(n, eta, (n * n * e2) * eye)
             for name, est in (("general", general), ("unitary", unitary)):
                 rows.append(

@@ -1,11 +1,12 @@
 """Small complex-matrix helpers and the simulator's random sampling primitives.
 
-The helpers validate a matrix argument (:func:`as_complex_matrix`), form a
-conjugate transpose (:func:`dagger`) and a Frobenius norm (:func:`fro_norm`);
-products, inverses and factorizations are numpy's, called directly where
-they are needed. The samplers draw Haar-distributed unitary matrices and
-circularly symmetric complex Gaussian arrays, both vectorized over a stack
-of draws. :class:`SingularMatrixError` is what the estimators raise for a
+The helpers validate a matrix argument (:func:`as_complex_matrix`,
+:func:`check_hermitian_psd`), form a conjugate transpose (:func:`dagger`)
+and a Frobenius norm (:func:`fro_norm`); products, inverses and
+factorizations are numpy's, called directly where they are needed. The
+samplers draw Haar-distributed unitary matrices and circularly symmetric
+complex Gaussian arrays, both vectorized over a stack of draws.
+:class:`SingularMatrixError` is what the estimators raise for a
 singular pilot Gram matrix.
 
 All functions are pure; arrays are never modified in place. Random sampling
@@ -20,6 +21,7 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "as_complex_matrix",
+    "check_hermitian_psd",
     "dagger",
     "fro_norm",
     "haar_unitary",
@@ -46,6 +48,17 @@ def as_complex_matrix(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def check_hermitian_psd(Q, name: str) -> np.ndarray:
+    """Validate ``Q`` as a Hermitian positive semidefinite matrix, to a 1e-10 relative tolerance."""
+    Q = as_complex_matrix(Q, name)
+    scale = max(1.0, fro_norm(Q))
+    if fro_norm(Q - dagger(Q)) > 1e-10 * scale:
+        raise ValueError(f"{name} is not Hermitian to tolerance")
+    if np.min(np.linalg.eigvalsh(0.5 * (Q + dagger(Q)))) < -1e-10 * scale:
+        raise ValueError(f"{name} is not positive semidefinite to tolerance")
+    return Q
+
+
 def dagger(A) -> np.ndarray:
     """Conjugate transpose. Supports stacked (..., m, n) inputs."""
     A = np.asarray(A, dtype=complex)
@@ -63,7 +76,8 @@ def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> n
 
     Uses the QR decomposition Z = QR of a complex Ginibre matrix and returns
     Q diag(d/|d|), d = diag(R), the phase correction that makes the map
-    measure-correct (Mezzadri 2007).
+    measure-correct (Mezzadri 2007). A zero entry of d, which has
+    probability zero, keeps its column of Q unchanged.
 
     Parameters
     ----------
@@ -77,20 +91,7 @@ def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> n
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    # A zero diagonal entry has probability zero but would break the phase
-    # normalization; resample such draws.
-    while np.any(np.abs(d) == 0.0):
-        bad = np.abs(d) == 0.0
-        if size is None:
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        else:
-            rows = np.any(bad, axis=-1)
-            z[rows] = rng.standard_normal((int(rows.sum()), n, n)) + 1j * rng.standard_normal(
-                (int(rows.sum()), n, n)
-            )
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = d / np.abs(d)
+    phases = np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
     return q * phases[..., None, :]
 
 

@@ -177,7 +177,7 @@ def test_criterion_08_rotation_invariance():
     eta, e2, trials = 10.0, 1e-2, 20_000
     channels = [np.eye(2)] + [haar_unitary(2, np.random.default_rng(1008 + i)) for i in range(5)]
     estimates = [
-        air_synthetic_mc(U, e2, "general", eta, trials, np.random.default_rng(2008 + i))
+        air_synthetic_mc(U, e2, eta, trials, np.random.default_rng(2008 + i))
         for i, U in enumerate(channels)
     ]
     worst_z = 0.0

@@ -176,34 +176,28 @@ class TestCorollary2MonteCarlo:
         # spherically symmetric synthetic error: identical average AIR for
         # the identity channel and random Haar channels
         eta, e2, trials = 10.0, 1e-2, 20_000
-        baseline = air_synthetic_mc(np.eye(2), e2, "general", eta, trials, np.random.default_rng(100))
+        baseline = air_synthetic_mc(np.eye(2), e2, eta, trials, np.random.default_rng(100))
         rng = np.random.default_rng(12)
         for i in range(3):
             U = haar_unitary(2, rng)
-            other = air_synthetic_mc(U, e2, "general", eta, trials, np.random.default_rng(200 + i))
+            other = air_synthetic_mc(U, e2, eta, trials, np.random.default_rng(200 + i))
             margin = 3 * np.hypot(baseline.std_error, other.std_error)
             assert abs(baseline.value - other.value) <= margin
 
 
 class TestSyntheticModels:
-    def test_unitary_model_outputs_unitary(self):
-        U = haar_unitary(2, np.random.default_rng(13))
-        H_hat = synthetic_estimates(U, 1e-2, "unitary", 50, np.random.default_rng(14))
-        gram_err = np.abs(H_hat @ dagger(H_hat) - np.eye(2)).max()
-        assert gram_err < 1e-12
-
     def test_general_model_error_scale(self):
         # tr E[E^dag E] should equal n * (2 n^2) * e2
         n, e2 = 2, 1e-2
         U = np.eye(n)
-        H_hat = synthetic_estimates(U, e2, "general", 100_000, np.random.default_rng(15))
+        H_hat = synthetic_estimates(U, e2, 100_000, np.random.default_rng(15))
         E = U - H_hat
         tr = np.mean(np.sum(np.abs(E) ** 2, axis=(1, 2)))
         assert tr == pytest.approx(n * 2 * n**2 * e2, rel=0.02)
 
     def test_zero_error_returns_channel(self):
         U = haar_unitary(2, np.random.default_rng(16))
-        H_hat = synthetic_estimates(U, 0.0, "general", 3, np.random.default_rng(17))
+        H_hat = synthetic_estimates(U, 0.0, 3, np.random.default_rng(17))
         assert np.array_equal(H_hat[0], U)
 
 
@@ -425,7 +419,7 @@ class TestAirEstimate:
         with pytest.raises(ValueError):
             air_gaussian_paired_mc(params, 8, 10, rng)
         with pytest.raises(ValueError):
-            air_synthetic_mc(np.eye(2), 1e-2, "general", 10.0, 10, rng)
+            air_synthetic_mc(np.eye(2), 1e-2, 10.0, 10, rng)
         with pytest.raises(ValueError):
             air_discrete_paired_mc(c, params, 8, 999, rng)
         with pytest.raises(ValueError):
@@ -468,6 +462,6 @@ class TestFig2Shape:
                 eta = 10 ** (eta_db / 10.0)
                 unitary = air_corollary4(2, eta, (4 * e2) * np.eye(2)).value
                 general = air_synthetic_mc(
-                    np.eye(2), e2, "general", eta, 5000, np.random.default_rng(next(rng_seed))
+                    np.eye(2), e2, eta, 5000, np.random.default_rng(next(rng_seed))
                 )
                 assert unitary >= general.value - 3 * general.std_error

@@ -1,5 +1,4 @@
 import csv
-import json
 
 import pytest
 
@@ -48,47 +47,6 @@ class TestCapacity:
         assert exc.value.code == 2
 
 
-class TestEstimate:
-    def test_json_record_to_stdout(self, capsys):
-        code = main(
-            ["estimate", "--estimator", "ls", "--eta-db", "10", "--trials", "500", "--seed", "1"]
-        )
-        assert code == EXIT_OK
-        record = json.loads(capsys.readouterr().out)
-        assert record["estimator"] == "ls"
-        assert record["trials"] == 500
-        assert record["trace_RE"] == pytest.approx(4 / (10 * 8), rel=0.15)
-
-    def test_writes_file(self, tmp_path, capsys):
-        out = tmp_path / "stats.json"
-        code = main(
-            [
-                "estimate", "--estimator", "kabsch", "--eta-db", "10",
-                "--trials", "500", "--out", str(out),
-            ]
-        )
-        assert code == EXIT_OK
-        assert json.loads(out.read_text())["estimator"] == "kabsch"
-
-    def test_too_few_trials_is_config_error(self, capsys):
-        code = main(["estimate", "--estimator", "ls", "--eta-db", "10", "--trials", "10"])
-        assert code == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["4000", "-4000", "nan"])
-    def test_snr_out_of_range(self, capsys, value):
-        code = main(["estimate", "--estimator", "ls", f"--eta-db={value}", "--trials", "500"])
-        assert code == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "[-10, 40]" in captured.err
-
-    def test_unknown_estimator_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--estimator", "mmse", "--eta-db", "10"])
-        assert exc.value.code == 2
-
-
 class TestSweep:
     def test_deterministic_csv_files(self, tmp_path, capsys):
         args = [
@@ -124,20 +82,31 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
 
     def test_too_few_trials(self, capsys):
-        code = main(["sweep", "--experiment", "fig3a", "--eta-db", "10", "--trials", "10"])
-        assert code == EXIT_CONFIG
+        for args in (["sweep", "--experiment", "fig3a"], ["error-cov"]):
+            code = main([*args, "--eta-db", "10", "--trials", "10", "--out", "-"])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().out == ""
 
     def test_eta_out_of_range(self, capsys):
-        code = main(["sweep", "--experiment", "fig3a", "--eta-db", "99", "--trials", "200"])
-        assert code == EXIT_CONFIG
+        for args in (["sweep", "--experiment", "fig3a"], ["error-cov"]):
+            for value in ("99", "4000", "-4000"):
+                code = main([*args, f"--eta-db={value}", "--trials", "200", "--out", "-"])
+                assert code == EXIT_CONFIG
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "[-10, 40]" in captured.err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
         "args",
-        [["--experiment", "fig2", "--E2"], ["--experiment", "fig3a", "--eta-db"]],
+        [
+            ["sweep", "--experiment", "fig2", "--E2"],
+            ["sweep", "--experiment", "fig3a", "--eta-db"],
+            ["error-cov", "--eta-db"],
+        ],
     )
     def test_nonfinite_grid_value(self, capsys, args, value):
-        code = main(["sweep", *args, f"0.01,{value}", "--trials", "200", "--out", "-"])
+        code = main([*args, f"0.01,{value}", "--trials", "200", "--out", "-"])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -196,12 +165,16 @@ class TestSweep:
     @pytest.mark.parametrize(
         "args",
         [
-            ["sweep", "--experiment", "fig3a", "--estimator", "ls,ls"],
-            ["error-cov", "--estimator", "kabsch,kabsch"],
+            ["sweep", "--experiment", "fig3a", "--estimator", "ls,ls", "--eta-db", "10"],
+            ["error-cov", "--estimator", "kabsch,kabsch", "--eta-db", "10"],
+            ["sweep", "--experiment", "fig3a", "--eta-db", "10,10", "--estimator", "ls"],
+            ["error-cov", "--L", "8,8", "--eta-db", "10"],
+            ["sweep", "--experiment", "fig2", "--E2", "0.01,0.01", "--eta-db", "10"],
         ],
     )
     def test_repeated_estimator_rejected(self, capsys, args):
-        code = main(args + ["--eta-db", "10", "--trials", "200", "--out", "-"])
+        # Any repeated grid value or kind: its rows would share a key.
+        code = main(args + ["--trials", "200", "--out", "-"])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -212,6 +185,29 @@ class TestSweep:
         cfg_path.write_text("experiment = fig3a\neta_db_grid = 10\nestimators = ls,ls\ntrials = 200\n")
         assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [
+                "sweep", "--experiment", "fig2", "--E2", "0.01",
+                "--estimator", "mmse", "--input", "dp_16qam", "--L", "3",
+            ],
+            ["sweep", "--experiment", "fig2", "--E2", "0.01", "--estimator", "mmse"],
+            ["sweep", "--experiment", "fig2", "--E2", "0.01", "--input", "dp_16qam"],
+            ["sweep", "--experiment", "fig2", "--E2", "0.01", "--L", "3"],
+            ["error-cov", "--input", "dp_16qam"],
+            ["sweep", "--experiment", "fig3a", "--E2", "0.5"],
+        ],
+    )
+    def test_unused_or_invalid_setting_rejected(self, capsys, args):
+        # fig2 checks the pilot lengths and estimators it does not use; fig2 and
+        # error_cov rate Gaussian inputs only; only fig2 takes an E2 grid.
+        code = main(args + ["--eta-db", "10", "--trials", "200", "--out", "-"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize("removed_flag", ["threads"])
     def test_removed_flag_is_usage_error(self, capsys, removed_flag):
@@ -244,6 +240,8 @@ class TestTopLevel:
         assert capsys.readouterr().out.strip() == f"polair {__version__} (csv-schema 1)"
 
     def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        # `estimate` is gone: `error-cov --eta-db X --L Y --estimator k` gives its statistics.
+        for argv in (["frobnicate"], ["estimate", "--estimator", "ls", "--eta-db", "10"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from polair.estimators import (
     ESTIMATORS,
     UNITARY_KINDS,
     empirical_error_covariance,
-    error_stats_to_json,
     estimate_kabsch,
     estimate_ls,
 )
@@ -162,16 +160,6 @@ class TestErrorStats:
         params = ChannelParams.from_eta_db(2, 10.0)
         with pytest.raises(ValueError):
             empirical_error_covariance(("ls",), params, 8, 50, np.random.default_rng(0))
-
-    def test_json_record(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        stats = empirical_error_covariance(("ls",), params, 8, 500, np.random.default_rng(14))["ls"]
-        record = json.loads(error_stats_to_json(stats, params, 8))
-        assert record["estimator"] == "ls"
-        assert record["n"] == 2 and record["L"] == 8
-        assert record["eta_db"] == pytest.approx(10.0)
-        assert record["trials"] == 500
-        assert record["E2"] == pytest.approx(record["trace_RE"] / (2 * 8))
 
 
 class TestRegistry:

@@ -145,6 +145,23 @@ class TestHaarUnitary:
             se = samples.std(ddof=1) / np.sqrt(draws)
             assert abs(samples.mean() - 2.0 / (n * (n + 1))) < 3 * se
 
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_zero_diagonal_draw(self, size):
+        # A Ginibre draw with a zero first column gives R[0, 0] = 0; the phase
+        # of that column is 1, and the result is still a finite unitary.
+        class ZeroColumnRng:
+            def __init__(self):
+                self.rng = np.random.default_rng(12)
+
+            def standard_normal(self, shape):
+                z = self.rng.standard_normal(shape)
+                z[..., 0] = 0.0
+                return z
+
+        U = haar_unitary(2, ZeroColumnRng(), size=size)
+        assert np.all(np.isfinite(U))
+        assert np.abs(U @ dagger(U) - np.eye(2)).max() <= 1e-12
+
     def test_seed_determinism(self):
         a = haar_unitary(4, np.random.default_rng(99))
         b = haar_unitary(4, np.random.default_rng(99))
