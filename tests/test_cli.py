@@ -47,6 +47,27 @@ class TestCapacity:
         assert exc.value.code == 2
 
 
+class TestEstimate:
+    # Estimator error statistics come from `error-cov`: one grid point gives
+    # what the removed `polair estimate` printed.
+    def test_too_few_trials_is_config_error(self, capsys):
+        code = main(["error-cov", "--estimator", "ls", "--eta-db", "10", "--trials", "10"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("value", ["4000", "-4000"])
+    def test_snr_out_of_range(self, capsys, value):
+        code = main(
+            ["error-cov", "--estimator", "ls", f"--eta-db={value}", "--trials", "500", "--out", "-"]
+        )
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[-10, 40]" in captured.err
+
+
 class TestSweep:
     def test_deterministic_csv_files(self, tmp_path, capsys):
         args = [
@@ -82,19 +103,12 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
 
     def test_too_few_trials(self, capsys):
-        for args in (["sweep", "--experiment", "fig3a"], ["error-cov"]):
-            code = main([*args, "--eta-db", "10", "--trials", "10", "--out", "-"])
-            assert code == EXIT_CONFIG
-            assert capsys.readouterr().out == ""
+        code = main(["sweep", "--experiment", "fig3a", "--eta-db", "10", "--trials", "10"])
+        assert code == EXIT_CONFIG
 
     def test_eta_out_of_range(self, capsys):
-        for args in (["sweep", "--experiment", "fig3a"], ["error-cov"]):
-            for value in ("99", "4000", "-4000"):
-                code = main([*args, f"--eta-db={value}", "--trials", "200", "--out", "-"])
-                assert code == EXIT_CONFIG
-                captured = capsys.readouterr()
-                assert captured.out == ""
-                assert "[-10, 40]" in captured.err
+        code = main(["sweep", "--experiment", "fig3a", "--eta-db", "99", "--trials", "200"])
+        assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
