@@ -160,15 +160,28 @@ def _corollary1_values(H_u: np.ndarray, H_hat: np.ndarray, eta: float) -> np.nda
     """Vectorized three-term unitary-channel AIR over stacked estimates.
 
     ``H_u`` and ``H_hat`` broadcast against each other over leading axes.
+    The terms need log det A and tr A^-1 of A = I + eta H_hat H_hat^dagger.
+    For n = 2, A = [[a, b], [b*, d]] is formed from the rows r_0, r_1 of
+    H_hat: a = 1 + eta ||r_0||^2, d = 1 + eta ||r_1||^2, b = eta <r_0, r_1>,
+    so det A = a d - |b|^2 and tr A^-1 = (a + d) / det A. For n > 2 they come
+    from a batched ``slogdet`` and ``inv``.
     """
     n = H_hat.shape[-1]
-    eye = np.eye(n)
-    A = eye + eta * (H_hat @ dagger(H_hat))
-    _, logdet = np.linalg.slogdet(A)
+    if n == 2:
+        r0, r1 = H_hat[..., 0, :], H_hat[..., 1, :]
+        a = 1.0 + eta * np.sum(r0.real**2 + r0.imag**2, axis=-1)
+        d = 1.0 + eta * np.sum(r1.real**2 + r1.imag**2, axis=-1)
+        b = eta * np.sum(r0 * np.conj(r1), axis=-1)
+        det = a * d - (b.real**2 + b.imag**2)
+        logdet = np.log(det)
+        tr_inv = (a + d) / det
+    else:
+        A = np.eye(n) + eta * (H_hat @ dagger(H_hat))
+        logdet = np.linalg.slogdet(A)[1]
+        tr_inv = np.trace(np.linalg.inv(A), axis1=-2, axis2=-1).real
     term1 = logdet / LN2
     E = H_u - H_hat
     term2 = eta * np.sum(np.abs(E) ** 2, axis=(-2, -1)) / LN2
-    tr_inv = np.trace(np.linalg.inv(A), axis1=-2, axis2=-1).real
     term3 = (n - (1.0 + eta) * tr_inv) / LN2
     return term1 - term2 - term3
 

@@ -4,8 +4,11 @@ Two estimators are provided:
 
 * least squares (LS): ``H = X D^dagger (D D^dagger)^-1``, the unconstrained
   minimizer of ||X - H D||_F^2, with 2 n^2 real degrees of freedom;
-* Kabsch: ``H = U V^dagger`` from the SVD of ``X D^dagger``, the minimizer
-  of the same cost over the unitary group, with n^2 degrees of freedom.
+* Kabsch: ``H = U V^dagger``, the unitary polar factor of ``A = X D^dagger``
+  (A = U S V^dagger), the minimizer of the same cost over the unitary
+  group, with n^2 degrees of freedom. For n = 2 it is the exact closed form
+  ``(A + (det A/|det A|) adj(A)^dagger) / (s_1 + s_2)``; for n > 2 it comes
+  from a batched SVD.
 
 Both are plain functions, :func:`estimate_ls` and :func:`estimate_kabsch`,
 vectorized over stacked pilot blocks.
@@ -65,16 +68,39 @@ def estimate_ls(X, pilots: PilotMatrix) -> np.ndarray:
 def estimate_kabsch(X, pilots: PilotMatrix) -> np.ndarray:
     """Unitary (orthogonal Procrustes) channel estimate from received pilots.
 
-    Returns U V^dagger from the SVD of X D^dagger. The output is unitary for
-    every input; on a rank-deficient X D^dagger the decomposition's unitary
-    factors still define a valid minimizer on the degenerate subspace.
+    Returns the unitary polar factor U V^dagger of A = X D^dagger, where
+    A = U S V^dagger is an SVD. For n = 2 it is the closed form
+    (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|), d = det A, whose
+    denominator is s_1 + s_2 (Higham 1986); A is first scaled by its largest
+    entry modulus so that no square overflows or underflows. For n > 2 it is
+    computed from the SVD. The output is unitary for every finite input: a
+    singular A (d = 0) takes the phase 1, one of the equally valid
+    minimizers on the degenerate subspace, and A = 0 gives the identity, as
+    the SVD does.
     """
     X = np.asarray(X, dtype=complex)
     D = pilots.D
     if X.shape[-1] != D.shape[1] or X.shape[-2] != D.shape[0]:
         raise ValueError(f"X trailing dims must be {D.shape}, got {X.shape}")
-    U, _, Vh = np.linalg.svd(X @ dagger(D))
-    return U @ Vh
+    if D.shape[0] != 2:
+        U, _, Vh = np.linalg.svd(X @ dagger(D))
+        return U @ Vh
+    # einsum is several times faster than a batched matmul on 2 x L blocks.
+    A = np.einsum("...il,jl->...ij", X, np.conj(D))
+    scale = np.abs(A).max(axis=(-2, -1), keepdims=True)
+    # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry of modulus 1.
+    A = np.divide(A, scale, out=np.broadcast_to(np.eye(2, dtype=complex), A.shape).copy(), where=scale > 0)
+    a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    d = a * e - b * c
+    abs_d = np.abs(d)
+    phase = np.divide(d, abs_d, out=np.ones_like(d), where=d != 0)
+    norm = np.sqrt(np.sum(A.real**2 + A.imag**2, axis=(-2, -1)) + 2.0 * abs_d)
+    polar = np.stack([np.conj(e), -np.conj(c), -np.conj(b), np.conj(a)], axis=-1).reshape(A.shape)  # adj(A)^dagger
+    # In place: every (..., 2, 2) temporary is as large as a whole chunk of blocks.
+    polar *= phase[..., None, None]
+    polar += A
+    polar /= norm[..., None, None]
+    return polar
 
 
 # The entries look estimate_ls and estimate_kabsch up as module globals at

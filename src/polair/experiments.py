@@ -100,8 +100,8 @@ class ExperimentConfig:
     eta_db_grid: tuple[float, ...]
     L_grid: tuple[int, ...] = (8,)
     # fig2 only: per-DOF error levels in [0, 1]. At E2 = 1 the synthetic error
-    # already has 2 n^2 (general model) or n^2 (unitary model) times the power
-    # of a channel entry; the paper's largest level is 1e-1.
+    # already has 2 n^2 times the power of a channel entry; the paper's largest
+    # level is 1e-1.
     E2_grid: tuple[float, ...] = ()
     input: str = "gaussian"
     estimators: tuple[str, ...] = ESTIMATOR_KINDS
@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.input not in CONSTELLATION_KINDS:
             raise ConfigError(f"unknown input kind {self.input!r}")
+        if self.input != "gaussian" and self.n != 2:
+            raise ConfigError(f"{self.input} is a dual-polarization input and requires n = 2, got n = {self.n}")
         if len(self.L_grid) == 0:
             raise ConfigError("L_grid must be non-empty")
         if any(L < self.n or L % self.n != 0 for L in self.L_grid):

@@ -6,6 +6,7 @@ import pytest
 import polair.estimators
 from polair.air import (
     AirEstimate,
+    _corollary1_values,
     _decoding_metric,
     _discrete_values,
     _metric_weights,
@@ -121,6 +122,48 @@ class TestCorollary1:
     def test_nonunitary_channel_rejected(self):
         with pytest.raises(ValueError):
             air_corollary1(2 * np.eye(2), np.eye(2), 1.0)
+
+
+def corollary1_reference(H_u, H_hat, eta):
+    """Corollary 1 from a batched slogdet and inverse of A = I + eta H_hat H_hat^dagger."""
+    n = H_hat.shape[-1]
+    A = np.eye(n) + eta * (H_hat @ dagger(H_hat))
+    logdet = np.linalg.slogdet(A)[1]
+    tr_inv = np.trace(np.linalg.inv(A), axis1=-2, axis2=-1).real
+    err = np.sum(np.abs(H_u - H_hat) ** 2, axis=(-2, -1))
+    return (logdet - eta * err - n + (1.0 + eta) * tr_inv) / LN2
+
+
+class TestCorollary1Kernel:
+    """The n = 2 closed form of _corollary1_values against slogdet and inv."""
+
+    @pytest.mark.parametrize("eta_db", [-10.0, 0.0, 10.0, 20.0, 40.0])
+    def test_closed_form_matches_slogdet_inv(self, eta_db):
+        n, L, b = 2, 8, 2048
+        params = ChannelParams.from_eta_db(n, eta_db)
+        rng = np.random.default_rng(int(eta_db) + 100)
+        pilots = make_pilots(n, L, params.power)
+        H = haar_unitary(n, rng, size=b)
+        X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+        U = haar_unitary(n, rng)
+        estimates = {
+            "ls": (H, estimate_ls(X, pilots)),
+            "kabsch": (H, estimate_kabsch(X, pilots)),
+            "synthetic": (U, synthetic_estimates(U, 1e-2, b, rng)),
+        }
+        for kind, (H_u, H_hat) in estimates.items():
+            got = _corollary1_values(H_u, H_hat, params.eta)
+            ref = corollary1_reference(H_u, H_hat, params.eta)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=kind)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_larger_n(self, n):
+        rng = np.random.default_rng(31 + n)
+        U = haar_unitary(n, rng)
+        H_hat = synthetic_estimates(U, 1e-2, 64, rng)
+        np.testing.assert_allclose(
+            _corollary1_values(U, H_hat, 10.0), corollary1_reference(U, H_hat, 10.0), rtol=1e-12, atol=1e-12
+        )
 
 
 class TestCorollary4:

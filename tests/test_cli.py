@@ -201,6 +201,23 @@ class TestSweep:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = fig3b\nn = 4\ninput = dp_16qam\neta_db_grid = 4\nL_grid = 8\n",
+            "experiment = fig4\nn = 3\ninput = dp_qpsk\neta_db_grid = 4\nL_grid = 3,6\n",
+        ],
+        ids=["fig3b-n4-dp_16qam", "fig4-n3-dp_qpsk"],
+    )
+    def test_discrete_input_requires_two_polarizations(self, tmp_path, capsys, text):
+        # DP-QPSK and DP-16-QAM are defined on n = 2 only: a configuration error, not a numerical one.
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(text + "trials = 1000\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requires n = 2" in captured.err
+
+    @pytest.mark.parametrize(
         "args",
         [
             [

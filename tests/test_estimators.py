@@ -87,12 +87,27 @@ class TestKabsch:
     def test_always_unitary(self):
         rng = np.random.default_rng(4)
         pilots = make_pilots(2, 8, 2.0)
-        # heavy noise, including a pathological all-zero block
-        for sigma2 in (0.1, 10.0, 1000.0):
-            H = haar_unitary(2, rng)
-            X = H @ pilots.D + sample_cgauss((2, 8), sigma2, rng)
+        # heavy noise, and a pathological all-zero block
+        blocks = [haar_unitary(2, rng) @ pilots.D + sample_cgauss((2, 8), s2, rng) for s2 in (0.1, 10.0, 1000.0)]
+        for X in blocks + [np.zeros((2, 8), dtype=complex)]:
             H_hat = estimate_kabsch(X, pilots)
+            assert np.all(np.isfinite(H_hat))
             assert fro_norm(H_hat @ dagger(H_hat) - np.eye(2)) <= 1e-12
+
+    def test_degenerate_blocks_in_a_stack(self):
+        # A normal block, a rank-1 X D^dagger (det 0) and an all-zero block, stacked.
+        rng = np.random.default_rng(6)
+        pilots = make_pilots(2, 8, 2.0)
+        normal = haar_unitary(2, rng) @ pilots.D + sample_cgauss((2, 8), 0.1, rng)
+        row = (1.0 - 0.5j) * pilots.D[0] + 0.5j * pilots.D[1]
+        rank1 = np.stack([row, 2.0 * row])  # rows r and 2r: det(X D^dagger) is exactly 0
+        X = np.stack([normal, rank1, np.zeros((2, 8), dtype=complex)])
+        H_hat = estimate_kabsch(X, pilots)
+        assert np.all(np.isfinite(H_hat))
+        for U in H_hat:
+            assert fro_norm(U @ dagger(U) - np.eye(2)) <= 1e-12
+        assert fro_norm(H_hat[0] - estimate_kabsch(normal, pilots)) <= 1e-12
+        assert np.array_equal(H_hat[2], np.eye(2))
 
     def test_rank_deficient_input_still_unitary(self):
         pilots = make_pilots(2, 8, 2.0)
@@ -100,6 +115,16 @@ class TestKabsch:
         X[0] = pilots.D[0]
         H_hat = estimate_kabsch(X, pilots)
         assert fro_norm(H_hat @ dagger(H_hat) - np.eye(2)) <= 1e-12
+
+    def test_extreme_scales_match_svd(self):
+        # Squares of entries near 1e160 overflow and near 1e-160 underflow;
+        # the polar factor does not depend on the scale of X.
+        rng = np.random.default_rng(8)
+        pilots = make_pilots(2, 8, 2.0)
+        X = haar_unitary(2, rng) @ pilots.D + sample_cgauss((2, 8), 1.0, rng)
+        U, _, Vh = np.linalg.svd(X @ dagger(pilots.D))
+        for scale in (1e-160, 1e160):
+            assert fro_norm(estimate_kabsch(scale * X, pilots) - U @ Vh) <= 1e-12
 
     def test_half_error_of_ls_at_high_snr(self):
         # Paired trials: both estimators see the same channel/noise draws.
@@ -115,6 +140,31 @@ class TestKabsch:
             t_ls = np.sum(np.abs(e_ls) ** 2)
             t_k = np.sum(np.abs(e_k) ** 2)
             assert 0.4 <= t_k / t_ls <= 0.6
+
+
+class TestKabschCrossCheck:
+    """The n = 2 closed form against the SVD polar factor U V^dagger."""
+
+    def test_closed_form_matches_svd(self):
+        n, L, per_snr = 2, 8, 512
+        rng = np.random.default_rng(21)
+        for eta_db in np.linspace(-10.0, 40.0, 9):  # 4608 blocks
+            params = ChannelParams.from_eta_db(n, eta_db)
+            pilots = make_pilots(n, L, params.power)
+            H = haar_unitary(n, rng, size=per_snr)
+            X = H @ pilots.D + sample_cgauss((per_snr, n, L), params.sigma2, rng)
+            U, _, Vh = np.linalg.svd(X @ dagger(pilots.D))
+            assert np.max(np.abs(estimate_kabsch(X, pilots) - U @ Vh)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_larger_n_is_the_svd(self, n):
+        params = ChannelParams.from_eta_db(n, 10.0)
+        rng = np.random.default_rng(22)
+        pilots = make_pilots(n, 2 * n, params.power)
+        H = haar_unitary(n, rng, size=64)
+        X = H @ pilots.D + sample_cgauss((64, n, 2 * n), params.sigma2, rng)
+        U, _, Vh = np.linalg.svd(X @ dagger(pilots.D))
+        assert np.array_equal(estimate_kabsch(X, pilots), U @ Vh)
 
 
 class TestErrorStats:
