@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelParams, Constellation, make_pilots
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator
-from .linalg import as_complex_matrix, check_hermitian_psd, dagger, fro_norm, haar_unitary, sample_cgauss
+from .linalg import as_complex_matrix, check_hermitian_psd, dagger, fro_norm, mc_blocks, sample_cgauss
 
 __all__ = [
     "AirEstimate",
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 LN2 = float(np.log(2.0))
-
-_GAUSS_CHUNK = 8192
-_DISCRETE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -71,23 +68,15 @@ def _mc_estimate(values: np.ndarray) -> AirEstimate:
     return AirEstimate(value=float(values.mean()), std_error=std_error, trials=n)
 
 
-def _paired_mc(step, kinds: tuple[str, ...], trials: int, chunk: int) -> dict[str, AirEstimate]:
-    """The one chunked Monte Carlo driver: per-kind rates on shared draws.
+def _paired_mc(step, kinds: tuple[str, ...], trials: int, rng: np.random.Generator) -> dict[str, AirEstimate]:
+    """Per-kind rates on shared draws, over the blocks of :func:`~polair.linalg.mc_blocks`.
 
-    ``step(b)`` draws the next ``b`` trials from the caller's generator and
-    returns ``{kind: (b,) per-trial values}`` for every kind in ``kinds``.
-    The driver calls it on chunks of at most ``chunk`` trials, in trial
-    order, so the random stream and the results depend on ``chunk``. It
-    returns each kind's estimate and, under keys ``"a-b"``, the paired
-    differences, whose standard errors reflect the shared draws.
+    ``step(b, block_rng)`` returns ``{kind: (b,) per-trial values}`` for every
+    kind in ``kinds``. Returns each kind's estimate and, under keys ``"a-b"``,
+    the paired differences, whose standard errors reflect the shared draws.
     """
-    values = {k: np.empty(trials) for k in kinds}
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        for kind, chunk_values in step(b).items():
-            values[kind][done : done + b] = chunk_values
-        done += b
+    blocks = mc_blocks(step, trials, rng)
+    values = {k: np.concatenate([block[k] for block in blocks]) for k in kinds}
     out = {k: _mc_estimate(v) for k, v in values.items()}
     for i, a in enumerate(kinds):
         for bname in kinds[i + 1 :]:
@@ -219,9 +208,11 @@ def air_corollary2_mc(
     """Average AIR over random pilot-block estimates of a fixed unitary channel.
 
     ``kind`` is an estimator kind, including ``"perfect"`` (the H_hat = H_u
-    stub, useful as a sanity reference).
+    stub). By rotation invariance the rate does not depend on ``H_u``.
     """
-    return air_gaussian_paired_mc(params, L, trials, rng, kinds=(kind,), H_u=H_u)[kind]
+    if _check_unitary(H_u, "H_u").shape != (params.n, params.n):
+        raise ValueError(f"H_u must be {params.n}x{params.n}, got {np.shape(H_u)}")
+    return air_gaussian_paired_mc(params, L, trials, rng, kinds=(kind,))[kind]
 
 
 def synthetic_estimates(
@@ -257,11 +248,11 @@ def air_synthetic_mc(
         raise ValueError(f"trials must be >= 100, got {trials}")
     H_u = _check_unitary(H_u, "H_u")
 
-    def step(b):
+    def step(b, rng):
         H_hat = synthetic_estimates(H_u, error_per_dof, b, rng)
         return {"general": _corollary1_values(H_u, H_hat, eta)}
 
-    return _paired_mc(step, ("general",), trials, _GAUSS_CHUNK)["general"]
+    return _paired_mc(step, ("general",), trials, rng)["general"]
 
 
 def _metric_weights(points: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +328,12 @@ def mi_discrete_mc(
     weights = _metric_weights(points, sigma2)[0]
     energy = np.sum(np.abs(sent) ** 2, axis=1) / sigma2  # s^dagger H^dagger H s, once
 
-    def step(b):
+    def step(b, rng):
         idx = rng.integers(0, points.shape[0], size=b)
         x = sent[idx] + sample_cgauss((b, H.shape[0]), sigma2, rng)
         return {"mi": _discrete_values(_decoding_metric(H, x, weights, energy), idx)}
 
-    return _paired_mc(step, ("mi",), trials, _DISCRETE_CHUNK)["mi"]
+    return _paired_mc(step, ("mi",), trials, rng)["mi"]
 
 
 def air_discrete_paired_mc(
@@ -355,11 +346,11 @@ def air_discrete_paired_mc(
 ) -> dict[str, AirEstimate]:
     """Average discrete-input AIR for several estimators on shared draws.
 
-    Each trial draws a Haar channel, one pilot block, one data symbol and
-    its noise; every requested estimator (``"ls"``, ``"kabsch"`` or the
-    perfect-CSI stub ``"perfect"``) decodes the same realization, which
-    makes the returned per-kind estimates directly comparable. Paired
-    differences are reported under keys ``"a-b"``.
+    Each trial draws one pilot-noise block, one data symbol and its noise on
+    the identity channel, which by rotation invariance gives the rates of
+    every unitary channel. Every requested estimator (``"ls"``, ``"kabsch"``
+    or the perfect-CSI stub ``"perfect"``) decodes the same realization.
+    Paired differences are reported under keys ``"a-b"``.
     """
     if not constellation.is_discrete:
         raise ValueError("constellation must be discrete")
@@ -371,19 +362,19 @@ def air_discrete_paired_mc(
     points = constellation.points
     weights, unit_energy = _metric_weights(points, params.sigma2)
 
-    def step(b):
-        H = haar_unitary(n, rng, size=b)
-        X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+    def step(b, rng):
+        X = sample_cgauss((b, n, L), params.sigma2, rng)
+        X += pilots.D
         idx = rng.integers(0, points.shape[0], size=b)
-        x = np.einsum("bij,bj->bi", H, points[idx]) + sample_cgauss((b, n), params.sigma2, rng)
+        x = points[idx] + sample_cgauss((b, n), params.sigma2, rng)
         out = {}
         for kind, estimate in estimators.items():
             # A unitary decoder's metric energy is ||s||^2; any other needs its Gram term.
             energy = unit_energy if kind in UNITARY_KINDS else None
-            out[kind] = _discrete_values(_decoding_metric(estimate(X, pilots, H), x, weights, energy), idx)
+            out[kind] = _discrete_values(_decoding_metric(estimate(X, pilots, np.eye(n)), x, weights, energy), idx)
         return out
 
-    return _paired_mc(step, kinds, trials, _DISCRETE_CHUNK)
+    return _paired_mc(step, kinds, trials, rng)
 
 
 def air_gaussian_paired_mc(
@@ -392,14 +383,13 @@ def air_gaussian_paired_mc(
     trials: int,
     rng: np.random.Generator,
     kinds: tuple[str, ...] = ESTIMATOR_KINDS,
-    H_u=None,
 ) -> dict[str, AirEstimate]:
     """Average Gaussian-input AIR for several estimators on shared draws.
 
-    Per trial, one channel (a fresh Haar draw, or ``H_u`` if given) and one
-    pilot-noise realization feed all requested estimators; the AIR of each
-    resulting estimate is the closed three-term unitary-channel expression.
-    Paired differences are reported under keys ``"a-b"``.
+    Per trial, one pilot-noise realization on the identity channel (which by
+    rotation invariance gives the rates of every unitary channel) feeds all
+    requested estimators; the AIR of each estimate is the closed three-term
+    unitary-channel expression. Paired differences are under keys ``"a-b"``.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -407,17 +397,16 @@ def air_gaussian_paired_mc(
     n = params.n
     eta = params.eta
     pilots = make_pilots(n, L, params.power)
-    if H_u is not None:
-        H_u = _check_unitary(H_u, "H_u")
     cap = capacity_perfect(n, eta).value
+    eye = np.eye(n)
 
-    def step(b):
-        H = np.broadcast_to(H_u, (b, n, n)) if H_u is not None else haar_unitary(n, rng, size=b)
-        X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+    def step(b, rng):
+        X = sample_cgauss((b, n, L), params.sigma2, rng)
+        X += pilots.D
         # The perfect-CSI rate is the exact capacity, not a rate evaluated at H_hat = H.
         return {
-            kind: cap if kind == "perfect" else _corollary1_values(H, estimate(X, pilots, H), eta)
+            kind: np.full(b, cap) if kind == "perfect" else _corollary1_values(eye, estimate(X, pilots, eye), eta)
             for kind, estimate in estimators.items()
         }
 
-    return _paired_mc(step, kinds, trials, _GAUSS_CHUNK)
+    return _paired_mc(step, kinds, trials, rng)

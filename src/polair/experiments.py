@@ -2,9 +2,9 @@
 
 Each experiment walks a grid, runs the matching rate computation at every
 grid point and collects one row per (grid point, estimator or error model).
-Randomness is derived per grid point from the master seed with
-``numpy.random.SeedSequence`` spawn keys, so a given configuration always
-produces byte-identical results regardless of execution order.
+Randomness comes per grid point from ``numpy.random.SeedSequence`` spawn
+keys of the master seed, then per trial block (:func:`~polair.linalg.mc_blocks`):
+a configuration gives byte-identical results in any evaluation order.
 
 Experiments:
 

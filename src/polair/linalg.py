@@ -5,13 +5,13 @@ The helpers validate a matrix argument (:func:`as_complex_matrix`,
 and a Frobenius norm (:func:`fro_norm`); products, inverses and
 factorizations are numpy's, called directly where they are needed. The
 samplers draw Haar-distributed unitary matrices and circularly symmetric
-complex Gaussian arrays, both vectorized over a stack of draws.
-:class:`SingularMatrixError` is what the estimators raise for a
-singular pilot Gram matrix.
+complex Gaussian arrays, both vectorized over a stack of draws; :func:`mc_blocks`
+is the package's one Monte Carlo block loop. :class:`SingularMatrixError` is
+what the estimators raise for a singular pilot Gram matrix.
 
-All functions are pure; arrays are never modified in place. Random sampling
-takes an explicit ``numpy.random.Generator`` so that streams can be split
-deterministically by the caller.
+Input arrays are never modified; a sampler may fill its own fresh buffer in
+place. Random sampling takes an explicit ``numpy.random.Generator`` so that
+streams can be split deterministically by the caller.
 """
 
 from __future__ import annotations
@@ -96,12 +96,27 @@ def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> n
 
 
 def sample_cgauss(shape, variance_per_entry: float, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. circularly symmetric complex Gaussian array.
+    """I.i.d. circularly symmetric complex Gaussian array, C-contiguous complex128.
 
     Each entry has total variance ``variance_per_entry`` split equally
-    between the real and imaginary parts.
+    between the real and imaginary parts, drawn interleaved into one buffer.
     """
     if variance_per_entry <= 0:
         raise ValueError(f"variance_per_entry must be > 0, got {variance_per_entry}")
-    scale = np.sqrt(variance_per_entry / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z = rng.standard_normal((*np.atleast_1d(shape), 2))
+    z *= np.sqrt(variance_per_entry / 2.0)
+    return z.view(complex)[..., 0]
+
+
+MC_BLOCK = 2048  # trials per Monte Carlo block
+
+
+# Not in __all__: the per-layer tracer wraps exported functions and would book the rates' time to this loop.
+def mc_blocks(step, trials: int, rng: np.random.Generator) -> list:
+    """``step(b, block_rng)`` on each block of :data:`MC_BLOCK` trials (the last may be short), in block order.
+
+    Block k draws only from the k-th generator of ``rng.spawn(n_blocks)``: a
+    result depends on the seed and the block size, not on evaluation order.
+    """
+    starts = range(0, trials, MC_BLOCK)
+    return [step(min(MC_BLOCK, trials - start), gen) for start, gen in zip(starts, rng.spawn(len(starts)))]

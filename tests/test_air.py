@@ -24,7 +24,7 @@ from polair.air import (
 )
 from polair.channel import ChannelParams, Constellation, make_constellation, make_pilots
 from polair.estimators import estimate_kabsch, estimate_ls
-from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
+from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, sample_cgauss
 
 LN2 = np.log(2.0)
 
@@ -200,7 +200,7 @@ class TestCorollary2MonteCarlo:
     def test_perfect_stub(self):
         params = ChannelParams.from_eta_db(2, 10.0)
         U = haar_unitary(2, np.random.default_rng(8))
-        for trials in (1000, 9000):  # one chunk and two
+        for trials in (1000, 9000):  # one block and five
             est = air_corollary2_mc(U, "perfect", params, 8, trials, np.random.default_rng(9))
             assert est.value == pytest.approx(capacity_perfect(2, params.eta).value, abs=1e-12)
             assert est.std_error == 0.0
@@ -334,16 +334,28 @@ def reference_density(x, H_dec, idx, points, sigma2):
     return np.log2(points.shape[0]) + (num - lse) / LN2
 
 
+def haar_draws(constellation, params, L, trials, rng):
+    """Haar channels H, pilot noise N, transmitted point indices and symbol noise w."""
+    n = params.n
+    H = haar_unitary(n, rng, size=trials)
+    N = sample_cgauss((trials, n, L), params.sigma2, rng)
+    idx = rng.integers(0, constellation.points.shape[0], size=trials)
+    return H, N, idx, sample_cgauss((trials, n), params.sigma2, rng)
+
+
 def paired_draws(constellation, params, L, trials, seed):
-    """The draws of one chunk of air_discrete_paired_mc, in its order."""
-    rng = np.random.default_rng(seed)
+    """The draws of air_discrete_paired_mc: block k from the k-th of rng.spawn(n_blocks)."""
     n, points = params.n, constellation.points
     pilots = make_pilots(n, L, params.power)
-    H = haar_unitary(n, rng, size=trials)
-    X = H @ pilots.D + sample_cgauss((trials, n, L), params.sigma2, rng)
-    idx = rng.integers(0, points.shape[0], size=trials)
-    x = np.einsum("bij,bj->bi", H, points[idx]) + sample_cgauss((trials, n), params.sigma2, rng)
-    return H, X, pilots, idx, x
+    starts = range(0, trials, MC_BLOCK)
+    parts = []
+    for start, rng in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
+        b = min(MC_BLOCK, trials - start)
+        X = pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+        idx = rng.integers(0, points.shape[0], size=b)
+        parts.append((X, idx, points[idx] + sample_cgauss((b, n), params.sigma2, rng)))
+    X, idx, x = (np.concatenate(p) for p in zip(*parts))
+    return X, pilots, idx, x
 
 
 class TestDiscreteKernel:
@@ -356,7 +368,10 @@ class TestDiscreteKernel:
             c = make_constellation(input_kind, 2, params.power)
             points, sigma2 = c.points, params.sigma2
             weights, unit_energy = _metric_weights(points, sigma2)
-            H, X, pilots, idx, x = paired_draws(c, params, 8, 512, 100 + eta_db)
+            pilots = make_pilots(2, 8, params.power)
+            H, N, idx, w = haar_draws(c, params, 8, 512, np.random.default_rng(100 + eta_db))
+            X = H @ pilots.D + N
+            x = np.einsum("bij,bj->bi", H, points[idx]) + w
             cases = {
                 "ls": (estimate_ls(X, pilots), None),
                 "kabsch": (estimate_kabsch(X, pilots), unit_energy),
@@ -376,11 +391,12 @@ class TestDiscreteKernel:
 
     @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
     def test_paired_mc_matches_reference(self, kind):
+        # The trials span two blocks.
         params = ChannelParams.from_eta_db(2, 12.0)
         c = make_constellation("dp_16qam", 2, params.power)
-        out = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(31), kinds=(kind,))
-        H, X, pilots, idx, x = paired_draws(c, params, 8, 1000, 31)
-        H_dec = {"ls": estimate_ls, "kabsch": estimate_kabsch}.get(kind, lambda X, p: H)(X, pilots)
+        out = air_discrete_paired_mc(c, params, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=(kind,))
+        X, pilots, idx, x = paired_draws(c, params, 8, MC_BLOCK + 952, 31)
+        H_dec = {"ls": estimate_ls, "kabsch": estimate_kabsch}.get(kind, lambda X, p: np.eye(2))(X, pilots)
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out[kind].value - want) <= 1e-12
 
@@ -390,13 +406,44 @@ class TestDiscreteKernel:
         c = make_constellation("dp_16qam", 2, params.power)
         monkeypatch.setattr(polair.estimators, "estimate_ls", lambda X, p: 1.1 * estimate_kabsch(X, p))
         out = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(32), kinds=("ls",))
-        H, X, pilots, idx, x = paired_draws(c, params, 8, 1000, 32)
+        X, pilots, idx, x = paired_draws(c, params, 8, 1000, 32)
         H_dec = 1.1 * estimate_kabsch(X, pilots)
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out["ls"].value - want) <= 1e-12
         weights, unit_energy = _metric_weights(c.points, params.sigma2)
         shortcut = _discrete_values(_decoding_metric(H_dec, x, weights, unit_energy), idx).mean()
         assert abs(shortcut - want) > 1e-2
+
+
+class TestIdentityChannelCoupling:
+    """Rates from (H, H D + N, H s + w) equal rates from (I, D + H^dagger N, s + H^dagger w).
+
+    H^dagger N and H^dagger w are again i.i.d. Gaussian, so this is what lets
+    every Monte Carlo step run on the identity channel.
+    """
+
+    @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
+    def test_per_trial_values_match(self, eta_db):
+        params = ChannelParams.from_eta_db(2, eta_db)
+        c = make_constellation("dp_16qam", 2, params.power)
+        pilots, eye = make_pilots(2, 8, params.power), np.eye(2)
+        H, N, idx, w = haar_draws(c, params, 8, 1024, np.random.default_rng(300 + int(eta_db)))
+        s, Hd = c.points[idx], dagger(H)
+        X, x = H @ pilots.D + N, np.einsum("bij,bj->bi", H, s) + w
+        X0, x0 = pilots.D + Hd @ N, s + np.einsum("bij,bj->bi", Hd, w)
+        weights, unit_energy = _metric_weights(c.points, params.sigma2)
+        decoders = {"perfect": (H, eye, unit_energy)}
+        for kind, estimate in (("ls", estimate_ls), ("kabsch", estimate_kabsch)):
+            H_hat, H_hat0 = estimate(X, pilots), estimate(X0, pilots)
+            decoders[kind] = (H_hat, H_hat0, None if kind == "ls" else unit_energy)
+            rates = _corollary1_values(H, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
+            assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
+            sq = np.sum(np.abs(H - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
+            assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
+        for kind, (H_dec, H_dec0, energy) in decoders.items():
+            got = _discrete_values(_decoding_metric(H_dec, x, weights, energy), idx)
+            want = _discrete_values(_decoding_metric(H_dec0, x0, weights, energy), idx)
+            assert np.abs(got - want).max() <= 1e-12, kind
 
 
 class TestSharedDraws:
@@ -419,11 +466,15 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
     def test_corollary2_is_gaussian_paired_with_fixed_channel(self, kind):
+        # By rotation invariance the fixed channel does not enter the rate.
         params = ChannelParams.from_eta_db(2, 6.0)
         U = haar_unitary(2, np.random.default_rng(42))
         got = air_corollary2_mc(U, kind, params, 8, 9000, np.random.default_rng(43))
-        out = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(43), kinds=(kind,), H_u=U)
+        out = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(43), kinds=(kind,))
         assert got == out[kind]
+        for bad in (1.1 * U, np.eye(3)):  # not unitary; not n x n
+            with pytest.raises(ValueError):
+                air_corollary2_mc(bad, kind, params, 8, 9000, np.random.default_rng(43))
 
     def test_unknown_kind_is_value_error(self):
         params = ChannelParams.from_eta_db(2, 6.0)

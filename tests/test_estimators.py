@@ -43,6 +43,22 @@ class TestLeastSquares:
         shortcut = (params.n / (params.power * pilots.L)) * X @ dagger(pilots.D)
         assert fro_norm(estimate_ls(X, pilots) - shortcut) < 1e-12
 
+    @pytest.mark.parametrize("n, L", [(2, 8), (2, 64), (4, 8)])
+    def test_matches_two_matmul_form(self, n, L):
+        # Reference: the two batched matmuls X D^dagger (D D^dagger)^-1, on a
+        # single block and on stacks with one and two leading axes.
+        params = ChannelParams(n=n, power=n * 10.0, sigma2=1.0)
+        pilots = make_pilots(n, L, params.power)
+        D = pilots.D
+        rng = np.random.default_rng(10 + n + L)
+        H = haar_unitary(n, rng, size=96)
+        X = H @ D + sample_cgauss((96, n, L), params.sigma2, rng)
+        for block in (X[0], X, X.reshape(8, 12, n, L)):
+            ref = block @ dagger(D) @ np.linalg.inv(D @ dagger(D))
+            got = estimate_ls(block, pilots)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
     def test_error_covariance_law(self):
         # Exact law for the LS error with orthogonal pilots:
         # E[E^dagger E] = (n / (eta L)) I_n, i.e. per-entry error variance

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import polair.air
 import polair.estimators
 from polair.air import air_corollary4
 from polair.channel import ChannelParams, make_pilots
@@ -24,7 +25,7 @@ from polair.experiments import (
     run_fig3,
     _substream,
 )
-from polair.linalg import haar_unitary, sample_cgauss
+from polair.linalg import MC_BLOCK, sample_cgauss
 
 
 def small_config(experiment, **overrides):
@@ -114,6 +115,27 @@ class TestDeterminism:
         b = run_experiment(config).to_csv_string()
         assert a == b
 
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3a", "fig3b", "error_cov"])
+    def test_block_order_does_not_change_output(self, experiment, monkeypatch):
+        # Three blocks per grid point, evaluated last to first: each block
+        # draws only from its own spawned generator, so the CSV is unchanged.
+        config = small_config(experiment, trials=2 * MC_BLOCK + 500)
+        forward = run_experiment(config).to_csv_string()
+        assert run_experiment(config).to_csv_string() == forward
+        calls = []
+
+        def reversed_blocks(step, trials, rng):
+            starts = range(0, trials, MC_BLOCK)
+            gens = rng.spawn(len(starts))
+            out = {k: step(min(MC_BLOCK, trials - starts[k]), gens[k]) for k in reversed(range(len(starts)))}
+            calls.append(len(out))
+            return [out[k] for k in range(len(starts))]
+
+        monkeypatch.setattr(polair.air, "mc_blocks", reversed_blocks)
+        monkeypatch.setattr(polair.estimators, "mc_blocks", reversed_blocks)
+        assert run_experiment(config).to_csv_string() == forward
+        assert calls and set(calls) == {3}
+
     def test_seed_changes_output(self):
         a = run_experiment(small_config("fig3a", trials=200, master_seed=0)).to_csv_string()
         b = run_experiment(small_config("fig3a", trials=200, master_seed=1)).to_csv_string()
@@ -193,21 +215,19 @@ class TestErrorCovRows:
         assert next(rows, None) is None
 
     def test_air_stderr_of_per_trial_bounds(self):
-        # Redo the draws of one grid point by hand; the per-trial Corollary-4
-        # values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to air_bits
-        # and give air_stderr. The trials span two chunks.
-        chunk = polair.estimators._TRIAL_CHUNK
-        config = small_config("error_cov", trials=chunk + 904, eta_db_grid=(10.0,), L_grid=(8,))
+        # Redo the draws of one grid point by hand, on the identity channel,
+        # block k from the k-th generator of rng.spawn(n_blocks); the per-trial
+        # Corollary-4 values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to
+        # air_bits and give air_stderr. The trials span two blocks.
+        config = small_config("error_cov", trials=MC_BLOCK + 904, eta_db_grid=(10.0,), L_grid=(8,))
         n, L = config.n, 8
         params = ChannelParams.from_eta_db(n, 10.0)
         pilots = make_pilots(n, L, params.power)
-        rng = _substream(config, 0, 0)
         sq = {"ls": [], "kabsch": []}
-        for b in (chunk, config.trials - chunk):
-            H = haar_unitary(n, rng, size=b)
-            X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
-            sq["ls"].append(np.sum(np.abs(H - estimate_ls(X, pilots)) ** 2, axis=(1, 2)))
-            sq["kabsch"].append(np.sum(np.abs(H - estimate_kabsch(X, pilots)) ** 2, axis=(1, 2)))
+        for b, rng in zip((MC_BLOCK, config.trials - MC_BLOCK), _substream(config, 0, 0).spawn(2)):
+            X = pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+            sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(X, pilots)) ** 2, axis=(1, 2)))
+            sq["kabsch"].append(np.sum(np.abs(np.eye(n) - estimate_kabsch(X, pilots)) ** 2, axis=(1, 2)))
         for row in run_error_cov(config).rows:
             values = n * np.log2(1.0 + params.eta) - params.eta * np.concatenate(sq[row.estimator]) / np.log(2.0)
             stderr = np.sqrt(np.sum((values - values.mean()) ** 2) / (values.size - 1) / values.size)

@@ -23,7 +23,7 @@ TOL = 1e-12
 FLOAT_COLUMNS = ("E2", "air_bits", "air_stderr", "capacity_bits", "gap_bits")
 KEY_COLUMNS = ("experiment", "estimator", "input", "eta_db", "L", "trials", "seed")
 
-# Discrete sweeps use 3000 trials so that each grid point spans two chunks.
+# Sweeps of 3000 trials span two Monte Carlo blocks per grid point.
 GOLDEN_CONFIGS = {
     "fig2": replace(
         default_config("fig2", master_seed=11),

@@ -186,3 +186,22 @@ class TestComplexGaussian:
     def test_nonpositive_variance(self):
         with pytest.raises(ValueError):
             sample_cgauss((2,), 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(7,), (1, 1), (3, 2, 8)])
+    def test_output_layout(self, shape):
+        # One interleaved buffer viewed as complex: a plain complex128 array the caller may fill in place.
+        z = sample_cgauss(shape, 2.0, np.random.default_rng(11))
+        assert z.shape == shape and z.dtype == np.complex128
+        assert z.flags.c_contiguous and z.flags.writeable
+        z += 1.0
+
+    def test_second_moments_within_five_sigma(self):
+        # Re z, Im z ~ N(0, v/2) independent: |z|^2 has variance v^2, z^2 has
+        # real and imaginary parts of variance v^2, Re z Im z has variance v^2/4.
+        v, n = 3.0, 1_000_000
+        z = sample_cgauss((n,), v, np.random.default_rng(12))
+        se = v / np.sqrt(n)
+        assert abs(np.mean(z.real**2 + z.imag**2) - v) < 5 * se
+        m2 = np.mean(z * z)  # circularity: E[z^2] = 0
+        assert abs(m2.real) < 5 * se and abs(m2.imag) < 5 * se
+        assert abs(np.mean(z.real * z.imag)) < 5 * se / 2
