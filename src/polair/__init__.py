@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .air import (
     AirEstimate,
     air_corollary1,
-    air_corollary2_mc,
     air_corollary4,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
@@ -41,10 +40,7 @@ from .experiments import (
     SweepResult,
     SweepRow,
     default_config,
-    run_error_cov,
     run_experiment,
-    run_fig2,
-    run_fig3,
 )
 from .linalg import (
     SingularMatrixError,

@@ -26,7 +26,6 @@ __all__ = [
     "mi_gaussian_given_H",
     "air_theorem1",
     "air_corollary1",
-    "air_corollary2_mc",
     "air_corollary4",
     "synthetic_estimates",
     "air_synthetic_mc",
@@ -197,24 +196,6 @@ def air_corollary4(n: int, eta: float, R_E) -> AirEstimate:
     return AirEstimate(value=value)
 
 
-def air_corollary2_mc(
-    H_u,
-    kind: str,
-    params: ChannelParams,
-    L: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> AirEstimate:
-    """Average AIR over random pilot-block estimates of a fixed unitary channel.
-
-    ``kind`` is an estimator kind, including ``"perfect"`` (the H_hat = H_u
-    stub). By rotation invariance the rate does not depend on ``H_u``.
-    """
-    if _check_unitary(H_u, "H_u").shape != (params.n, params.n):
-        raise ValueError(f"H_u must be {params.n}x{params.n}, got {np.shape(H_u)}")
-    return air_gaussian_paired_mc(params, L, trials, rng, kinds=(kind,))[kind]
-
-
 def synthetic_estimates(
     H_u: np.ndarray,
     error_per_dof: float,
@@ -371,7 +352,7 @@ def air_discrete_paired_mc(
         for kind, estimate in estimators.items():
             # A unitary decoder's metric energy is ||s||^2; any other needs its Gram term.
             energy = unit_energy if kind in UNITARY_KINDS else None
-            out[kind] = _discrete_values(_decoding_metric(estimate(X, pilots, np.eye(n)), x, weights, energy), idx)
+            out[kind] = _discrete_values(_decoding_metric(estimate(X, pilots), x, weights, energy), idx)
         return out
 
     return _paired_mc(step, kinds, trials, rng)
@@ -405,7 +386,7 @@ def air_gaussian_paired_mc(
         X += pilots.D
         # The perfect-CSI rate is the exact capacity, not a rate evaluated at H_hat = H.
         return {
-            kind: np.full(b, cap) if kind == "perfect" else _corollary1_values(eye, estimate(X, pilots, eye), eta)
+            kind: np.full(b, cap) if kind == "perfect" else _corollary1_values(eye, estimate(X, pilots), eta)
             for kind, estimate in estimators.items()
         }
 

@@ -9,12 +9,17 @@ Subcommands:
 * ``sweep``     -- a named figure experiment (fig2, fig3a, fig3b, fig4),
                    written as CSV.
 
+Each sweep flag sets one config field and is parsed as that field's
+config-file entry is (:func:`~polair.experiments.parse_config_value`), so
+``--L 4,8`` and ``L_grid = 4,8`` give the same configuration; flags
+override ``--config`` file entries.
+
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
-unparsable or non-finite grid values, SNRs outside [-10, 40] dB, E2
-values outside [0, 1], repeated grid values or estimator kinds, an E2
-grid outside fig2 and a discrete input for fig2 or error_cov), 4
-numerical failure (including any value the numeric core rejects that the
-configuration checks let through).
+unparsable values, empty list items, non-finite grid values, SNRs outside
+[-10, 40] dB, E2 values outside [0, 1], repeated grid values or estimator
+kinds, an E2 grid outside fig2 and a discrete input for fig2 or
+error_cov), 4 numerical failure (including any value the numeric core
+rejects that the configuration checks let through).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .experiments import (
     check_eta_db,
     config_from_text,
     default_config,
+    parse_config_value,
     run_experiment,
 )
 
@@ -77,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--E2", help="comma-separated per-DOF error grid (fig2)")
         p.add_argument("--input", choices=CONSTELLATION_KINDS)
         p.add_argument("--estimator", help=f"comma-separated subset of {','.join(ESTIMATOR_KINDS)}")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--trials")
+        p.add_argument("--seed")
         p.add_argument("--out", help="output path, - for stdout (default ./out/<experiment>-<seed>.csv)")
     return parser
 
@@ -98,6 +104,18 @@ def _write_text(out: str | None, default_path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
+# Each sweep flag and the config field it sets.
+_FLAG_FIELDS = {
+    "eta_db": "eta_db_grid",
+    "L": "L_grid",
+    "E2": "E2_grid",
+    "input": "input",
+    "estimator": "estimators",
+    "trials": "trials",
+    "seed": "master_seed",
+}
+
+
 def _build_sweep_config(args: argparse.Namespace, experiment: str):
     if args.config:
         config = config_from_text(Path(args.config).read_text())
@@ -106,29 +124,13 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
                 f"config file experiment {config.experiment!r} does not match {experiment!r}"
             )
     else:
-        config = default_config(experiment, master_seed=args.seed or 0)
-    overrides = {}
-    try:
-        if args.eta_db is not None:
-            overrides["eta_db_grid"] = tuple(float(v) for v in args.eta_db.split(","))
-        if args.L is not None:
-            overrides["L_grid"] = tuple(int(v) for v in args.L.split(","))
-        if args.E2 is not None:
-            overrides["E2_grid"] = tuple(float(v) for v in args.E2.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad grid value: {exc}") from exc
-    if args.input is not None:
-        overrides["input"] = args.input
-    if args.estimator is not None:
-        overrides["estimators"] = tuple(args.estimator.split(","))
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
-    config.validate()
-    return config
+        config = default_config(experiment)
+    overrides = {
+        name: parse_config_value(name, getattr(args, flag))
+        for flag, name in _FLAG_FIELDS.items()
+        if getattr(args, flag) is not None
+    }
+    return replace(config, **overrides)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:

@@ -14,8 +14,9 @@ Both are plain functions, :func:`estimate_ls` and :func:`estimate_kabsch`,
 vectorized over stacked pilot blocks.
 
 :data:`ESTIMATORS` is the one registry of estimator kinds,
-``{kind: (X, pilots, H) -> H_hat}``; besides ``ls`` and ``kabsch`` it holds
-the perfect-CSI stub ``perfect``, which returns the true channel H. The
+``{kind: (X, pilots) -> H_hat}``; besides ``ls`` and ``kabsch`` it holds
+the perfect-CSI stub ``perfect``, which returns the identity: every Monte
+Carlo step runs on the identity channel (see :mod:`polair.air`). The
 kinds in :data:`UNITARY_KINDS` give unitary estimates and have n^2 real
 degrees of freedom; the others have 2 n^2. Everything that dispatches on a
 kind (the error covariance here, the Monte Carlo rates in
@@ -106,9 +107,9 @@ def estimate_kabsch(X, pilots: PilotMatrix) -> np.ndarray:
 # The entries look estimate_ls and estimate_kabsch up as module globals at
 # call time, so a wrapped or patched module attribute is what gets called.
 ESTIMATORS = {
-    "ls": lambda X, pilots, H: estimate_ls(X, pilots),
-    "kabsch": lambda X, pilots, H: estimate_kabsch(X, pilots),
-    "perfect": lambda X, pilots, H: H,
+    "ls": lambda X, pilots: estimate_ls(X, pilots),
+    "kabsch": lambda X, pilots: estimate_kabsch(X, pilots),
+    "perfect": lambda X, pilots: np.eye(pilots.n),
 }
 UNITARY_KINDS = frozenset({"kabsch", "perfect"})  # these decode with energy ||s||^2
 ESTIMATOR_KINDS = tuple(k for k in ESTIMATORS if k != "perfect")  # the pilot-based kinds
@@ -182,7 +183,7 @@ def empirical_error_covariance(
         X += pilots.D
         out = {}
         for kind, estimate in estimators.items():
-            E = np.eye(n) - estimate(X, pilots, np.eye(n))
+            E = np.eye(n) - estimate(X, pilots)
             out[kind] = np.einsum("bij,bik->jk", np.conj(E), E), np.sum(E.real**2 + E.imag**2, axis=(1, 2))
         return out
 

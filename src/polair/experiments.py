@@ -1,7 +1,9 @@
 """Named, reproducible sweeps over SNR, pilot length and error level.
 
-Each experiment walks a grid, runs the matching rate computation at every
-grid point and collects one row per (grid point, estimator or error model).
+Every experiment walks one grid, SNR crossed with a second axis: the error
+level E2 for fig2 and the pilot length L for the others.
+:func:`run_experiment` runs the experiment's rate computation at every grid
+point and collects one row per (grid point, estimator or error model).
 Randomness comes per grid point from ``numpy.random.SeedSequence`` spawn
 keys of the master seed, then per trial block (:func:`~polair.linalg.mc_blocks`):
 a configuration gives byte-identical results in any evaluation order.
@@ -15,8 +17,8 @@ Experiments:
                   estimators (shared draws), against the perfect-CSI capacity.
 * ``fig3b``    -- same comparison with uniformly distributed DP-16-QAM
                   inputs, against the perfect-CSI mutual information.
-* ``fig4``     -- information gap vs pilot length (the fig3 runner on an
-                  (SNR, pilot length) grid).
+* ``fig4``     -- information gap vs pilot length: the fig3 rates on an
+                  (SNR, pilot length) grid.
 * ``error_cov``-- empirical estimation-error covariance statistics.
 """
 
@@ -53,11 +55,9 @@ __all__ = [
     "check_eta_db",
     "default_config",
     "run_experiment",
-    "run_fig2",
-    "run_fig3",
-    "run_error_cov",
     "config_to_text",
     "config_from_text",
+    "parse_config_value",
 ]
 
 EXPERIMENTS = ("fig2", "fig3a", "fig3b", "fig4", "error_cov")
@@ -154,58 +154,28 @@ class ExperimentConfig:
             raise ConfigError("fig3b requires a discrete input kind")
 
 
+# Each experiment's overrides of the ExperimentConfig field defaults.
+_DEFAULTS = {
+    "fig2": dict(eta_db_grid=tuple(float(e) for e in range(0, 21)), E2_grid=(1e-3, 1e-2, 1e-1)),
+    "fig3a": dict(eta_db_grid=tuple(float(e) for e in range(-2, 21))),
+    "fig3b": dict(eta_db_grid=tuple(float(e) for e in range(-2, 21, 2)), input="dp_16qam", trials=200_000),
+    "fig4": dict(eta_db_grid=(4.0, 14.0), L_grid=(2, 4, 8, 16, 32, 64)),
+    "error_cov": dict(eta_db_grid=(0.0, 10.0, 20.0), L_grid=(8, 16)),
+}
+
+
 def default_config(experiment: str, master_seed: int = 0) -> ExperimentConfig:
     """Engineering-default grids giving desk-scale runtimes."""
-    if experiment == "fig2":
-        return ExperimentConfig(
-            experiment="fig2",
-            eta_db_grid=tuple(float(e) for e in range(0, 21)),
-            L_grid=(8,),
-            E2_grid=(1e-3, 1e-2, 1e-1),
-            trials=10_000,
-            master_seed=master_seed,
-        )
-    if experiment == "fig3a":
-        return ExperimentConfig(
-            experiment="fig3a",
-            eta_db_grid=tuple(float(e) for e in range(-2, 21)),
-            L_grid=(8,),
-            trials=10_000,
-            master_seed=master_seed,
-        )
-    if experiment == "fig3b":
-        return ExperimentConfig(
-            experiment="fig3b",
-            eta_db_grid=tuple(float(e) for e in range(-2, 21, 2)),
-            L_grid=(8,),
-            input="dp_16qam",
-            trials=200_000,
-            master_seed=master_seed,
-        )
-    if experiment == "fig4":
-        return ExperimentConfig(
-            experiment="fig4",
-            eta_db_grid=(4.0, 14.0),
-            L_grid=(2, 4, 8, 16, 32, 64),
-            trials=10_000,
-            master_seed=master_seed,
-        )
-    if experiment == "error_cov":
-        return ExperimentConfig(
-            experiment="error_cov",
-            eta_db_grid=(0.0, 10.0, 20.0),
-            L_grid=(8, 16),
-            trials=10_000,
-            master_seed=master_seed,
-        )
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    if experiment not in _DEFAULTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    return ExperimentConfig(experiment=experiment, master_seed=master_seed, **_DEFAULTS[experiment])
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    experiment: str
+    """One CSV row; the experiment and input columns come from the config."""
+
     estimator: str  # estimator kind or synthetic error model name
-    input: str
     eta_db: float
     L: int
     E2: float
@@ -228,9 +198,9 @@ class SweepResult:
         for row in self.rows:
             writer.writerow(
                 [
-                    row.experiment,
+                    self.config.experiment,
                     row.estimator,
-                    row.input,
+                    self.config.input,
                     repr(float(row.eta_db)),
                     row.L,
                     repr(float(row.E2)),
@@ -255,51 +225,30 @@ def _substream(config: ExperimentConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=spawn_key))
 
 
-def _check_experiment(config: ExperimentConfig, *experiments: str) -> None:
-    config.validate()
-    if config.experiment not in experiments:
-        raise ConfigError(f"expected experiment {' or '.join(experiments)}, got {config.experiment!r}")
-
-
-def run_fig2(config: ExperimentConfig) -> SweepResult:
-    """Gaussian-input AIR vs SNR under fixed synthetic per-DOF error levels.
+def _fig2_rows(config: ExperimentConfig, eta_db: float, e2: float, rng: np.random.Generator) -> list[SweepRow]:
+    """Gaussian-input AIR at one SNR under one synthetic per-DOF error level.
 
     The general error model is averaged by Monte Carlo over random error
     draws (the channel is irrelevant by rotation invariance, so the
     identity is used); the unitary model is the closed form with
     tr(R_E) = n^3 * E2.
     """
-    _check_experiment(config, "fig2")
     n = config.n
     eye = np.eye(n)
-    rows = []
-    for i_eta, eta_db in enumerate(config.eta_db_grid):
-        eta = 10.0 ** (eta_db / 10.0)
-        cap = capacity_perfect(n, eta).value
-        for i_e2, e2 in enumerate(config.E2_grid):
-            rng = _substream(config, i_eta, i_e2)
-            general = air_synthetic_mc(eye, e2, eta, config.trials, rng)
-            unitary = air_corollary4(n, eta, (n * n * e2) * eye)
-            for name, est in (("general", general), ("unitary", unitary)):
-                rows.append(
-                    SweepRow(
-                        experiment="fig2",
-                        estimator=name,
-                        input="gaussian",
-                        eta_db=eta_db,
-                        L=0,
-                        E2=e2,
-                        air=est,
-                        reference_capacity=cap,
-                    )
-                )
-    return SweepResult(config=config, rows=tuple(rows))
+    # Not ChannelParams.from_eta_db(n, eta_db).eta, which is (n eta)/n and can differ by one ulp.
+    eta = 10.0 ** (eta_db / 10.0)
+    cap = capacity_perfect(n, eta).value
+    general = air_synthetic_mc(eye, e2, eta, config.trials, rng)
+    unitary = air_corollary4(n, eta, (n * n * e2) * eye)
+    return [SweepRow(name, eta_db, 0, e2, est, cap) for name, est in (("general", general), ("unitary", unitary))]
 
 
-def _rate_rows_at(
-    config: ExperimentConfig, eta_db: float, L: int, rng: np.random.Generator
-) -> list[SweepRow]:
-    """AIR rows for one (eta, L) point, all estimators on shared draws."""
+def _rate_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.Generator) -> list[SweepRow]:
+    """AIR and information gap of the pilot-based estimators at one (SNR, pilot length).
+
+    Serves fig3a and fig3b (AIR vs SNR at a fixed pilot length) and fig4
+    (gap vs pilot length at a few SNRs); all estimators share the draws.
+    """
     n = config.n
     params = ChannelParams.from_eta_db(n, eta_db)
     if config.input == "gaussian":
@@ -310,93 +259,76 @@ def _rate_rows_at(
         kinds = tuple(config.estimators) + ("perfect",)
         estimates = air_discrete_paired_mc(constellation, params, L, config.trials, rng, kinds=kinds)
         reference = estimates["perfect"].value
-    return [
-        SweepRow(
-            experiment=config.experiment,
-            estimator=kind,
-            input=config.input,
-            eta_db=eta_db,
-            L=L,
-            E2=0.0,
-            air=estimates[kind],
-            reference_capacity=reference,
-        )
-        for kind in config.estimators
-    ]
+    return [SweepRow(kind, eta_db, L, 0.0, estimates[kind], reference) for kind in config.estimators]
 
 
-def run_fig3(config: ExperimentConfig) -> SweepResult:
-    """AIR and information gap of pilot-based estimators over (SNR, pilot length).
+def _error_cov_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.Generator) -> list[SweepRow]:
+    """Empirical error-covariance statistics per estimator at one (SNR, pilot length).
 
-    Serves fig3a and fig3b (AIR vs SNR at a fixed pilot length) and fig4
-    (gap vs pilot length at a few SNRs); all estimators share the draws of
-    each grid point.
+    Both estimators see the same noise draws. The E2 column carries the
+    measured per-DOF error tr(R_E)/(n * dof); the air column reports the
+    unitary-estimate bound implied by the measured covariance,
+    n log2(1+eta) - eta tr(R_E)/ln 2, with the standard error of the
+    per-trial values n log2(1+eta) - eta ||E_t||_F^2/ln 2 over
+    ``config.trials`` trials.
     """
-    _check_experiment(config, "fig3a", "fig3b", "fig4")
-    rows = []
-    for i_eta, eta_db in enumerate(config.eta_db_grid):
-        for i_L, L in enumerate(config.L_grid):
-            rng = _substream(config, i_eta, i_L)
-            rows.extend(_rate_rows_at(config, eta_db, L, rng))
-    return SweepResult(config=config, rows=tuple(rows))
-
-
-def run_error_cov(config: ExperimentConfig) -> SweepResult:
-    """Empirical error-covariance statistics per (estimator, eta, L).
-
-    Both estimators see the same channel and noise draws at each grid
-    point. The E2 column carries the measured per-DOF error
-    tr(R_E)/(n * dof); the air column reports the unitary-estimate bound
-    implied by the measured covariance, n log2(1+eta) - eta tr(R_E)/ln 2,
-    with the standard error of the per-trial values
-    n log2(1+eta) - eta ||E_t||_F^2/ln 2 over ``config.trials`` trials.
-    """
-    _check_experiment(config, "error_cov")
     n = config.n
+    params = ChannelParams.from_eta_db(n, eta_db)
+    cap = capacity_perfect(n, params.eta).value
+    stats = empirical_error_covariance(config.estimators, params, L, config.trials, rng)
     rows = []
-    for i_eta, eta_db in enumerate(config.eta_db_grid):
-        params = ChannelParams.from_eta_db(n, eta_db)
-        cap = capacity_perfect(n, params.eta).value
-        for i_L, L in enumerate(config.L_grid):
-            rng = _substream(config, i_eta, i_L)
-            stats = empirical_error_covariance(config.estimators, params, L, config.trials, rng)
-            for kind in config.estimators:
-                s = stats[kind]
-                bound = air_corollary4(n, params.eta, s.R_E)
-                rows.append(
-                    SweepRow(
-                        experiment="error_cov",
-                        estimator=kind,
-                        input=config.input,
-                        eta_db=eta_db,
-                        L=L,
-                        E2=s.error_per_dof,
-                        air=replace(bound, std_error=params.eta * s.trace_stderr / LN2, trials=s.trials),
-                        reference_capacity=cap,
-                    )
-                )
-    return SweepResult(config=config, rows=tuple(rows))
-
-
-_RUNNERS = {
-    "fig2": run_fig2,
-    "fig3a": run_fig3,
-    "fig3b": run_fig3,
-    "fig4": run_fig3,
-    "error_cov": run_error_cov,
-}
+    for kind in config.estimators:
+        s = stats[kind]
+        bound = air_corollary4(n, params.eta, s.R_E)
+        air = replace(bound, std_error=params.eta * s.trace_stderr / LN2, trials=s.trials)
+        rows.append(SweepRow(kind, eta_db, L, s.error_per_dof, air, cap))
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
-    """Dispatch a validated configuration to its runner."""
+    """Validate ``config`` and run its sweep over the (SNR, second axis) grid.
+
+    The second axis is ``E2_grid`` for fig2 and ``L_grid`` otherwise; grid
+    point (i, j) draws from its own substream, so rows do not depend on
+    which other points the grid holds.
+    """
     config.validate()
-    return _RUNNERS[config.experiment](config)
+    if config.experiment == "fig2":
+        axis, rows_at = config.E2_grid, _fig2_rows
+    elif config.experiment == "error_cov":
+        axis, rows_at = config.L_grid, _error_cov_rows
+    else:
+        axis, rows_at = config.L_grid, _rate_rows
+    rows = []
+    for i_eta, eta_db in enumerate(config.eta_db_grid):
+        for j, value in enumerate(axis):
+            rows.extend(rows_at(config, eta_db, value, _substream(config, i_eta, j)))
+    return SweepResult(config=config, rows=tuple(rows))
 
 
 # --- plain-text key=value config files ------------------------------------
 
-_LIST_FIELDS = {"eta_db_grid", "L_grid", "E2_grid", "estimators"}
+_ITEM_TYPES = {"eta_db_grid": float, "L_grid": int, "E2_grid": float, "estimators": str}  # comma-separated lists
 _INT_FIELDS = {"trials", "master_seed", "n"}
+
+
+def parse_config_value(key: str, rendered: str):
+    """Parse the text of config field ``key`` as :func:`config_to_text` writes it.
+
+    A list field is comma-separated: the empty string is the empty tuple,
+    and an empty item between commas is a :class:`ConfigError`, as is a
+    value of the wrong type. The CLI parses its flags with this too.
+    """
+    rendered = rendered.strip()
+    try:
+        if key in _ITEM_TYPES:
+            items = [v.strip() for v in rendered.split(",")] if rendered else []
+            if "" in items:
+                raise ValueError(f"empty item in {rendered!r}")
+            return tuple(_ITEM_TYPES[key](v) for v in items)
+        return int(rendered) if key in _INT_FIELDS else rendered
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
 def config_to_text(config: ExperimentConfig) -> str:
@@ -424,26 +356,14 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, rendered = line.partition("=")
         key = key.strip()
-        rendered = rendered.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _LIST_FIELDS:
-                items = [v.strip() for v in rendered.split(",") if v.strip()]
-                if key == "L_grid":
-                    values[key] = tuple(int(v) for v in items)
-                elif key == "estimators":
-                    values[key] = tuple(items)
-                else:
-                    values[key] = tuple(float(v) for v in items)
-            elif key in _INT_FIELDS:
-                values[key] = int(rendered)
-            else:
-                values[key] = rendered
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+            values[key] = parse_config_value(key, rendered)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     if "experiment" not in values:
         raise ConfigError("config must set 'experiment'")
     base = default_config(values["experiment"])

@@ -29,7 +29,7 @@ from polair.estimators import (
     estimate_kabsch,
     estimate_ls,
 )
-from polair.experiments import default_config, run_fig2, run_fig3
+from polair.experiments import default_config, run_experiment
 from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
 
 
@@ -202,7 +202,7 @@ def test_criterion_09_fixed_error_curve_shape():
         trials=20_000,
         eta_db_grid=tuple(float(e) for e in range(-10, 41)),
     )
-    result = run_fig2(config)
+    result = run_experiment(config)
     grid = np.array(config.eta_db_grid)
     n = config.n
     failures = []
@@ -232,7 +232,7 @@ def test_criterion_09_fixed_error_curve_shape():
 
 def test_criterion_10_gap_vs_pilot_length():
     config = replace(default_config("fig4", master_seed=1010), eta_db_grid=(14.0,), trials=10_000)
-    result = run_fig3(config)
+    result = run_experiment(config)
     gaps = {}
     errs = {}
     for row in result.rows:

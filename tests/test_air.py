@@ -11,7 +11,6 @@ from polair.air import (
     _discrete_values,
     _metric_weights,
     air_corollary1,
-    air_corollary2_mc,
     air_corollary4,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
@@ -197,24 +196,6 @@ class TestCorollary4:
 
 
 class TestCorollary2MonteCarlo:
-    def test_perfect_stub(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        U = haar_unitary(2, np.random.default_rng(8))
-        for trials in (1000, 9000):  # one block and five
-            est = air_corollary2_mc(U, "perfect", params, 8, trials, np.random.default_rng(9))
-            assert est.value == pytest.approx(capacity_perfect(2, params.eta).value, abs=1e-12)
-            assert est.std_error == 0.0
-
-    def test_ls_below_capacity(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        U = haar_unitary(2, np.random.default_rng(10))
-        est = air_corollary2_mc(U, "ls", params, 8, 4000, np.random.default_rng(11))
-        cap = capacity_perfect(2, params.eta).value
-        assert est.value < cap
-        # the dominant penalty is (eta/ln2) tr(R_E) with tr(R_E) = n^2/(eta L)
-        rough_gap = (params.eta / LN2) * (4 / (params.eta * 8))
-        assert cap - est.value == pytest.approx(rough_gap, rel=0.35)
-
     def test_rotation_invariance_with_spherical_error(self):
         # spherically symmetric synthetic error: identical average AIR for
         # the identity channel and random Haar channels
@@ -464,18 +445,6 @@ class TestSharedDraws:
             out = air_discrete_paired_mc(c, params, 8, 3000, np.random.default_rng(41), kinds=kinds)
             assert out["ls"] == alone["ls"]
 
-    @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
-    def test_corollary2_is_gaussian_paired_with_fixed_channel(self, kind):
-        # By rotation invariance the fixed channel does not enter the rate.
-        params = ChannelParams.from_eta_db(2, 6.0)
-        U = haar_unitary(2, np.random.default_rng(42))
-        got = air_corollary2_mc(U, kind, params, 8, 9000, np.random.default_rng(43))
-        out = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(43), kinds=(kind,))
-        assert got == out[kind]
-        for bad in (1.1 * U, np.eye(3)):  # not unitary; not n x n
-            with pytest.raises(ValueError):
-                air_corollary2_mc(bad, kind, params, 8, 9000, np.random.default_rng(43))
-
     def test_unknown_kind_is_value_error(self):
         params = ChannelParams.from_eta_db(2, 6.0)
         c = make_constellation("dp_qpsk", 2, params.power)
@@ -483,8 +452,6 @@ class TestSharedDraws:
             air_gaussian_paired_mc(params, 8, 200, np.random.default_rng(0), kinds=("ls", "mmse"))
         with pytest.raises(ValueError):
             air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("mmse",))
-        with pytest.raises(ValueError):
-            air_corollary2_mc(np.eye(2), "mmse", params, 8, 200, np.random.default_rng(0))
 
 
 class TestGaussianPaired:
@@ -502,6 +469,23 @@ class TestGaussianPaired:
         for kind in ("ls", "kabsch"):
             assert out[kind].value <= cap + 3 * out[kind].std_error
         assert out["perfect"].value == pytest.approx(cap, abs=1e-12)
+
+    def test_perfect_stub(self):
+        # The perfect-CSI rate is the capacity itself, exactly and without spread.
+        params = ChannelParams.from_eta_db(2, 10.0)
+        for trials in (1000, 9000):  # one block and five
+            est = air_gaussian_paired_mc(params, 8, trials, np.random.default_rng(9), kinds=("perfect",))["perfect"]
+            assert est.value == capacity_perfect(2, params.eta).value
+            assert est.std_error == 0.0
+
+    def test_ls_below_capacity(self):
+        params = ChannelParams.from_eta_db(2, 10.0)
+        est = air_gaussian_paired_mc(params, 8, 4000, np.random.default_rng(11), kinds=("ls",))["ls"]
+        cap = capacity_perfect(2, params.eta).value
+        assert est.value < cap
+        # the dominant penalty is (eta/ln2) tr(R_E) with tr(R_E) = n^2/(eta L)
+        rough_gap = (params.eta / LN2) * (4 / (params.eta * 8))
+        assert cap - est.value == pytest.approx(rough_gap, rel=0.35)
 
 
 class TestAirEstimate:

@@ -5,7 +5,7 @@ import pytest
 from polair import __version__
 import polair.cli
 from polair.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from polair.experiments import CSV_COLUMNS, config_to_text, default_config
+from polair.experiments import CSV_COLUMNS, config_from_text, config_to_text, default_config, run_experiment
 from dataclasses import replace
 
 
@@ -246,6 +246,68 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--experiment", "fig3a", "--eta-db", "10", f"--{removed_flag}", "2", "--out", "-"])
         assert exc.value.code == 2
+
+
+class TestFlagsMatchConfigFile:
+    """A sweep flag is parsed as the config-file entry of its field."""
+
+    @staticmethod
+    def base(experiment, key):
+        # A small sweep; the field under test is left to the flag or the entry.
+        entries = {"experiment": experiment, "eta_db_grid": "10", "trials": "1000" if experiment == "fig3b" else "200"}
+        return "".join(f"{k} = {v}\n" for k, v in entries.items() if k != key)
+
+    @pytest.mark.parametrize(
+        "experiment, flag, key, value",
+        [
+            ("fig3a", "--eta-db", "eta_db_grid", "4, 14"),
+            ("fig4", "--L", "L_grid", "4,16"),
+            ("fig2", "--E2", "E2_grid", "0.01,0.1"),
+            ("fig3b", "--input", "input", "dp_qpsk"),
+            ("fig3a", "--estimator", "estimators", "kabsch"),
+            ("fig3a", "--trials", "trials", "300"),
+            ("fig3a", "--seed", "master_seed", "9"),
+        ],
+        ids=["eta-db", "L", "E2", "input", "estimator", "trials", "seed"],
+    )
+    def test_same_config_and_csv(self, tmp_path, capsys, monkeypatch, experiment, flag, key, value):
+        configs = []
+
+        def recording(config):
+            configs.append(config)
+            return run_experiment(config)
+
+        monkeypatch.setattr(polair.cli, "run_experiment", recording)
+        base = self.base(experiment, key)
+        csvs = []
+        for i, (entries, flags) in enumerate([(base, [flag, value]), (base + f"{key} = {value}\n", [])]):
+            cfg_path, out = tmp_path / f"{i}.cfg", tmp_path / f"{i}.csv"
+            cfg_path.write_text(entries)
+            assert main(["sweep", "--config", str(cfg_path), *flags, "--out", str(out)]) == EXIT_OK
+            csvs.append(out.read_text())
+        assert configs[0] == configs[1] != config_from_text(base)
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize(
+        "experiment, flag, key, value, message",
+        [
+            ("fig3a", "--eta-db", "eta_db_grid", "10,", "empty item"),
+            ("fig3a", "--estimator", "estimators", "ls,", "empty item"),
+            ("fig4", "--L", "L_grid", "8,,16", "empty item"),
+            ("fig2", "--E2", "E2_grid", ",0.01", "empty item"),
+            ("fig3a", "--trials", "trials", "lots", "'lots'"),
+        ],
+        ids=["eta-db", "estimator", "L", "E2", "trials"],
+    )
+    def test_bad_value_rejected_on_both_paths(self, tmp_path, capsys, experiment, flag, key, value, message):
+        base = self.base(experiment, key)
+        for i, (entries, flags) in enumerate([(base, [flag, value]), (base + f"{key} = {value}\n", [])]):
+            cfg_path = tmp_path / f"{i}.cfg"
+            cfg_path.write_text(entries)
+            assert main(["sweep", "--config", str(cfg_path), *flags, "--out", "-"]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
 
 class TestErrorCov:

@@ -235,10 +235,10 @@ class TestRegistry:
         assert UNITARY_KINDS == {"kabsch", "perfect"}
 
     def test_entries_match_functions(self):
-        params, pilots, H, X, _ = pilot_block(seed=22)
-        assert np.array_equal(ESTIMATORS["ls"](X, pilots, H), estimate_ls(X, pilots))
-        assert np.array_equal(ESTIMATORS["kabsch"](X, pilots, H), estimate_kabsch(X, pilots))
-        assert ESTIMATORS["perfect"](X, pilots, H) is H
+        _, pilots, _, X, _ = pilot_block(seed=22)
+        assert np.array_equal(ESTIMATORS["ls"](X, pilots), estimate_ls(X, pilots))
+        assert np.array_equal(ESTIMATORS["kabsch"](X, pilots), estimate_kabsch(X, pilots))
+        assert np.array_equal(ESTIMATORS["perfect"](X, pilots), np.eye(2))  # the identity channel
 
     def test_perfect_is_not_a_pilot_estimator(self):
         params = ChannelParams.from_eta_db(2, 5.0)
