@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, Constellation, make_pilots
-from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator
+from .channel import ChannelParams, Constellation
+from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_pilots
 from .linalg import as_complex_matrix, check_hermitian_psd, dagger, fro_norm, mc_blocks, sample_cgauss
 
 __all__ = [
@@ -329,9 +329,12 @@ def air_discrete_paired_mc(
 
     Each trial draws one pilot-noise block, one data symbol and its noise on
     the identity channel, which by rotation invariance gives the rates of
-    every unitary channel. Every requested estimator (``"ls"``, ``"kabsch"``
-    or the perfect-CSI stub ``"perfect"``) decodes the same realization.
-    Paired differences are reported under keys ``"a-b"``.
+    every unitary channel. The pilot block is the n x n one of
+    :func:`~polair.estimators.statistic_pilots`, which gives every estimate
+    the law it has from ``L`` pilots; ``L`` must be a multiple of n and at
+    least n. Every requested estimator (``"ls"``, ``"kabsch"`` or the
+    perfect-CSI stub ``"perfect"``) decodes the same realization. Paired
+    differences are reported under keys ``"a-b"``.
     """
     if not constellation.is_discrete:
         raise ValueError("constellation must be discrete")
@@ -339,12 +342,12 @@ def air_discrete_paired_mc(
         raise ValueError(f"trials must be >= 1000, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
     n = params.n
-    pilots = make_pilots(n, L, params.power)
+    pilots = statistic_pilots(n, L, params.power)
     points = constellation.points
     weights, unit_energy = _metric_weights(points, params.sigma2)
 
     def step(b, rng):
-        X = sample_cgauss((b, n, L), params.sigma2, rng)
+        X = sample_cgauss((b, n, n), params.sigma2, rng)
         X += pilots.D
         idx = rng.integers(0, points.shape[0], size=b)
         x = points[idx] + sample_cgauss((b, n), params.sigma2, rng)
@@ -370,19 +373,22 @@ def air_gaussian_paired_mc(
     Per trial, one pilot-noise realization on the identity channel (which by
     rotation invariance gives the rates of every unitary channel) feeds all
     requested estimators; the AIR of each estimate is the closed three-term
-    unitary-channel expression. Paired differences are under keys ``"a-b"``.
+    unitary-channel expression. The realization is the n x n pilot block of
+    :func:`~polair.estimators.statistic_pilots`, which gives every estimate
+    the law it has from ``L`` pilots; ``L`` must be a multiple of n and at
+    least n. Paired differences are under keys ``"a-b"``.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
     n = params.n
     eta = params.eta
-    pilots = make_pilots(n, L, params.power)
+    pilots = statistic_pilots(n, L, params.power)
     cap = capacity_perfect(n, eta).value
     eye = np.eye(n)
 
     def step(b, rng):
-        X = sample_cgauss((b, n, L), params.sigma2, rng)
+        X = sample_cgauss((b, n, n), params.sigma2, rng)
         X += pilots.D
         # The perfect-CSI rate is the exact capacity, not a rate evaluated at H_hat = H.
         return {

@@ -17,9 +17,9 @@ override ``--config`` file entries.
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
 unparsable values, empty list items, non-finite grid values, SNRs outside
 [-10, 40] dB, E2 values outside [0, 1], repeated grid values or estimator
-kinds, an E2 grid outside fig2 and a discrete input for fig2 or
-error_cov), 4 numerical failure (including any value the numeric core
-rejects that the configuration checks let through).
+kinds, an E2 grid outside fig2, a discrete input for fig2 or error_cov or
+with n != 2, and n < 2), 4 numerical failure (including any value the
+numeric core rejects that the configuration checks let through).
 """
 
 from __future__ import annotations

@@ -21,6 +21,17 @@ kinds in :data:`UNITARY_KINDS` give unitary estimates and have n^2 real
 degrees of freedom; the others have 2 n^2. Everything that dispatches on a
 kind (the error covariance here, the Monte Carlo rates in
 :mod:`polair.air`) reads the registry.
+
+Every kind is a function of the received pilots X only through the n x n
+statistic A = X D^dagger: the Gaussian pilot likelihood ||X - H D||_F^2
+depends on X through it alone. With the orthogonal pilots of
+:func:`~polair.channel.make_pilots` (D D^dagger = c I, c = P L / n),
+A = c I + N D^dagger. For any n x n D' with D' D'^dagger = c I,
+Z = N D^dagger D'/c is again i.i.d. CN(0, sigma2) and (D' + Z) D'^dagger = A.
+So the Monte Carlo steps draw the n x n block X' = D' + Z, with the pilots
+of :func:`statistic_pilots`, in place of the n x L block: n^2 noise entries
+per trial in place of n L, and the law of every estimate is unchanged. A
+new kind must keep this property.
 """
 
 from __future__ import annotations
@@ -51,6 +62,18 @@ def _pilot_arrays(pilots: PilotMatrix) -> tuple[np.ndarray, np.ndarray]:
     if sv[-1] < 1e-13 * max(fro_norm(gram), np.finfo(float).tiny):
         raise SingularMatrixError("pilot Gram matrix D D^dagger is singular")
     return D, np.linalg.inv(gram)
+
+
+def statistic_pilots(n: int, L: int, power: float) -> PilotMatrix:
+    """n x n pilots with the Gram matrix of ``make_pilots(n, L, power)``, (P L / n) I_n.
+
+    What the Monte Carlo steps estimate from: a draw X' = D' + Z with Z i.i.d.
+    CN(0, sigma2) gives every registry kind the law it has from the n x L
+    block (see the module docstring). An L that ``make_pilots(n, L, power)``
+    rejects raises the same ``ValueError``.
+    """
+    make_pilots(n, L, power)  # only to reject an L that the n x L pilots do not admit
+    return make_pilots(n, n, power * L / n)
 
 
 def estimate_ls(X, pilots: PilotMatrix) -> np.ndarray:
@@ -106,6 +129,8 @@ def estimate_kabsch(X, pilots: PilotMatrix) -> np.ndarray:
 
 # The entries look estimate_ls and estimate_kabsch up as module globals at
 # call time, so a wrapped or patched module attribute is what gets called.
+# Every entry must depend on X only through X D^dagger: the Monte Carlo steps
+# call it with the n x n pilots of statistic_pilots, not the n x L ones.
 ESTIMATORS = {
     "ls": lambda X, pilots: estimate_ls(X, pilots),
     "kabsch": lambda X, pilots: estimate_kabsch(X, pilots),
@@ -166,9 +191,12 @@ def empirical_error_covariance(
     """Average E^dagger E over independent pilot-noise draws, per estimator kind.
 
     The channel is the identity: E has the same law for every unitary H, as
-    H^dagger times the noise is again i.i.d. Gaussian. Every kind (``"ls"``,
-    ``"kabsch"``) estimates from the same draws; per-block Gram sums add in
-    block order, and the per-trial ||E_t||_F^2 give ``trace_stderr``.
+    H^dagger times the noise is again i.i.d. Gaussian. Each trial draws the
+    n x n pilot block of :func:`statistic_pilots`, which gives every kind the
+    law of its estimate from L pilots; ``L`` must be a multiple of n and at
+    least n. Every kind (``"ls"``, ``"kabsch"``) estimates from the same
+    draws; per-block Gram sums add in block order, and the per-trial
+    ||E_t||_F^2 give ``trace_stderr``.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -176,10 +204,10 @@ def empirical_error_covariance(
     if "perfect" in estimators:
         raise ValueError("'perfect' is not a pilot-based estimator kind")
     n = params.n
-    pilots = make_pilots(n, L, params.power)
+    pilots = statistic_pilots(n, L, params.power)
 
     def step(b, rng):
-        X = sample_cgauss((b, n, L), params.sigma2, rng)
+        X = sample_cgauss((b, n, n), params.sigma2, rng)
         X += pilots.D
         out = {}
         for kind, estimate in estimators.items():

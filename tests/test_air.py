@@ -22,7 +22,14 @@ from polair.air import (
     synthetic_estimates,
 )
 from polair.channel import ChannelParams, Constellation, make_constellation, make_pilots
-from polair.estimators import estimate_kabsch, estimate_ls
+from polair.estimators import (
+    ESTIMATORS,
+    UNITARY_KINDS,
+    empirical_error_covariance,
+    estimate_kabsch,
+    estimate_ls,
+    statistic_pilots,
+)
 from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, sample_cgauss
 
 LN2 = np.log(2.0)
@@ -325,14 +332,17 @@ def haar_draws(constellation, params, L, trials, rng):
 
 
 def paired_draws(constellation, params, L, trials, seed):
-    """The draws of air_discrete_paired_mc: block k from the k-th of rng.spawn(n_blocks)."""
+    """The draws of air_discrete_paired_mc: block k from the k-th of rng.spawn(n_blocks).
+
+    The pilot block is n x n, with the Gram matrix (P L / n) I_n of the n x L pilots.
+    """
     n, points = params.n, constellation.points
-    pilots = make_pilots(n, L, params.power)
+    pilots = make_pilots(n, n, params.power * L / n)
     starts = range(0, trials, MC_BLOCK)
     parts = []
     for start, rng in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
         b = min(MC_BLOCK, trials - start)
-        X = pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+        X = pilots.D + sample_cgauss((b, n, n), params.sigma2, rng)
         idx = rng.integers(0, points.shape[0], size=b)
         parts.append((X, idx, points[idx] + sample_cgauss((b, n), params.sigma2, rng)))
     X, idx, x = (np.concatenate(p) for p in zip(*parts))
@@ -425,6 +435,71 @@ class TestIdentityChannelCoupling:
             got = _discrete_values(_decoding_metric(H_dec, x, weights, energy), idx)
             want = _discrete_values(_decoding_metric(H_dec0, x0, weights, energy), idx)
             assert np.abs(got - want).max() <= 1e-12, kind
+
+
+class TestPilotStatisticCoupling:
+    """Estimates from (D, D + N), D n x L, equal estimates from (D', D' + Z), D' = statistic pilots.
+
+    With c = P L / n and D' = make_pilots(n, n, c).D, Z = N D^dagger D'/c is
+    again i.i.d. CN(0, sigma2) and (D' + Z) D'^dagger = (D + N) D^dagger, the
+    statistic every registry kind reads. This is what lets every Monte Carlo
+    step draw an n x n pilot block.
+    """
+
+    @staticmethod
+    def coupled(n, L, params, trials, seed):
+        c = params.power * L / n
+        pilots, small = make_pilots(n, L, params.power), make_pilots(n, n, c)
+        N = sample_cgauss((trials, n, L), params.sigma2, np.random.default_rng(seed))
+        Z = N @ dagger(pilots.D) @ small.D / c
+        return pilots, pilots.D + N, small, small.D + Z
+
+    @pytest.mark.parametrize("n, L", [(2, 2), (2, 8), (2, 64), (3, 6), (4, 4), (4, 64)])
+    def test_every_kind_gives_the_same_estimate(self, n, L):
+        params = ChannelParams.from_eta_db(n, 4.0)
+        pilots, X, small, X0 = self.coupled(n, L, params, 512, 400 + 10 * n + L)
+        assert np.array_equal(statistic_pilots(n, L, params.power).D, small.D)
+        for kind, estimate in ESTIMATORS.items():
+            assert np.abs(estimate(X, pilots) - estimate(X0, small)).max() <= 1e-12, kind
+
+    @pytest.mark.parametrize("L", [2, 8, 64])
+    @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
+    def test_rates_and_densities_match_at_n2(self, eta_db, L):
+        params, eye, b = ChannelParams.from_eta_db(2, eta_db), np.eye(2), 1024
+        c = make_constellation("dp_16qam", 2, params.power)
+        pilots, X, small, X0 = self.coupled(2, L, params, b, 500 + int(eta_db) + L)
+        rng = np.random.default_rng(600 + int(eta_db) + L)
+        idx = rng.integers(0, c.points.shape[0], size=b)
+        x = c.points[idx] + sample_cgauss((b, 2), params.sigma2, rng)
+        weights, unit_energy = _metric_weights(c.points, params.sigma2)
+        for kind, estimate in ESTIMATORS.items():
+            # perfect returns one shared I; the per-sample kernels take a (b, 2, 2) stack.
+            H_hat = np.broadcast_to(estimate(X, pilots), (b, 2, 2))
+            H_hat0 = np.broadcast_to(estimate(X0, small), (b, 2, 2))
+            rates = _corollary1_values(eye, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
+            assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
+            sq = np.sum(np.abs(eye - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
+            assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
+            energy = unit_energy if kind in UNITARY_KINDS else None
+            got = _discrete_values(_decoding_metric(H_hat, x, weights, energy), idx)
+            want = _discrete_values(_decoding_metric(H_hat0, x, weights, energy), idx)
+            assert np.abs(got - want).max() <= 1e-12, kind
+
+    @pytest.mark.parametrize("n, L", [(2, 3), (4, 2)])
+    @pytest.mark.parametrize("entry", ["gaussian", "discrete", "error_cov"])
+    def test_invalid_L_rejected(self, entry, n, L):
+        # The steps draw n x n blocks, so only the entry point can reject an L the n x L pilots do not admit.
+        params = ChannelParams.from_eta_db(n, 10.0)
+        points = np.sqrt(params.power) * np.eye(n, dtype=complex)  # any discrete input of dimension n
+        c = Constellation(kind="unit", n=n, power=params.power, points=points)
+        rng = np.random.default_rng(0)
+        calls = {
+            "gaussian": lambda: air_gaussian_paired_mc(params, L, 100, rng),
+            "discrete": lambda: air_discrete_paired_mc(c, params, L, 1000, rng),
+            "error_cov": lambda: empirical_error_covariance(("ls", "kabsch"), params, L, 100, rng),
+        }
+        with pytest.raises(ValueError, match="L must be"):
+            calls[entry]()
 
 
 class TestSharedDraws:

@@ -211,17 +211,18 @@ class TestErrorCovRows:
         assert next(rows, None) is None
 
     def test_air_stderr_of_per_trial_bounds(self):
-        # Redo the draws of one grid point by hand, on the identity channel,
-        # block k from the k-th generator of rng.spawn(n_blocks); the per-trial
-        # Corollary-4 values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to
-        # air_bits and give air_stderr. The trials span two blocks.
+        # Redo the draws of one grid point by hand, on the identity channel and
+        # n x n pilots with the Gram matrix of L = 8 pilots, block k from the
+        # k-th generator of rng.spawn(n_blocks); the per-trial Corollary-4
+        # values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to air_bits and
+        # give air_stderr. The trials span two blocks.
         config = small_config("error_cov", trials=MC_BLOCK + 904, eta_db_grid=(10.0,), L_grid=(8,))
         n, L = config.n, 8
         params = ChannelParams.from_eta_db(n, 10.0)
-        pilots = make_pilots(n, L, params.power)
+        pilots = make_pilots(n, n, params.power * L / n)
         sq = {"ls": [], "kabsch": []}
         for b, rng in zip((MC_BLOCK, config.trials - MC_BLOCK), _substream(config, 0, 0).spawn(2)):
-            X = pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+            X = pilots.D + sample_cgauss((b, n, n), params.sigma2, rng)
             sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(X, pilots)) ** 2, axis=(1, 2)))
             sq["kabsch"].append(np.sum(np.abs(np.eye(n) - estimate_kabsch(X, pilots)) ** 2, axis=(1, 2)))
         for row in run_experiment(config).rows:
