@@ -43,7 +43,6 @@ from .experiments import (
     run_experiment,
 )
 from .linalg import (
-    SingularMatrixError,
     dagger,
     fro_norm,
     haar_unitary,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, Constellation
-from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_pilots
+from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
 from .linalg import as_complex_matrix, check_hermitian_psd, dagger, fro_norm, mc_blocks, sample_cgauss
 
 __all__ = [
@@ -174,6 +174,16 @@ def _corollary1_values(H_u: np.ndarray, H_hat: np.ndarray, eta: float) -> np.nda
     return term1 - term2 - term3
 
 
+def _corollary4_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
+    """Corollary 1 on the identity channel for unitary H_hat: n log2(1+eta) - eta ||I - H_hat||_F^2 / ln 2.
+
+    This is Corollary 4 per estimate; H_hat = I gives exactly the capacity.
+    """
+    n = H_hat.shape[-1]
+    E = np.eye(n) - H_hat
+    return n * np.log2(1.0 + eta) - eta * np.sum(E.real**2 + E.imag**2, axis=(-2, -1)) / LN2
+
+
 def air_corollary1(H_u, H_hat, eta: float) -> AirEstimate:
     """AIR of a unitary channel with uniform power loading, fixed estimate."""
     H_u = _check_unitary(H_u, "H_u")
@@ -327,12 +337,11 @@ def air_discrete_paired_mc(
 ) -> dict[str, AirEstimate]:
     """Average discrete-input AIR for several estimators on shared draws.
 
-    Each trial draws one pilot-noise block, one data symbol and its noise on
-    the identity channel, which by rotation invariance gives the rates of
-    every unitary channel. The pilot block is the n x n one of
-    :func:`~polair.estimators.statistic_pilots`, which gives every estimate
-    the law it has from ``L`` pilots; ``L`` must be a multiple of n and at
-    least n. Every requested estimator (``"ls"``, ``"kabsch"`` or the
+    Each trial draws one pilot statistic from ``L`` pilots
+    (:func:`~polair.estimators.statistic_sampler`; ``L`` must be a multiple
+    of n and at least n), one data symbol and its noise on the identity
+    channel, which by rotation invariance gives the rates of every unitary
+    channel. Every requested estimator (``"ls"``, ``"kabsch"`` or the
     perfect-CSI stub ``"perfect"``) decodes the same realization. Paired
     differences are reported under keys ``"a-b"``.
     """
@@ -341,21 +350,19 @@ def air_discrete_paired_mc(
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
-    n = params.n
-    pilots = statistic_pilots(n, L, params.power)
+    draw, c = statistic_sampler(params, L)
     points = constellation.points
     weights, unit_energy = _metric_weights(points, params.sigma2)
 
     def step(b, rng):
-        X = sample_cgauss((b, n, n), params.sigma2, rng)
-        X += pilots.D
+        A = draw(b, rng)
         idx = rng.integers(0, points.shape[0], size=b)
-        x = points[idx] + sample_cgauss((b, n), params.sigma2, rng)
+        x = points[idx] + sample_cgauss((b, params.n), params.sigma2, rng)
         out = {}
         for kind, estimate in estimators.items():
             # A unitary decoder's metric energy is ||s||^2; any other needs its Gram term.
             energy = unit_energy if kind in UNITARY_KINDS else None
-            out[kind] = _discrete_values(_decoding_metric(estimate(X, pilots), x, weights, energy), idx)
+            out[kind] = _discrete_values(_decoding_metric(estimate(A, c), x, weights, energy), idx)
         return out
 
     return _paired_mc(step, kinds, trials, rng)
@@ -370,30 +377,26 @@ def air_gaussian_paired_mc(
 ) -> dict[str, AirEstimate]:
     """Average Gaussian-input AIR for several estimators on shared draws.
 
-    Per trial, one pilot-noise realization on the identity channel (which by
-    rotation invariance gives the rates of every unitary channel) feeds all
-    requested estimators; the AIR of each estimate is the closed three-term
-    unitary-channel expression. The realization is the n x n pilot block of
-    :func:`~polair.estimators.statistic_pilots`, which gives every estimate
-    the law it has from ``L`` pilots; ``L`` must be a multiple of n and at
-    least n. Paired differences are under keys ``"a-b"``.
+    Per trial, one pilot statistic from ``L`` pilots on the identity channel
+    (as in :func:`air_discrete_paired_mc`) feeds all requested estimators.
+    The AIR of a unitary estimate is Corollary 4 of its own error (the
+    capacity, exactly, for ``"perfect"``); that of any other is the closed
+    three-term unitary-channel expression. Paired differences are under
+    keys ``"a-b"``.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
-    n = params.n
-    eta = params.eta
-    pilots = statistic_pilots(n, L, params.power)
-    cap = capacity_perfect(n, eta).value
-    eye = np.eye(n)
+    draw, c = statistic_sampler(params, L)
+    eta, eye = params.eta, np.eye(params.n)
 
     def step(b, rng):
-        X = sample_cgauss((b, n, n), params.sigma2, rng)
-        X += pilots.D
-        # The perfect-CSI rate is the exact capacity, not a rate evaluated at H_hat = H.
-        return {
-            kind: np.full(b, cap) if kind == "perfect" else _corollary1_values(eye, estimate(X, pilots), eta)
-            for kind, estimate in estimators.items()
-        }
+        A = draw(b, rng)
+        out = {}
+        for kind, estimate in estimators.items():
+            H_hat = estimate(A, c)
+            rate = _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(eye, H_hat, eta)
+            out[kind] = np.broadcast_to(rate, (b,))  # perfect's one shared I gives one value
+        return out
 
     return _paired_mc(step, kinds, trials, rng)

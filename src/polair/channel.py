@@ -130,6 +130,18 @@ class PilotMatrix:
         return self.D.shape[0]
 
 
+def check_pilot_args(n: int, L: int, power: float) -> None:
+    """Raise ``ValueError`` unless ``make_pilots(n, L, power)`` admits its arguments; builds no pilots."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if L < n:
+        raise ValueError(f"L must be >= n, got L={L}, n={n}")
+    if L % n != 0:
+        raise ValueError(f"L must be a multiple of n, got L={L}, n={n}")
+    if power <= 0:
+        raise ValueError(f"power must be > 0, got {power}")
+
+
 def make_pilots(n: int, L: int, power: float) -> PilotMatrix:
     """Deterministic pilot matrix with the orthogonality property.
 
@@ -140,14 +152,7 @@ def make_pilots(n: int, L: int, power: float) -> PilotMatrix:
 
     Requires L >= n and L a multiple of n.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if L < n:
-        raise ValueError(f"L must be >= n, got L={L}, n={n}")
-    if L % n != 0:
-        raise ValueError(f"L must be a multiple of n, got L={L}, n={n}")
-    if power <= 0:
-        raise ValueError(f"power must be > 0, got {power}")
+    check_pilot_args(n, L, power)
     if n & (n - 1) == 0:
         base = np.array([[1.0]])
         while base.shape[0] < n:

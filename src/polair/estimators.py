@@ -1,37 +1,37 @@
-"""Data-aided channel estimation from pilot blocks.
+"""Data-aided channel estimation from the pilot statistic.
 
-Two estimators are provided:
+Every estimator reads the received pilots X only through the n x n statistic
+A = X D^dagger, the only function of X in the Gaussian pilot likelihood
+||X - H D||_F^2. With the orthogonal pilots of
+:func:`~polair.channel.make_pilots`, D D^dagger = c I, c = P L / n. Two
+estimators are provided, as plain functions vectorized over stacked
+statistics:
 
-* least squares (LS): ``H = X D^dagger (D D^dagger)^-1``, the unconstrained
-  minimizer of ||X - H D||_F^2, with 2 n^2 real degrees of freedom;
-* Kabsch: ``H = U V^dagger``, the unitary polar factor of ``A = X D^dagger``
-  (A = U S V^dagger), the minimizer of the same cost over the unitary
-  group, with n^2 degrees of freedom. For n = 2 it is the exact closed form
-  ``(A + (det A/|det A|) adj(A)^dagger) / (s_1 + s_2)``; for n > 2 it comes
-  from a batched SVD.
-
-Both are plain functions, :func:`estimate_ls` and :func:`estimate_kabsch`,
-vectorized over stacked pilot blocks.
+* least squares (LS), :func:`estimate_ls`: ``H = A / c``, which is
+  X D^dagger (D D^dagger)^-1, the unconstrained minimizer of
+  ||X - H D||_F^2, with 2 n^2 real degrees of freedom;
+* Kabsch, :func:`estimate_kabsch`: ``H = U V^dagger``, the unitary polar
+  factor of A = U S V^dagger, the minimizer of the same cost over the
+  unitary group, with n^2 degrees of freedom. For n = 2 it is the exact
+  closed form ``(A + (det A/|det A|) adj(A)^dagger) / (s_1 + s_2)``; for
+  n > 2 it comes from a batched SVD.
 
 :data:`ESTIMATORS` is the one registry of estimator kinds,
-``{kind: (X, pilots) -> H_hat}``; besides ``ls`` and ``kabsch`` it holds
-the perfect-CSI stub ``perfect``, which returns the identity: every Monte
-Carlo step runs on the identity channel (see :mod:`polair.air`). The
-kinds in :data:`UNITARY_KINDS` give unitary estimates and have n^2 real
-degrees of freedom; the others have 2 n^2. Everything that dispatches on a
-kind (the error covariance here, the Monte Carlo rates in
-:mod:`polair.air`) reads the registry.
+``{kind: (A, c) -> H_hat}``; besides ``ls`` and ``kabsch`` it holds the
+perfect-CSI stub ``perfect``, which returns the identity: every Monte Carlo
+step runs on the identity channel (see :mod:`polair.air`). The kinds in
+:data:`UNITARY_KINDS` give unitary estimates and have n^2 real degrees of
+freedom; the others have 2 n^2. Everything that dispatches on a kind (the
+error covariance here, the Monte Carlo rates in :mod:`polair.air`) reads
+the registry.
 
-Every kind is a function of the received pilots X only through the n x n
-statistic A = X D^dagger: the Gaussian pilot likelihood ||X - H D||_F^2
-depends on X through it alone. With the orthogonal pilots of
-:func:`~polair.channel.make_pilots` (D D^dagger = c I, c = P L / n),
-A = c I + N D^dagger. For any n x n D' with D' D'^dagger = c I,
-Z = N D^dagger D'/c is again i.i.d. CN(0, sigma2) and (D' + Z) D'^dagger = A.
-So the Monte Carlo steps draw the n x n block X' = D' + Z, with the pilots
-of :func:`statistic_pilots`, in place of the n x L block: n^2 noise entries
-per trial in place of n L, and the law of every estimate is unchanged. A
-new kind must keep this property.
+On the identity channel, X = D + N and A = c I + N D^dagger. For any n x n
+D' with D' D'^dagger = c I, Z = N D^dagger D'/c is again i.i.d.
+CN(0, sigma2) and (D' + Z) D'^dagger = A. So each Monte Carlo step draws
+the n x n block X' = D' + Z, with the pilots of :func:`statistic_pilots`,
+in place of the n x L block (n^2 noise entries per trial in place of n L),
+forms A once per block (:func:`statistic_sampler`) and hands it to every
+kind. The law of A, and so of every estimate, is unchanged.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, PilotMatrix, make_pilots
-from .linalg import SingularMatrixError, check_hermitian_psd, dagger, fro_norm, mc_blocks, sample_cgauss
+from .channel import ChannelParams, PilotMatrix, check_pilot_args, make_pilots
+from .linalg import check_hermitian_psd, dagger, mc_blocks, sample_cgauss
 
 __all__ = [
     "ESTIMATORS",
@@ -55,62 +55,61 @@ __all__ = [
 ]
 
 
-def _pilot_arrays(pilots: PilotMatrix) -> tuple[np.ndarray, np.ndarray]:
-    D = pilots.D
-    gram = D @ dagger(D)
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] < 1e-13 * max(fro_norm(gram), np.finfo(float).tiny):
-        raise SingularMatrixError("pilot Gram matrix D D^dagger is singular")
-    return D, np.linalg.inv(gram)
-
-
 def statistic_pilots(n: int, L: int, power: float) -> PilotMatrix:
     """n x n pilots with the Gram matrix of ``make_pilots(n, L, power)``, (P L / n) I_n.
 
     What the Monte Carlo steps estimate from: a draw X' = D' + Z with Z i.i.d.
-    CN(0, sigma2) gives every registry kind the law it has from the n x L
-    block (see the module docstring). An L that ``make_pilots(n, L, power)``
-    rejects raises the same ``ValueError``.
+    CN(0, sigma2) gives A = X' D'^dagger the law it has from the n x L block
+    (see the module docstring). An L that ``make_pilots(n, L, power)``
+    rejects raises the same ``ValueError``; the n x L pilots are not built.
     """
-    make_pilots(n, L, power)  # only to reject an L that the n x L pilots do not admit
+    check_pilot_args(n, L, power)
     return make_pilots(n, n, power * L / n)
 
 
-def estimate_ls(X, pilots: PilotMatrix) -> np.ndarray:
-    """Least-squares channel estimate from received pilots.
+def statistic_sampler(params: ChannelParams, L: int):
+    """``(draw, c)``: ``draw(b, rng)`` is a (b, n, n) stack of pilot statistics from ``L`` pilots, c = P L / n.
 
-    ``X`` may be a single n x L block or a stack (..., n, L); the estimate
-    has matching leading dimensions.
+    Each is A = (D' + Z) D'^dagger, Z i.i.d. CN(0, sigma2), with the pilots
+    D' of :func:`statistic_pilots`.
     """
-    X = np.asarray(X, dtype=complex)
-    D, gram_inv = _pilot_arrays(pilots)
-    if X.shape[-1] != D.shape[1] or X.shape[-2] != D.shape[0]:
-        raise ValueError(f"X trailing dims must be {D.shape}, got {X.shape}")
-    return np.einsum("...il,lj->...ij", X, dagger(D) @ gram_inv)  # one einsum beats two batched matmuls
+    n = params.n
+    D = statistic_pilots(n, L, params.power).D
+    D_dag = dagger(D)
+
+    def draw(b, rng):
+        X = sample_cgauss((b, n, n), params.sigma2, rng)
+        X += D
+        return np.einsum("...il,lj->...ij", X, D_dag)  # several times faster than a batched matmul
+
+    return draw, params.power * L / n
 
 
-def estimate_kabsch(X, pilots: PilotMatrix) -> np.ndarray:
-    """Unitary (orthogonal Procrustes) channel estimate from received pilots.
+def estimate_ls(A, c: float) -> np.ndarray:
+    """Least-squares channel estimate A / c from the pilot statistic A = X D^dagger, D D^dagger = c I.
 
-    Returns the unitary polar factor U V^dagger of A = X D^dagger, where
-    A = U S V^dagger is an SVD. For n = 2 it is the closed form
-    (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|), d = det A, whose
-    denominator is s_1 + s_2 (Higham 1986); A is first scaled by its largest
-    entry modulus so that no square overflows or underflows. For n > 2 it is
-    computed from the SVD. The output is unitary for every finite input: a
-    singular A (d = 0) takes the phase 1, one of the equally valid
-    minimizers on the degenerate subspace, and A = 0 gives the identity, as
-    the SVD does.
+    ``A`` may be one n x n statistic or a stack (..., n, n).
     """
-    X = np.asarray(X, dtype=complex)
-    D = pilots.D
-    if X.shape[-1] != D.shape[1] or X.shape[-2] != D.shape[0]:
-        raise ValueError(f"X trailing dims must be {D.shape}, got {X.shape}")
-    if D.shape[0] != 2:
-        U, _, Vh = np.linalg.svd(X @ dagger(D))
+    return np.asarray(A, dtype=complex) / c
+
+
+def estimate_kabsch(A) -> np.ndarray:
+    """Unitary (orthogonal Procrustes) channel estimate from the pilot statistic A = X D^dagger.
+
+    Returns the unitary polar factor U V^dagger of A = U S V^dagger, an SVD;
+    ``A`` may be one n x n statistic or a stack (..., n, n). For n = 2 it is
+    the closed form (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|),
+    d = det A, whose denominator is s_1 + s_2 (Higham 1986); A is first
+    scaled by its largest entry modulus so that no square overflows or
+    underflows. For n > 2 it is computed from the SVD. The output is unitary
+    for every finite input: a singular A (d = 0) takes the phase 1, one of
+    the equally valid minimizers on the degenerate subspace, and A = 0 gives
+    the identity, as the SVD does.
+    """
+    A = np.asarray(A, dtype=complex)
+    if A.shape[-1] != 2:
+        U, _, Vh = np.linalg.svd(A)
         return U @ Vh
-    # einsum is several times faster than a batched matmul on 2 x L blocks.
-    A = np.einsum("...il,jl->...ij", X, np.conj(D))
     scale = np.abs(A).max(axis=(-2, -1), keepdims=True)
     # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry of modulus 1.
     A = np.divide(A, scale, out=np.broadcast_to(np.eye(2, dtype=complex), A.shape).copy(), where=scale > 0)
@@ -129,12 +128,11 @@ def estimate_kabsch(X, pilots: PilotMatrix) -> np.ndarray:
 
 # The entries look estimate_ls and estimate_kabsch up as module globals at
 # call time, so a wrapped or patched module attribute is what gets called.
-# Every entry must depend on X only through X D^dagger: the Monte Carlo steps
-# call it with the n x n pilots of statistic_pilots, not the n x L ones.
+# An entry sees only the pilot statistic A and its scale c.
 ESTIMATORS = {
-    "ls": lambda X, pilots: estimate_ls(X, pilots),
-    "kabsch": lambda X, pilots: estimate_kabsch(X, pilots),
-    "perfect": lambda X, pilots: np.eye(pilots.n),
+    "ls": lambda A, c: estimate_ls(A, c),
+    "kabsch": lambda A, c: estimate_kabsch(A),
+    "perfect": lambda A, c: np.eye(A.shape[-1]),
 }
 UNITARY_KINDS = frozenset({"kabsch", "perfect"})  # these decode with energy ||s||^2
 ESTIMATOR_KINDS = tuple(k for k in ESTIMATORS if k != "perfect")  # the pilot-based kinds
@@ -192,11 +190,11 @@ def empirical_error_covariance(
 
     The channel is the identity: E has the same law for every unitary H, as
     H^dagger times the noise is again i.i.d. Gaussian. Each trial draws the
-    n x n pilot block of :func:`statistic_pilots`, which gives every kind the
-    law of its estimate from L pilots; ``L`` must be a multiple of n and at
-    least n. Every kind (``"ls"``, ``"kabsch"``) estimates from the same
-    draws; per-block Gram sums add in block order, and the per-trial
-    ||E_t||_F^2 give ``trace_stderr``.
+    pilot statistic of :func:`statistic_sampler`, which has its law from L
+    pilots; ``L`` must be a multiple of n and at least n. Every kind
+    (``"ls"``, ``"kabsch"``) estimates from the same statistic; per-block
+    Gram sums add in block order, and the per-trial ||E_t||_F^2 give
+    ``trace_stderr``.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -204,14 +202,13 @@ def empirical_error_covariance(
     if "perfect" in estimators:
         raise ValueError("'perfect' is not a pilot-based estimator kind")
     n = params.n
-    pilots = statistic_pilots(n, L, params.power)
+    draw, c = statistic_sampler(params, L)
 
     def step(b, rng):
-        X = sample_cgauss((b, n, n), params.sigma2, rng)
-        X += pilots.D
+        A = draw(b, rng)
         out = {}
         for kind, estimate in estimators.items():
-            E = np.eye(n) - estimate(X, pilots)
+            E = np.eye(n) - estimate(A, c)
             out[kind] = np.einsum("bij,bik->jk", np.conj(E), E), np.sum(E.real**2 + E.imag**2, axis=(1, 2))
         return out
 

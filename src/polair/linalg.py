@@ -6,8 +6,7 @@ and a Frobenius norm (:func:`fro_norm`); products, inverses and
 factorizations are numpy's, called directly where they are needed. The
 samplers draw Haar-distributed unitary matrices and circularly symmetric
 complex Gaussian arrays, both vectorized over a stack of draws; :func:`mc_blocks`
-is the package's one Monte Carlo block loop. :class:`SingularMatrixError` is
-what the estimators raise for a singular pilot Gram matrix.
+is the package's one Monte Carlo block loop.
 
 Input arrays are never modified; a sampler may fill its own fresh buffer in
 place. Random sampling takes an explicit ``numpy.random.Generator`` so that
@@ -19,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SingularMatrixError",
     "as_complex_matrix",
     "check_hermitian_psd",
     "dagger",
@@ -27,10 +25,6 @@ __all__ = [
     "haar_unitary",
     "sample_cgauss",
 ]
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a matrix is singular to working tolerance."""
 
 
 def as_complex_matrix(A, name: str = "matrix") -> np.ndarray:

@@ -90,13 +90,13 @@ def test_criterion_03_kabsch_unitarity_and_recovery():
     for sigma2 in (0.01, 1.0, 100.0):
         H = haar_unitary(2, rng, size=700)
         X = H @ pilots.D + sample_cgauss((700, 2, 8), sigma2, rng)
-        H_hat = estimate_kabsch(X, pilots)
+        H_hat = estimate_kabsch(X @ dagger(pilots.D))
         gram = H_hat @ dagger(H_hat) - np.eye(2)
         worst_gram = max(worst_gram, float(np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2))).max()))
     worst_rec = 0.0
     for _ in range(100):
         H = haar_unitary(2, rng)
-        worst_rec = max(worst_rec, fro_norm(estimate_kabsch(H @ pilots.D, pilots) - H))
+        worst_rec = max(worst_rec, fro_norm(estimate_kabsch(H @ pilots.D @ dagger(pilots.D)) - H))
     ok = worst_gram <= 1e-12 and worst_rec <= 1e-10
     _report(3, ok, f"worst unitarity defect {worst_gram:.2e}, worst noiseless error {worst_rec:.2e}")
 
@@ -109,8 +109,9 @@ def test_criterion_04_half_dof_error_ratio():
         rng = np.random.default_rng(1004)
         H = haar_unitary(2, rng, size=10_000)
         X = H @ pilots.D + sample_cgauss((10_000, 2, 8), params.sigma2, rng)
-        t_ls = np.sum(np.abs(H - estimate_ls(X, pilots)) ** 2)
-        t_k = np.sum(np.abs(H - estimate_kabsch(X, pilots)) ** 2)
+        A = X @ dagger(pilots.D)  # the pilot statistic; D D^dagger = (P L / n) I
+        t_ls = np.sum(np.abs(H - estimate_ls(A, params.power * 8 / 2)) ** 2)
+        t_k = np.sum(np.abs(H - estimate_kabsch(A)) ** 2)
         ratio = t_k / t_ls
         if not (0.4 <= ratio <= 0.6):
             failures.append(f"{eta_db:g} dB: ratio {ratio:.3f}")

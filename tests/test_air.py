@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import polair.estimators
 from polair.air import (
     AirEstimate,
     _corollary1_values,
+    _corollary4_values,
     _decoding_metric,
     _discrete_values,
     _metric_weights,
@@ -29,6 +31,7 @@ from polair.estimators import (
     estimate_kabsch,
     estimate_ls,
     statistic_pilots,
+    statistic_sampler,
 )
 from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, sample_cgauss
 
@@ -37,6 +40,11 @@ LN2 = np.log(2.0)
 
 def random_complex(shape, rng, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def statistic(X, pilots):
+    """The pilot statistic A = X D^dagger and its scale c = P L / n, D D^dagger = c I."""
+    return X @ dagger(pilots.D), pilots.power * pilots.L / pilots.n
 
 
 class TestCapacityPerfect:
@@ -152,9 +160,10 @@ class TestCorollary1Kernel:
         H = haar_unitary(n, rng, size=b)
         X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
         U = haar_unitary(n, rng)
+        A, c = statistic(X, pilots)
         estimates = {
-            "ls": (H, estimate_ls(X, pilots)),
-            "kabsch": (H, estimate_kabsch(X, pilots)),
+            "ls": (H, estimate_ls(A, c)),
+            "kabsch": (H, estimate_kabsch(A)),
             "synthetic": (U, synthetic_estimates(U, 1e-2, b, rng)),
         }
         for kind, (H_u, H_hat) in estimates.items():
@@ -170,6 +179,28 @@ class TestCorollary1Kernel:
         np.testing.assert_allclose(
             _corollary1_values(U, H_hat, 10.0), corollary1_reference(U, H_hat, 10.0), rtol=1e-12, atol=1e-12
         )
+
+
+class TestCorollary4Kernel:
+    """The unitary kinds' Gaussian rate, n log2(1+eta) - eta ||I - H_hat||_F^2 / ln 2, against Corollary 1."""
+
+    @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_corollary1_on_identity(self, n, eta_db):
+        params, eye = ChannelParams.from_eta_db(n, eta_db), np.eye(n)
+        draw, _ = statistic_sampler(params, 2 * n)
+        kabsch = estimate_kabsch(draw(512, np.random.default_rng(700 + 10 * n + int(eta_db))))
+        for H_hat in (kabsch, eye):
+            got = _corollary4_values(H_hat, params.eta)
+            assert np.abs(got - _corollary1_values(eye, H_hat, params.eta)).max() <= 1e-12
+        assert _corollary4_values(eye, params.eta) == capacity_perfect(n, params.eta).value
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gaussian_perfect_rate_is_capacity(self, n):
+        params = ChannelParams.from_eta_db(n, 14.0)
+        est = air_gaussian_paired_mc(params, 2 * n, 3000, np.random.default_rng(n), kinds=("perfect",))["perfect"]
+        assert est.value == capacity_perfect(n, params.eta).value
+        assert est.std_error == 0.0
 
 
 class TestCorollary4:
@@ -334,7 +365,8 @@ def haar_draws(constellation, params, L, trials, rng):
 def paired_draws(constellation, params, L, trials, seed):
     """The draws of air_discrete_paired_mc: block k from the k-th of rng.spawn(n_blocks).
 
-    The pilot block is n x n, with the Gram matrix (P L / n) I_n of the n x L pilots.
+    The pilot block is n x n, with the Gram matrix (P L / n) I_n of the n x L
+    pilots; returns its statistic (A, c), the point indices and the received symbols.
     """
     n, points = params.n, constellation.points
     pilots = make_pilots(n, n, params.power * L / n)
@@ -346,7 +378,7 @@ def paired_draws(constellation, params, L, trials, seed):
         idx = rng.integers(0, points.shape[0], size=b)
         parts.append((X, idx, points[idx] + sample_cgauss((b, n), params.sigma2, rng)))
     X, idx, x = (np.concatenate(p) for p in zip(*parts))
-    return X, pilots, idx, x
+    return *statistic(X, pilots), idx, x
 
 
 class TestDiscreteKernel:
@@ -363,9 +395,10 @@ class TestDiscreteKernel:
             H, N, idx, w = haar_draws(c, params, 8, 512, np.random.default_rng(100 + eta_db))
             X = H @ pilots.D + N
             x = np.einsum("bij,bj->bi", H, points[idx]) + w
+            A, c_scale = statistic(X, pilots)
             cases = {
-                "ls": (estimate_ls(X, pilots), None),
-                "kabsch": (estimate_kabsch(X, pilots), unit_energy),
+                "ls": (estimate_ls(A, c_scale), None),
+                "kabsch": (estimate_kabsch(A), unit_energy),
                 "perfect": (H, unit_energy),
             }
             for name, (H_dec, energy) in cases.items():
@@ -386,8 +419,8 @@ class TestDiscreteKernel:
         params = ChannelParams.from_eta_db(2, 12.0)
         c = make_constellation("dp_16qam", 2, params.power)
         out = air_discrete_paired_mc(c, params, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=(kind,))
-        X, pilots, idx, x = paired_draws(c, params, 8, MC_BLOCK + 952, 31)
-        H_dec = {"ls": estimate_ls, "kabsch": estimate_kabsch}.get(kind, lambda X, p: np.eye(2))(X, pilots)
+        A, c_scale, idx, x = paired_draws(c, params, 8, MC_BLOCK + 952, 31)
+        H_dec = {"ls": estimate_ls(A, c_scale), "kabsch": estimate_kabsch(A), "perfect": np.eye(2)}[kind]
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out[kind].value - want) <= 1e-12
 
@@ -395,10 +428,10 @@ class TestDiscreteKernel:
         # A per-sample 1.1 U estimate is not unitary: LS must not use ||s||^2.
         params = ChannelParams.from_eta_db(2, 12.0)
         c = make_constellation("dp_16qam", 2, params.power)
-        monkeypatch.setattr(polair.estimators, "estimate_ls", lambda X, p: 1.1 * estimate_kabsch(X, p))
+        monkeypatch.setattr(polair.estimators, "estimate_ls", lambda A, c: 1.1 * estimate_kabsch(A))
         out = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(32), kinds=("ls",))
-        X, pilots, idx, x = paired_draws(c, params, 8, 1000, 32)
-        H_dec = 1.1 * estimate_kabsch(X, pilots)
+        A, _, idx, x = paired_draws(c, params, 8, 1000, 32)
+        H_dec = 1.1 * estimate_kabsch(A)
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out["ls"].value - want) <= 1e-12
         weights, unit_energy = _metric_weights(c.points, params.sigma2)
@@ -424,8 +457,8 @@ class TestIdentityChannelCoupling:
         X0, x0 = pilots.D + Hd @ N, s + np.einsum("bij,bj->bi", Hd, w)
         weights, unit_energy = _metric_weights(c.points, params.sigma2)
         decoders = {"perfect": (H, eye, unit_energy)}
-        for kind, estimate in (("ls", estimate_ls), ("kabsch", estimate_kabsch)):
-            H_hat, H_hat0 = estimate(X, pilots), estimate(X0, pilots)
+        for kind in ("ls", "kabsch"):
+            H_hat, H_hat0 = ESTIMATORS[kind](*statistic(X, pilots)), ESTIMATORS[kind](*statistic(X0, pilots))
             decoders[kind] = (H_hat, H_hat0, None if kind == "ls" else unit_energy)
             rates = _corollary1_values(H, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
@@ -460,7 +493,7 @@ class TestPilotStatisticCoupling:
         pilots, X, small, X0 = self.coupled(n, L, params, 512, 400 + 10 * n + L)
         assert np.array_equal(statistic_pilots(n, L, params.power).D, small.D)
         for kind, estimate in ESTIMATORS.items():
-            assert np.abs(estimate(X, pilots) - estimate(X0, small)).max() <= 1e-12, kind
+            assert np.abs(estimate(*statistic(X, pilots)) - estimate(*statistic(X0, small))).max() <= 1e-12, kind
 
     @pytest.mark.parametrize("L", [2, 8, 64])
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
@@ -474,8 +507,8 @@ class TestPilotStatisticCoupling:
         weights, unit_energy = _metric_weights(c.points, params.sigma2)
         for kind, estimate in ESTIMATORS.items():
             # perfect returns one shared I; the per-sample kernels take a (b, 2, 2) stack.
-            H_hat = np.broadcast_to(estimate(X, pilots), (b, 2, 2))
-            H_hat0 = np.broadcast_to(estimate(X0, small), (b, 2, 2))
+            H_hat = np.broadcast_to(estimate(*statistic(X, pilots)), (b, 2, 2))
+            H_hat0 = np.broadcast_to(estimate(*statistic(X0, small)), (b, 2, 2))
             rates = _corollary1_values(eye, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(eye - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
@@ -500,6 +533,24 @@ class TestPilotStatisticCoupling:
         }
         with pytest.raises(ValueError, match="L must be"):
             calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["gaussian", "discrete", "error_cov"])
+    def test_large_L_builds_no_pilot_block(self, entry):
+        # The n x L pilots would take 32 bytes per pilot at n = 2: 128 MB at L = 2**22.
+        params, L = ChannelParams.from_eta_db(2, 10.0), 2**22
+        c = make_constellation("dp_qpsk", 2, params.power)
+        calls = {
+            "gaussian": lambda: air_gaussian_paired_mc(params, L, 100, np.random.default_rng(0)),
+            "discrete": lambda: air_discrete_paired_mc(c, params, L, 1000, np.random.default_rng(0)),
+            "error_cov": lambda: empirical_error_covariance(("ls", "kabsch"), params, L, 100, np.random.default_rng(0)),
+        }
+        tracemalloc.start()
+        try:
+            calls[entry]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSharedDraws:

@@ -22,7 +22,7 @@ from polair.experiments import (
     run_experiment,
     _substream,
 )
-from polair.linalg import MC_BLOCK, sample_cgauss
+from polair.linalg import MC_BLOCK, dagger, sample_cgauss
 
 
 def small_config(experiment, **overrides):
@@ -222,9 +222,9 @@ class TestErrorCovRows:
         pilots = make_pilots(n, n, params.power * L / n)
         sq = {"ls": [], "kabsch": []}
         for b, rng in zip((MC_BLOCK, config.trials - MC_BLOCK), _substream(config, 0, 0).spawn(2)):
-            X = pilots.D + sample_cgauss((b, n, n), params.sigma2, rng)
-            sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(X, pilots)) ** 2, axis=(1, 2)))
-            sq["kabsch"].append(np.sum(np.abs(np.eye(n) - estimate_kabsch(X, pilots)) ** 2, axis=(1, 2)))
+            A = (pilots.D + sample_cgauss((b, n, n), params.sigma2, rng)) @ dagger(pilots.D)
+            sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(A, params.power * L / n)) ** 2, axis=(1, 2)))
+            sq["kabsch"].append(np.sum(np.abs(np.eye(n) - estimate_kabsch(A)) ** 2, axis=(1, 2)))
         for row in run_experiment(config).rows:
             values = n * np.log2(1.0 + params.eta) - params.eta * np.concatenate(sq[row.estimator]) / np.log(2.0)
             stderr = np.sqrt(np.sum((values - values.mean()) ** 2) / (values.size - 1) / values.size)

@@ -5,6 +5,10 @@ reports any that no longer resolves as missing; a per-layer metric built on
 a missing name reads 0. Its ``WORK`` functions read the ``trials`` and
 ``kinds`` arguments of the paired Monte Carlo drivers. The tracer's source
 is only read here.
+
+The tracer rebinds ``estimators.estimate_ls`` and ``estimate_kabsch``, so the
+Monte Carlo steps must reach them through those module attributes; a step
+that estimated any other way would leave the estimator layers at 0.
 """
 
 import importlib
@@ -12,7 +16,14 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import polair.estimators
+from polair.air import air_discrete_paired_mc, air_gaussian_paired_mc
+from polair.channel import ChannelParams, make_constellation
+from polair.estimators import empirical_error_covariance
+from polair.linalg import MC_BLOCK
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 tracer = types.ModuleType("perfbench_tracer")  # executed from source: no bytecode is written
@@ -36,3 +47,28 @@ def test_named_target_is_a_function(target):
 def test_work_arguments_exist(target):
     assert target in tracer.WORK
     assert {"trials", "kinds"} <= set(inspect.signature(_resolve(target)).parameters)
+
+
+@pytest.mark.parametrize("entry, n", [("gaussian", 2), ("gaussian", 4), ("discrete", 2), ("error_cov", 2)])
+def test_steps_estimate_through_the_traced_names(entry, n, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(A, *args):
+            calls.append((name, A.shape))
+            return fn(A, *args)
+
+        return wrapper
+
+    for name in ("estimate_ls", "estimate_kabsch"):
+        monkeypatch.setattr(polair.estimators, name, counting(name, getattr(polair.estimators, name)))
+    params, trials = ChannelParams.from_eta_db(n, 10.0), MC_BLOCK + 952
+    rng = np.random.default_rng(0)
+    if entry == "gaussian":
+        air_gaussian_paired_mc(params, 2 * n, trials, rng)
+    elif entry == "discrete":
+        air_discrete_paired_mc(make_constellation("dp_qpsk", n, params.power), params, 2 * n, trials, rng)
+    else:
+        empirical_error_covariance(("ls", "kabsch"), params, 2 * n, trials, rng)
+    blocks = [(MC_BLOCK, n, n), (952, n, n)]  # one call per kind and Monte Carlo block
+    assert calls == [(name, shape) for shape in blocks for name in ("estimate_ls", "estimate_kabsch")]
