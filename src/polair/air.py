@@ -246,21 +246,19 @@ def air_synthetic_mc(
     return _paired_mc(step, ("general",), trials, rng)["general"]
 
 
-def _metric_weights(points: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+def _metric_weights(points: np.ndarray, sigma2: float) -> np.ndarray:
     """Weights of the decoding metric, computed once per constellation.
 
     The metric of point s is (2 Re<y, s> - s^dagger G s)/sigma2 with
     y = H_dec^dagger x and G = H_dec^dagger H_dec. Its product with per-sample
     features [Re y, Im y, Re G, Im G] takes the weights
     [2 Re s; 2 Im s; -Re P; Im P]/sigma2, P = conj(s) s^T flattened, shape
-    (2n + 2n^2, M); the first 2n rows give the cross term alone. Also returns
-    ||s||^2/sigma2, shape (M,), the energy term of a unitary H_dec.
+    (2n + 2n^2, M); the first 2n rows give the cross term alone.
     """
     M, n = points.shape
     outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(M, n * n)
     rows = [2.0 * points.real, 2.0 * points.imag, -outer.real, outer.imag]
-    weights = np.concatenate(rows, axis=1).T / sigma2
-    return weights, np.sum(np.abs(points) ** 2, axis=1) / sigma2
+    return np.concatenate(rows, axis=1).T / sigma2
 
 
 def _decoding_metric(
@@ -270,9 +268,8 @@ def _decoding_metric(
 
     ``H_dec`` is (n, n) shared or (B, n, n) per sample; ``weights`` come from
     :func:`_metric_weights`. ``energy`` is s^dagger H_dec^dagger H_dec s/sigma2
-    when it is the same for every sample, shape (M,): ||s||^2/sigma2 for a
-    unitary H_dec, or a shared H_dec's values computed once. Without it, the
-    per-sample Gram term joins the cross term in one matrix product.
+    of a shared H_dec, computed once, shape (M,). Without it, the per-sample
+    Gram term joins the cross term in one matrix product.
     """
     n = x.shape[-1]
     y = np.einsum("...ji,...j->...i", H_dec.conj(), x)
@@ -299,6 +296,37 @@ def _discrete_values(metric: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.log2(metric.shape[1]) + (num - np.log(metric.sum(axis=1))) / LN2
 
 
+def _separable_values(H_dec: np.ndarray, x: np.ndarray, s: np.ndarray, levels: np.ndarray, sigma2: float) -> np.ndarray:
+    """Per-sample information density of a unitary decoder on a product-PAM input.
+
+    ``H_dec`` is unitary, (n, n) shared or (B, n, n) per sample; ``s`` holds
+    the transmitted points, a contiguous complex (B, n) array; the
+    constellation is the full product of ``levels`` over the 2n real
+    dimensions (:attr:`~polair.channel.Constellation.pam_levels`).
+    With y = H_dec^dagger x, the metric -||x - H_dec s||^2/sigma2 is
+    -||y - s||^2/sigma2, a sum over the real dimensions d of
+    -(y_d - s_d)^2/sigma2. So the log-sum-exp over the M = side^(2n) points is
+    the sum of 2n log-sum-exps over the side levels, and the density is
+    2n log2(side) + sum_d (num_d - lse_d)/ln 2.
+    """
+    y = np.einsum("...ji,...j->...i", H_dec.conj(), x).view(float)  # (B, 2n)
+    dims = y.shape[1]
+    # Levels first, (side, B, 2n): numpy reduces a short leading axis far faster than a short last one.
+    metric = y - levels[:, None, None]
+    np.square(metric, out=metric)
+    metric *= -1.0 / sigma2
+    peak = metric.max(axis=0)
+    num = y - s.view(float)
+    np.square(num, out=num)
+    num *= -1.0 / sigma2
+    num -= peak
+    metric -= peak
+    np.exp(metric, out=metric)
+    num -= np.log(metric.sum(axis=0))
+    # The sum over the 2n dimensions as a product with ones: numpy's sum over a short last axis is slower.
+    return dims * np.log2(levels.size) + num @ np.full(dims, 1.0 / LN2)
+
+
 def mi_discrete_mc(
     H,
     constellation: Constellation,
@@ -316,7 +344,7 @@ def mi_discrete_mc(
     H = as_complex_matrix(H, "H")
     points = constellation.points
     sent = points @ H.T  # (M, n) noiseless receptions
-    weights = _metric_weights(points, sigma2)[0]
+    weights = _metric_weights(points, sigma2)
     energy = np.sum(np.abs(sent) ** 2, axis=1) / sigma2  # s^dagger H^dagger H s, once
 
     def step(b, rng):
@@ -342,8 +370,12 @@ def air_discrete_paired_mc(
     of n and at least n), one data symbol and its noise on the identity
     channel, which by rotation invariance gives the rates of every unitary
     channel. Every requested estimator (``"ls"``, ``"kabsch"`` or the
-    perfect-CSI stub ``"perfect"``) decodes the same realization. Paired
-    differences are reported under keys ``"a-b"``.
+    perfect-CSI stub ``"perfect"``) decodes the same realization. A unitary
+    kind's density is separable over the real dimensions
+    (:func:`_separable_values`), so it needs a constellation whose
+    :attr:`~polair.channel.Constellation.pam_levels` is not None; any other
+    kind takes the full (B, M) metric. Paired differences are reported under
+    keys ``"a-b"``.
     """
     if not constellation.is_discrete:
         raise ValueError("constellation must be discrete")
@@ -351,18 +383,24 @@ def air_discrete_paired_mc(
         raise ValueError(f"trials must be >= 1000, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
     draw, c = statistic_sampler(params, L)
-    points = constellation.points
-    weights, unit_energy = _metric_weights(points, params.sigma2)
+    points, levels = constellation.points, constellation.pam_levels
+    unitary = UNITARY_KINDS.intersection(kinds)
+    if unitary and levels is None:
+        raise ValueError(f"kinds {sorted(unitary)} need a constellation that is a product of PAM levels")
+    weights = _metric_weights(points, params.sigma2)
 
     def step(b, rng):
         A = draw(b, rng)
         idx = rng.integers(0, points.shape[0], size=b)
-        x = points[idx] + sample_cgauss((b, params.n), params.sigma2, rng)
+        s = points[idx]
+        x = s + sample_cgauss((b, params.n), params.sigma2, rng)
         out = {}
         for kind, estimate in estimators.items():
-            # A unitary decoder's metric energy is ||s||^2; any other needs its Gram term.
-            energy = unit_energy if kind in UNITARY_KINDS else None
-            out[kind] = _discrete_values(_decoding_metric(estimate(A, c), x, weights, energy), idx)
+            H_hat = estimate(A, c)
+            if kind in UNITARY_KINDS:
+                out[kind] = _separable_values(H_hat, x, s, levels, params.sigma2)
+            else:  # the Gram term of a nonunitary H_hat couples the components
+                out[kind] = _discrete_values(_decoding_metric(H_hat, x, weights), idx)
         return out
 
     return _paired_mc(step, kinds, trials, rng)

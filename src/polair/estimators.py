@@ -80,7 +80,7 @@ def statistic_sampler(params: ChannelParams, L: int):
     def draw(b, rng):
         X = sample_cgauss((b, n, n), params.sigma2, rng)
         X += D
-        return np.einsum("...il,lj->...ij", X, D_dag)  # several times faster than a batched matmul
+        return np.tensordot(X, D_dag, axes=1)
 
     return draw, params.power * L / n
 
@@ -134,7 +134,7 @@ ESTIMATORS = {
     "kabsch": lambda A, c: estimate_kabsch(A),
     "perfect": lambda A, c: np.eye(A.shape[-1]),
 }
-UNITARY_KINDS = frozenset({"kabsch", "perfect"})  # these decode with energy ||s||^2
+UNITARY_KINDS = frozenset({"kabsch", "perfect"})
 ESTIMATOR_KINDS = tuple(k for k in ESTIMATORS if k != "perfect")  # the pilot-based kinds
 
 

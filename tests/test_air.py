@@ -12,6 +12,7 @@ from polair.air import (
     _decoding_metric,
     _discrete_values,
     _metric_weights,
+    _separable_values,
     air_corollary1,
     air_corollary4,
     air_discrete_paired_mc,
@@ -279,7 +280,8 @@ def scalar_awgn_mi_quadrature(points, sigma2):
     mix = cond.mean(axis=0)
     M = len(points)
     integrand = cond / M * np.log2(np.where(cond > 0, cond, 1.0) / mix)
-    return float(np.trapezoid(integrand.sum(axis=0), u))
+    f = integrand.sum(axis=0)
+    return float(0.5 * np.sum((f[1:] + f[:-1]) * np.diff(u)))  # trapezoid rule
 
 
 class TestDiscreteMi:
@@ -338,6 +340,16 @@ class TestDiscreteAir:
         ls_vs_kabsch = out["ls-kabsch"]
         assert -ls_vs_kabsch.value >= -3 * ls_vs_kabsch.std_error  # kabsch >= ls
 
+    @pytest.mark.parametrize("kinds", [("kabsch",), ("perfect",), ("ls", "kabsch")])
+    def test_unitary_kinds_need_a_pam_product(self, kinds):
+        params = ChannelParams.from_eta_db(2, 10.0)
+        points = np.sqrt(params.power) * np.eye(2, dtype=complex)  # not a product of PAM levels
+        c = Constellation(kind="unit", n=2, power=params.power, points=points)
+        with pytest.raises(ValueError, match="PAM"):
+            air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=kinds)
+        ls = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("ls",))["ls"]
+        assert 0.0 < ls.value <= 1.0 + 3 * ls.std_error
+
 
 def reference_density(x, H_dec, idx, points, sigma2):
     """Independent form of the information density: the full (B, M, n) distances.
@@ -351,6 +363,13 @@ def reference_density(x, H_dec, idx, points, sigma2):
     lse = np.logaddexp.reduce(metric, axis=1)
     num = metric[np.arange(metric.shape[0]), idx]
     return np.log2(points.shape[0]) + (num - lse) / LN2
+
+
+def density(kind, H_dec, x, idx, constellation, sigma2):
+    """The per-trial density air_discrete_paired_mc takes for ``kind``: separable if unitary, else the full metric."""
+    if kind in UNITARY_KINDS:
+        return _separable_values(H_dec, x, constellation.points[idx], constellation.pam_levels, sigma2)
+    return _discrete_values(_decoding_metric(H_dec, x, _metric_weights(constellation.points, sigma2)), idx)
 
 
 def haar_draws(constellation, params, L, trials, rng):
@@ -382,7 +401,7 @@ def paired_draws(constellation, params, L, trials, seed):
 
 
 class TestDiscreteKernel:
-    """The expanded-metric kernel against the direct distance form, to 1e-12."""
+    """The expanded-metric and separable kernels against the direct distance form, to 1e-12."""
 
     @pytest.mark.parametrize("input_kind", ["dp_qpsk", "dp_16qam"])  # M = 16, 256
     def test_matches_reference(self, input_kind):
@@ -390,19 +409,15 @@ class TestDiscreteKernel:
             params = ChannelParams.from_eta_db(2, float(eta_db))
             c = make_constellation(input_kind, 2, params.power)
             points, sigma2 = c.points, params.sigma2
-            weights, unit_energy = _metric_weights(points, sigma2)
+            weights = _metric_weights(points, sigma2)
             pilots = make_pilots(2, 8, params.power)
             H, N, idx, w = haar_draws(c, params, 8, 512, np.random.default_rng(100 + eta_db))
             X = H @ pilots.D + N
             x = np.einsum("bij,bj->bi", H, points[idx]) + w
             A, c_scale = statistic(X, pilots)
-            cases = {
-                "ls": (estimate_ls(A, c_scale), None),
-                "kabsch": (estimate_kabsch(A), unit_energy),
-                "perfect": (H, unit_energy),
-            }
-            for name, (H_dec, energy) in cases.items():
-                got = _discrete_values(_decoding_metric(H_dec, x, weights, energy), idx)
+            decoders = {"ls": estimate_ls(A, c_scale), "kabsch": estimate_kabsch(A), "perfect": H}
+            for name, H_dec in decoders.items():
+                got = density(name, H_dec, x, idx, c, sigma2)
                 want = reference_density(x, H_dec, idx, points, sigma2)
                 assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
             # shared channel, as in mi_discrete_mc
@@ -412,6 +427,22 @@ class TestDiscreteKernel:
             got = _discrete_values(_decoding_metric(Hs, xs, weights, energy), idx)
             want = reference_density(xs, Hs, idx, points, sigma2)
             assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, "shared")
+
+    @pytest.mark.parametrize("input_kind", ["dp_qpsk", "dp_16qam"])
+    def test_separable_matches_full_metric(self, input_kind):
+        # The unitary decoders of the Monte Carlo: Kabsch estimates per trial and the shared identity.
+        for eta_db in range(-10, 41, 5):
+            params = ChannelParams.from_eta_db(2, float(eta_db))
+            c = make_constellation(input_kind, 2, params.power)
+            points, sigma2 = c.points, params.sigma2
+            A, _, idx, x = paired_draws(c, params, 8, 512, 700 + eta_db)
+            weights, energy = _metric_weights(points, sigma2), np.sum(np.abs(points) ** 2, axis=1) / sigma2
+            for name, H_dec in {"kabsch": estimate_kabsch(A), "perfect": np.eye(2)}.items():
+                got = _separable_values(H_dec, x, points[idx], c.pam_levels, sigma2)
+                full = _discrete_values(_decoding_metric(H_dec, x, weights, energy), idx)
+                assert np.abs(got - full).max() <= 1e-12, (input_kind, eta_db, name)
+                want = reference_density(x, H_dec, idx, points, sigma2)
+                assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
 
     @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
     def test_paired_mc_matches_reference(self, kind):
@@ -434,8 +465,7 @@ class TestDiscreteKernel:
         H_dec = 1.1 * estimate_kabsch(A)
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out["ls"].value - want) <= 1e-12
-        weights, unit_energy = _metric_weights(c.points, params.sigma2)
-        shortcut = _discrete_values(_decoding_metric(H_dec, x, weights, unit_energy), idx).mean()
+        shortcut = _separable_values(H_dec, x, c.points[idx], c.pam_levels, params.sigma2).mean()
         assert abs(shortcut - want) > 1e-2
 
 
@@ -455,18 +485,17 @@ class TestIdentityChannelCoupling:
         s, Hd = c.points[idx], dagger(H)
         X, x = H @ pilots.D + N, np.einsum("bij,bj->bi", H, s) + w
         X0, x0 = pilots.D + Hd @ N, s + np.einsum("bij,bj->bi", Hd, w)
-        weights, unit_energy = _metric_weights(c.points, params.sigma2)
-        decoders = {"perfect": (H, eye, unit_energy)}
+        decoders = {"perfect": (H, eye)}
         for kind in ("ls", "kabsch"):
             H_hat, H_hat0 = ESTIMATORS[kind](*statistic(X, pilots)), ESTIMATORS[kind](*statistic(X0, pilots))
-            decoders[kind] = (H_hat, H_hat0, None if kind == "ls" else unit_energy)
+            decoders[kind] = (H_hat, H_hat0)
             rates = _corollary1_values(H, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(H - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
             assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
-        for kind, (H_dec, H_dec0, energy) in decoders.items():
-            got = _discrete_values(_decoding_metric(H_dec, x, weights, energy), idx)
-            want = _discrete_values(_decoding_metric(H_dec0, x0, weights, energy), idx)
+        for kind, (H_dec, H_dec0) in decoders.items():
+            got = density(kind, H_dec, x, idx, c, params.sigma2)
+            want = density(kind, H_dec0, x0, idx, c, params.sigma2)
             assert np.abs(got - want).max() <= 1e-12, kind
 
 
@@ -504,7 +533,6 @@ class TestPilotStatisticCoupling:
         rng = np.random.default_rng(600 + int(eta_db) + L)
         idx = rng.integers(0, c.points.shape[0], size=b)
         x = c.points[idx] + sample_cgauss((b, 2), params.sigma2, rng)
-        weights, unit_energy = _metric_weights(c.points, params.sigma2)
         for kind, estimate in ESTIMATORS.items():
             # perfect returns one shared I; the per-sample kernels take a (b, 2, 2) stack.
             H_hat = np.broadcast_to(estimate(*statistic(X, pilots)), (b, 2, 2))
@@ -513,9 +541,8 @@ class TestPilotStatisticCoupling:
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(eye - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
             assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
-            energy = unit_energy if kind in UNITARY_KINDS else None
-            got = _discrete_values(_decoding_metric(H_hat, x, weights, energy), idx)
-            want = _discrete_values(_decoding_metric(H_hat0, x, weights, energy), idx)
+            got = density(kind, H_hat, x, idx, c, params.sigma2)
+            want = density(kind, H_hat0, x, idx, c, params.sigma2)
             assert np.abs(got - want).max() <= 1e-12, kind
 
     @pytest.mark.parametrize("n, L", [(2, 3), (4, 2)])

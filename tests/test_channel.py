@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polair.channel import (
     ChannelParams,
+    Constellation,
     make_constellation,
     make_pilots,
 )
@@ -55,6 +58,27 @@ class TestConstellation:
             make_constellation("dp_qpsk", 4, 2.0)
         with pytest.raises(ValueError):
             make_constellation("8psk", 2, 2.0)
+
+    @pytest.mark.parametrize("kind, side", [("dp_qpsk", 2), ("dp_16qam", 4)])
+    def test_pam_levels_of_product_inputs(self, kind, side):
+        c = make_constellation(kind, 2, 2.0)
+        levels = c.pam_levels
+        assert levels.size == side and np.all(np.diff(levels) > 0)
+        assert np.allclose(levels, -levels[::-1], atol=1e-15)  # symmetric PAM
+        coords = {tuple(row) for row in c.points.view(float)}
+        assert coords == set(itertools.product(levels, repeat=4))  # the full product over Re, Im of 2 components
+        shuffled = Constellation(kind=kind, n=2, power=2.0, points=c.points[::-1])
+        assert np.array_equal(shuffled.pam_levels, levels)  # the point order does not matter
+
+    def test_pam_levels_none_for_other_inputs(self):
+        assert make_constellation("gaussian", 2, 2.0).pam_levels is None
+        unit = Constellation(kind="unit", n=2, power=2.0, points=np.sqrt(2.0) * np.eye(2, dtype=complex))
+        assert unit.pam_levels is None
+        qpsk = make_constellation("dp_qpsk", 2, 2.0)
+        partial = Constellation(kind="partial", n=2, power=2.0, points=qpsk.points[1:])
+        assert partial.pam_levels is None  # one point short of the product
+        repeated = Constellation(kind="repeated", n=2, power=2.0, points=np.concatenate([qpsk.points[:-1], qpsk.points[:1]]))
+        assert repeated.size == 16 and repeated.pam_levels is None  # M = side^(2n), but a point repeats
 
 
 class TestPilots:
