@@ -24,7 +24,6 @@ from .air import (
 from .channel import (
     ChannelParams,
     Constellation,
-    PilotMatrix,
     make_constellation,
     make_pilots,
 )

@@ -60,8 +60,8 @@ def _mc_estimate(values: np.ndarray) -> AirEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
     if np.all(values == values[0]):
-        # A constant sample (the perfect-CSI capacity, a zero synthetic error) is
-        # exact: its summed mean could be off by round-off, its spread is zero.
+        # A constant sample (a zero synthetic error) is exact: its summed mean
+        # could be off by round-off, its spread is zero.
         return AirEstimate(value=float(values[0]), trials=n)
     std_error = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return AirEstimate(value=float(values.mean()), std_error=std_error, trials=n)
@@ -261,22 +261,15 @@ def _metric_weights(points: np.ndarray, sigma2: float) -> np.ndarray:
     return np.concatenate(rows, axis=1).T / sigma2
 
 
-def _decoding_metric(
-    H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray, energy: np.ndarray | None = None
-) -> np.ndarray:
+def _decoding_metric(H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Decoding metric -(||x - H_dec s||^2 - ||x||^2)/sigma2 of every point s, shape (B, M).
 
-    ``H_dec`` is (n, n) shared or (B, n, n) per sample; ``weights`` come from
-    :func:`_metric_weights`. ``energy`` is s^dagger H_dec^dagger H_dec s/sigma2
-    of a shared H_dec, computed once, shape (M,). Without it, the per-sample
-    Gram term joins the cross term in one matrix product.
+    ``H_dec`` is a (B, n, n) stack, one decoder per sample; ``weights`` come
+    from :func:`_metric_weights`. The per-sample Gram term joins the cross
+    term in one matrix product.
     """
     n = x.shape[-1]
     y = np.einsum("...ji,...j->...i", H_dec.conj(), x)
-    if energy is not None:
-        metric = np.concatenate([y.real, y.imag], axis=1) @ weights[: 2 * n]
-        metric -= energy  # in place: a second (B, M) array costs more than the product
-        return metric
     G = np.einsum("bki,bkj->bij", H_dec.conj(), H_dec).reshape(x.shape[0], n * n)
     return np.concatenate([y.real, y.imag, G.real, G.imag], axis=1) @ weights
 
@@ -296,20 +289,19 @@ def _discrete_values(metric: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.log2(metric.shape[1]) + (num - np.log(metric.sum(axis=1))) / LN2
 
 
-def _separable_values(H_dec: np.ndarray, x: np.ndarray, s: np.ndarray, levels: np.ndarray, sigma2: float) -> np.ndarray:
+def _separable_values(y: np.ndarray, s: np.ndarray, levels: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-sample information density of a unitary decoder on a product-PAM input.
 
-    ``H_dec`` is unitary, (n, n) shared or (B, n, n) per sample; ``s`` holds
-    the transmitted points, a contiguous complex (B, n) array; the
+    ``y`` is the decoded vector H_dec^dagger x of a unitary H_dec and ``s``
+    the transmitted point, each a contiguous complex (B, n) array; the
     constellation is the full product of ``levels`` over the 2n real
-    dimensions (:attr:`~polair.channel.Constellation.pam_levels`).
-    With y = H_dec^dagger x, the metric -||x - H_dec s||^2/sigma2 is
-    -||y - s||^2/sigma2, a sum over the real dimensions d of
-    -(y_d - s_d)^2/sigma2. So the log-sum-exp over the M = side^(2n) points is
-    the sum of 2n log-sum-exps over the side levels, and the density is
-    2n log2(side) + sum_d (num_d - lse_d)/ln 2.
+    dimensions (:attr:`~polair.channel.Constellation.pam_levels`). The
+    metric -||x - H_dec s||^2/sigma2 is -||y - s||^2/sigma2, a sum over the
+    real dimensions d of -(y_d - s_d)^2/sigma2. So the log-sum-exp over the
+    M = side^(2n) points is the sum of 2n log-sum-exps over the side levels,
+    and the density is 2n log2(side) + sum_d (num_d - lse_d)/ln 2.
     """
-    y = np.einsum("...ji,...j->...i", H_dec.conj(), x).view(float)  # (B, 2n)
+    y = y.view(float)  # (B, 2n)
     dims = y.shape[1]
     # Levels first, (side, B, 2n): numpy reduces a short leading axis far faster than a short last one.
     metric = y - levels[:, None, None]
@@ -345,12 +337,11 @@ def mi_discrete_mc(
     points = constellation.points
     sent = points @ H.T  # (M, n) noiseless receptions
     weights = _metric_weights(points, sigma2)
-    energy = np.sum(np.abs(sent) ** 2, axis=1) / sigma2  # s^dagger H^dagger H s, once
 
     def step(b, rng):
         idx = rng.integers(0, points.shape[0], size=b)
         x = sent[idx] + sample_cgauss((b, H.shape[0]), sigma2, rng)
-        return {"mi": _discrete_values(_decoding_metric(H, x, weights, energy), idx)}
+        return {"mi": _discrete_values(_decoding_metric(np.broadcast_to(H, (b, *H.shape)), x, weights), idx)}
 
     return _paired_mc(step, ("mi",), trials, rng)["mi"]
 
@@ -363,30 +354,33 @@ def air_discrete_paired_mc(
     rng: np.random.Generator,
     kinds: tuple[str, ...] = ESTIMATOR_KINDS,
 ) -> dict[str, AirEstimate]:
-    """Average discrete-input AIR for several estimators on shared draws.
+    """Average discrete-input AIR for several estimators on shared draws, with the perfect-CSI reference.
 
     Each trial draws one pilot statistic from ``L`` pilots
     (:func:`~polair.estimators.statistic_sampler`; ``L`` must be a multiple
     of n and at least n), one data symbol and its noise on the identity
     channel, which by rotation invariance gives the rates of every unitary
-    channel. Every requested estimator (``"ls"``, ``"kabsch"`` or the
-    perfect-CSI stub ``"perfect"``) decodes the same realization. A unitary
-    kind's density is separable over the real dimensions
-    (:func:`_separable_values`), so it needs a constellation whose
-    :attr:`~polair.channel.Constellation.pam_levels` is not None; any other
-    kind takes the full (B, M) metric. Paired differences are reported under
-    keys ``"a-b"``.
+    channel. Every requested estimator (``"ls"``, ``"kabsch"``) decodes the
+    same realization, and so does the perfect-CSI reference, returned under
+    ``"perfect"`` for any ``kinds``: the mutual information, whose decoder is
+    the channel itself, the identity. A unitary decoder's density is
+    separable over the real dimensions (:func:`_separable_values`), so the
+    constellation's :attr:`~polair.channel.Constellation.pam_levels` must
+    not be None; ``ls`` takes the full (B, M) metric. Paired differences are
+    reported under keys ``"a-b"``, among them ``"<kind>-perfect"``.
+    ``"perfect"`` in ``kinds`` names the reference, which is returned
+    anyway.
     """
     if not constellation.is_discrete:
         raise ValueError("constellation must be discrete")
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
+    kinds = tuple(kind for kind in kinds if kind != "perfect")
     estimators = {kind: get_estimator(kind) for kind in kinds}
     draw, c = statistic_sampler(params, L)
     points, levels = constellation.points, constellation.pam_levels
-    unitary = UNITARY_KINDS.intersection(kinds)
-    if unitary and levels is None:
-        raise ValueError(f"kinds {sorted(unitary)} need a constellation that is a product of PAM levels")
+    if levels is None:
+        raise ValueError("the separable density needs a constellation that is a product of PAM levels")
     weights = _metric_weights(points, params.sigma2)
 
     def step(b, rng):
@@ -398,12 +392,14 @@ def air_discrete_paired_mc(
         for kind, estimate in estimators.items():
             H_hat = estimate(A, c)
             if kind in UNITARY_KINDS:
-                out[kind] = _separable_values(H_hat, x, s, levels, params.sigma2)
+                y = np.einsum("...ji,...j->...i", H_hat.conj(), x)
+                out[kind] = _separable_values(y, s, levels, params.sigma2)
             else:  # the Gram term of a nonunitary H_hat couples the components
                 out[kind] = _discrete_values(_decoding_metric(H_hat, x, weights), idx)
+        out["perfect"] = _separable_values(x, s, levels, params.sigma2)
         return out
 
-    return _paired_mc(step, kinds, trials, rng)
+    return _paired_mc(step, (*kinds, "perfect"), trials, rng)
 
 
 def air_gaussian_paired_mc(
@@ -417,10 +413,10 @@ def air_gaussian_paired_mc(
 
     Per trial, one pilot statistic from ``L`` pilots on the identity channel
     (as in :func:`air_discrete_paired_mc`) feeds all requested estimators.
-    The AIR of a unitary estimate is Corollary 4 of its own error (the
-    capacity, exactly, for ``"perfect"``); that of any other is the closed
-    three-term unitary-channel expression. Paired differences are under
-    keys ``"a-b"``.
+    The AIR of a unitary estimate is Corollary 4 of its own error; that of
+    any other is the closed three-term unitary-channel expression. The
+    perfect-CSI reference is the closed form :func:`capacity_perfect`.
+    Paired differences are under keys ``"a-b"``.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -433,8 +429,7 @@ def air_gaussian_paired_mc(
         out = {}
         for kind, estimate in estimators.items():
             H_hat = estimate(A, c)
-            rate = _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(eye, H_hat, eta)
-            out[kind] = np.broadcast_to(rate, (b,))  # perfect's one shared I gives one value
+            out[kind] = _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(eye, H_hat, eta)
         return out
 
     return _paired_mc(step, kinds, trials, rng)

@@ -20,7 +20,6 @@ __all__ = [
     "CONSTELLATION_KINDS",
     "ChannelParams",
     "Constellation",
-    "PilotMatrix",
     "make_constellation",
     "make_pilots",
 ]
@@ -135,19 +134,6 @@ def make_constellation(kind: str, n: int, power: float) -> Constellation:
     return Constellation(kind=kind, n=n, power=power, points=points)
 
 
-@dataclass(frozen=True)
-class PilotMatrix:
-    """n x L pilot matrix satisfying D D^dagger = (P L / n) I_n."""
-
-    D: np.ndarray = field(repr=False)
-    L: int
-    power: float
-
-    @property
-    def n(self) -> int:
-        return self.D.shape[0]
-
-
 def check_pilot_args(n: int, L: int, power: float) -> None:
     """Raise ``ValueError`` unless ``make_pilots(n, L, power)`` admits its arguments; builds no pilots."""
     if n < 2:
@@ -160,8 +146,8 @@ def check_pilot_args(n: int, L: int, power: float) -> None:
         raise ValueError(f"power must be > 0, got {power}")
 
 
-def make_pilots(n: int, L: int, power: float) -> PilotMatrix:
-    """Deterministic pilot matrix with the orthogonality property.
+def make_pilots(n: int, L: int, power: float) -> np.ndarray:
+    """Deterministic n x L pilot matrix D with the orthogonality property.
 
     Block-repeats a scaled n x n Hadamard matrix with QPSK entries
     (+-1 +- 1j)/sqrt(2) * sqrt(P/n), which guarantees
@@ -180,5 +166,4 @@ def make_pilots(n: int, L: int, power: float) -> PilotMatrix:
         j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         base = np.exp(2j * np.pi * j * k / n)
     base = base * np.sqrt(power / n)
-    D = np.tile(base, (1, L // n))
-    return PilotMatrix(D=D, L=L, power=power)
+    return np.tile(base, (1, L // n))

@@ -12,14 +12,17 @@ Subcommands:
 Each sweep flag sets one config field and is parsed as that field's
 config-file entry is (:func:`~polair.experiments.parse_config_value`), so
 ``--L 4,8`` and ``L_grid = 4,8`` give the same configuration; flags
-override ``--config`` file entries.
+override ``--config`` file entries. A value that starts with a minus sign
+is joined to its flag with ``=``, as in ``--eta-db=-2,4``: argparse takes
+a separate ``-2,4`` for a flag.
 
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
 unparsable values, empty list items, non-finite grid values, SNRs outside
 [-10, 40] dB, E2 values outside [0, 1], repeated grid values or estimator
 kinds, an E2 grid outside fig2, a discrete input for fig2 or error_cov or
-with n != 2, and n < 2), 4 numerical failure (including any value the
-numeric core rejects that the configuration checks let through).
+with n != 2 or fewer than 1000 trials, and n < 2), 4 numerical failure
+(including any value the numeric core rejects that the configuration
+checks let through).
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--experiment", choices=[e for e in EXPERIMENTS if e != "error_cov"])
         p.add_argument("--config", help="key=value config file; flags override its entries")
-        p.add_argument("--eta-db", help="comma-separated SNR grid in dB")
+        p.add_argument("--eta-db", help="comma-separated SNR grid in dB; write --eta-db=-2,4 when it starts below 0")
         p.add_argument("--L", help="comma-separated pilot-length grid")
         p.add_argument("--E2", help="comma-separated per-DOF error grid (fig2)")
         p.add_argument("--input", choices=CONSTELLATION_KINDS)

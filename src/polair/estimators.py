@@ -17,13 +17,12 @@ statistics:
   n > 2 it comes from a batched SVD.
 
 :data:`ESTIMATORS` is the one registry of estimator kinds,
-``{kind: (A, c) -> H_hat}``; besides ``ls`` and ``kabsch`` it holds the
-perfect-CSI stub ``perfect``, which returns the identity: every Monte Carlo
-step runs on the identity channel (see :mod:`polair.air`). The kinds in
+``{kind: (A, c) -> H_hat}``, holding ``ls`` and ``kabsch``. The kinds in
 :data:`UNITARY_KINDS` give unitary estimates and have n^2 real degrees of
 freedom; the others have 2 n^2. Everything that dispatches on a kind (the
 error covariance here, the Monte Carlo rates in :mod:`polair.air`) reads
-the registry.
+the registry. The perfect-CSI reference the rates are compared with is not
+an estimator; :func:`polair.air.air_discrete_paired_mc` computes it itself.
 
 On the identity channel, X = D + N and A = c I + N D^dagger. For any n x n
 D' with D' D'^dagger = c I, Z = N D^dagger D'/c is again i.i.d.
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, PilotMatrix, check_pilot_args, make_pilots
+from .channel import ChannelParams, check_pilot_args, make_pilots
 from .linalg import check_hermitian_psd, dagger, mc_blocks, sample_cgauss
 
 __all__ = [
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 
-def statistic_pilots(n: int, L: int, power: float) -> PilotMatrix:
+def statistic_pilots(n: int, L: int, power: float) -> np.ndarray:
     """n x n pilots with the Gram matrix of ``make_pilots(n, L, power)``, (P L / n) I_n.
 
     What the Monte Carlo steps estimate from: a draw X' = D' + Z with Z i.i.d.
@@ -74,7 +73,7 @@ def statistic_sampler(params: ChannelParams, L: int):
     D' of :func:`statistic_pilots`.
     """
     n = params.n
-    D = statistic_pilots(n, L, params.power).D
+    D = statistic_pilots(n, L, params.power)
     D_dag = dagger(D)
 
     def draw(b, rng):
@@ -132,10 +131,9 @@ def estimate_kabsch(A) -> np.ndarray:
 ESTIMATORS = {
     "ls": lambda A, c: estimate_ls(A, c),
     "kabsch": lambda A, c: estimate_kabsch(A),
-    "perfect": lambda A, c: np.eye(A.shape[-1]),
 }
-UNITARY_KINDS = frozenset({"kabsch", "perfect"})
-ESTIMATOR_KINDS = tuple(k for k in ESTIMATORS if k != "perfect")  # the pilot-based kinds
+UNITARY_KINDS = frozenset({"kabsch"})
+ESTIMATOR_KINDS = tuple(ESTIMATORS)
 
 
 def get_estimator(kind: str):
@@ -199,8 +197,6 @@ def empirical_error_covariance(
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
-    if "perfect" in estimators:
-        raise ValueError("'perfect' is not a pilot-based estimator kind")
     n = params.n
     draw, c = statistic_sampler(params, L)
 

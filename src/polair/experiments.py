@@ -152,6 +152,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} requires input gaussian, got {self.input!r}")
         if self.experiment == "fig3b" and self.input == "gaussian":
             raise ConfigError("fig3b requires a discrete input kind")
+        if self.input != "gaussian" and self.trials < 1000:
+            raise ConfigError(f"a discrete input requires trials >= 1000, got {self.trials}")
 
 
 # Each experiment's overrides of the ExperimentConfig field defaults.
@@ -256,8 +258,7 @@ def _rate_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.G
         reference = capacity_perfect(n, params.eta).value
     else:
         constellation = make_constellation(config.input, n, params.power)
-        kinds = tuple(config.estimators) + ("perfect",)
-        estimates = air_discrete_paired_mc(constellation, params, L, config.trials, rng, kinds=kinds)
+        estimates = air_discrete_paired_mc(constellation, params, L, config.trials, rng, kinds=config.estimators)
         reference = estimates["perfect"].value
     return [SweepRow(kind, eta_db, L, 0.0, estimates[kind], reference) for kind in config.estimators]
 

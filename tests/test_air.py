@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import polair.air
 import polair.estimators
 from polair.air import (
     AirEstimate,
@@ -34,7 +35,7 @@ from polair.estimators import (
     statistic_pilots,
     statistic_sampler,
 )
-from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, sample_cgauss
+from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, mc_blocks, sample_cgauss
 
 LN2 = np.log(2.0)
 
@@ -43,9 +44,9 @@ def random_complex(shape, rng, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def statistic(X, pilots):
+def statistic(X, D, c):
     """The pilot statistic A = X D^dagger and its scale c = P L / n, D D^dagger = c I."""
-    return X @ dagger(pilots.D), pilots.power * pilots.L / pilots.n
+    return X @ dagger(D), c
 
 
 class TestCapacityPerfect:
@@ -157,11 +158,11 @@ class TestCorollary1Kernel:
         n, L, b = 2, 8, 2048
         params = ChannelParams.from_eta_db(n, eta_db)
         rng = np.random.default_rng(int(eta_db) + 100)
-        pilots = make_pilots(n, L, params.power)
+        D = make_pilots(n, L, params.power)
         H = haar_unitary(n, rng, size=b)
-        X = H @ pilots.D + sample_cgauss((b, n, L), params.sigma2, rng)
+        X = H @ D + sample_cgauss((b, n, L), params.sigma2, rng)
         U = haar_unitary(n, rng)
-        A, c = statistic(X, pilots)
+        A, c = statistic(X, D, params.power * L / n)
         estimates = {
             "ls": (H, estimate_ls(A, c)),
             "kabsch": (H, estimate_kabsch(A)),
@@ -195,13 +196,6 @@ class TestCorollary4Kernel:
             got = _corollary4_values(H_hat, params.eta)
             assert np.abs(got - _corollary1_values(eye, H_hat, params.eta)).max() <= 1e-12
         assert _corollary4_values(eye, params.eta) == capacity_perfect(n, params.eta).value
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_gaussian_perfect_rate_is_capacity(self, n):
-        params = ChannelParams.from_eta_db(n, 14.0)
-        est = air_gaussian_paired_mc(params, 2 * n, 3000, np.random.default_rng(n), kinds=("perfect",))["perfect"]
-        assert est.value == capacity_perfect(n, params.eta).value
-        assert est.std_error == 0.0
 
 
 class TestCorollary4:
@@ -323,7 +317,7 @@ class TestDiscreteAir:
     def test_perfect_stub_matches_mi(self):
         params = ChannelParams.from_eta_db(2, 8.0)
         c = make_constellation("dp_qpsk", 2, params.power)
-        air = air_discrete_paired_mc(c, params, 8, 30_000, np.random.default_rng(25), kinds=("perfect",))["perfect"]
+        air = air_discrete_paired_mc(c, params, 8, 30_000, np.random.default_rng(25), kinds=())["perfect"]
         H = haar_unitary(2, np.random.default_rng(26))
         mi = mi_discrete_mc(H, c, params.sigma2, 30_000, np.random.default_rng(27))
         margin = 3 * np.hypot(air.std_error, mi.std_error)
@@ -332,7 +326,7 @@ class TestDiscreteAir:
     def test_estimators_bounded_by_perfect_and_ordered(self):
         params = ChannelParams.from_eta_db(2, 10.0)
         c = make_constellation("dp_16qam", 2, params.power)
-        out = air_discrete_paired_mc(c, params, 8, 20_000, np.random.default_rng(28), kinds=("ls", "kabsch", "perfect"))
+        out = air_discrete_paired_mc(c, params, 8, 20_000, np.random.default_rng(28), kinds=("ls", "kabsch"))
         assert out["ls"].value <= out["perfect"].value
         assert out["kabsch"].value <= out["perfect"].value
         diff = out["kabsch-perfect"]
@@ -340,15 +334,14 @@ class TestDiscreteAir:
         ls_vs_kabsch = out["ls-kabsch"]
         assert -ls_vs_kabsch.value >= -3 * ls_vs_kabsch.std_error  # kabsch >= ls
 
-    @pytest.mark.parametrize("kinds", [("kabsch",), ("perfect",), ("ls", "kabsch")])
+    @pytest.mark.parametrize("kinds", [("kabsch",), ("ls",), ("ls", "kabsch")])
     def test_unitary_kinds_need_a_pam_product(self, kinds):
+        # The perfect-CSI reference of every call decodes with the separable density.
         params = ChannelParams.from_eta_db(2, 10.0)
         points = np.sqrt(params.power) * np.eye(2, dtype=complex)  # not a product of PAM levels
         c = Constellation(kind="unit", n=2, power=params.power, points=points)
         with pytest.raises(ValueError, match="PAM"):
             air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=kinds)
-        ls = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("ls",))["ls"]
-        assert 0.0 < ls.value <= 1.0 + 3 * ls.std_error
 
 
 def reference_density(x, H_dec, idx, points, sigma2):
@@ -365,10 +358,19 @@ def reference_density(x, H_dec, idx, points, sigma2):
     return np.log2(points.shape[0]) + (num - lse) / LN2
 
 
+def decode(H_dec, x):
+    """The decoded vector H_dec^dagger x; ``H_dec`` is (n, n) shared or (B, n, n) per sample."""
+    return np.einsum("...ji,...j->...i", H_dec.conj(), x)
+
+
 def density(kind, H_dec, x, idx, constellation, sigma2):
-    """The per-trial density air_discrete_paired_mc takes for ``kind``: separable if unitary, else the full metric."""
-    if kind in UNITARY_KINDS:
-        return _separable_values(H_dec, x, constellation.points[idx], constellation.pam_levels, sigma2)
+    """The per-trial density air_discrete_paired_mc takes for ``kind``.
+
+    Separable for a unitary kind and for ``"perfect"``, the reference that
+    decodes with the channel itself; the full metric otherwise.
+    """
+    if kind == "perfect" or kind in UNITARY_KINDS:
+        return _separable_values(decode(H_dec, x), constellation.points[idx], constellation.pam_levels, sigma2)
     return _discrete_values(_decoding_metric(H_dec, x, _metric_weights(constellation.points, sigma2)), idx)
 
 
@@ -388,16 +390,17 @@ def paired_draws(constellation, params, L, trials, seed):
     pilots; returns its statistic (A, c), the point indices and the received symbols.
     """
     n, points = params.n, constellation.points
-    pilots = make_pilots(n, n, params.power * L / n)
+    c = params.power * L / n
+    D = make_pilots(n, n, c)
     starts = range(0, trials, MC_BLOCK)
     parts = []
     for start, rng in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
         b = min(MC_BLOCK, trials - start)
-        X = pilots.D + sample_cgauss((b, n, n), params.sigma2, rng)
+        X = D + sample_cgauss((b, n, n), params.sigma2, rng)
         idx = rng.integers(0, points.shape[0], size=b)
         parts.append((X, idx, points[idx] + sample_cgauss((b, n), params.sigma2, rng)))
     X, idx, x = (np.concatenate(p) for p in zip(*parts))
-    return *statistic(X, pilots), idx, x
+    return *statistic(X, D, c), idx, x
 
 
 class TestDiscreteKernel:
@@ -410,11 +413,11 @@ class TestDiscreteKernel:
             c = make_constellation(input_kind, 2, params.power)
             points, sigma2 = c.points, params.sigma2
             weights = _metric_weights(points, sigma2)
-            pilots = make_pilots(2, 8, params.power)
+            D = make_pilots(2, 8, params.power)
             H, N, idx, w = haar_draws(c, params, 8, 512, np.random.default_rng(100 + eta_db))
-            X = H @ pilots.D + N
+            X = H @ D + N
             x = np.einsum("bij,bj->bi", H, points[idx]) + w
-            A, c_scale = statistic(X, pilots)
+            A, c_scale = statistic(X, D, params.power * 8 / 2)
             decoders = {"ls": estimate_ls(A, c_scale), "kabsch": estimate_kabsch(A), "perfect": H}
             for name, H_dec in decoders.items():
                 got = density(name, H_dec, x, idx, c, sigma2)
@@ -423,8 +426,7 @@ class TestDiscreteKernel:
             # shared channel, as in mi_discrete_mc
             Hs = H[0]
             xs = points[idx] @ Hs.T + sample_cgauss(x.shape, sigma2, np.random.default_rng(200 + eta_db))
-            energy = np.sum(np.abs(points @ Hs.T) ** 2, axis=1) / sigma2
-            got = _discrete_values(_decoding_metric(Hs, xs, weights, energy), idx)
+            got = _discrete_values(_decoding_metric(np.broadcast_to(Hs, H.shape), xs, weights), idx)
             want = reference_density(xs, Hs, idx, points, sigma2)
             assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, "shared")
 
@@ -436,24 +438,40 @@ class TestDiscreteKernel:
             c = make_constellation(input_kind, 2, params.power)
             points, sigma2 = c.points, params.sigma2
             A, _, idx, x = paired_draws(c, params, 8, 512, 700 + eta_db)
-            weights, energy = _metric_weights(points, sigma2), np.sum(np.abs(points) ** 2, axis=1) / sigma2
+            weights = _metric_weights(points, sigma2)
             for name, H_dec in {"kabsch": estimate_kabsch(A), "perfect": np.eye(2)}.items():
-                got = _separable_values(H_dec, x, points[idx], c.pam_levels, sigma2)
-                full = _discrete_values(_decoding_metric(H_dec, x, weights, energy), idx)
+                got = _separable_values(decode(H_dec, x), points[idx], c.pam_levels, sigma2)
+                full = _discrete_values(_decoding_metric(np.broadcast_to(H_dec, (x.shape[0], 2, 2)), x, weights), idx)
                 assert np.abs(got - full).max() <= 1e-12, (input_kind, eta_db, name)
                 want = reference_density(x, H_dec, idx, points, sigma2)
                 assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
 
     @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
-    def test_paired_mc_matches_reference(self, kind):
-        # The trials span two blocks.
+    def test_paired_mc_matches_reference(self, kind, monkeypatch):
+        # The trials span two blocks. Every call returns the perfect-CSI
+        # reference, whose decoder is the identity channel; its per-trial
+        # values are read from the blocks of the step.
+        blocks = []
+
+        def recording(*args):
+            blocks.extend(mc_blocks(*args))
+            return blocks
+
+        monkeypatch.setattr(polair.air, "mc_blocks", recording)
         params = ChannelParams.from_eta_db(2, 12.0)
         c = make_constellation("dp_16qam", 2, params.power)
-        out = air_discrete_paired_mc(c, params, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=(kind,))
+        kinds = () if kind == "perfect" else (kind,)
+        out = air_discrete_paired_mc(c, params, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=kinds)
         A, c_scale, idx, x = paired_draws(c, params, 8, MC_BLOCK + 952, 31)
         H_dec = {"ls": estimate_ls(A, c_scale), "kabsch": estimate_kabsch(A), "perfect": np.eye(2)}[kind]
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out[kind].value - want) <= 1e-12
+        reference = reference_density(x, np.eye(2), idx, c.points, params.sigma2)
+        assert np.abs(np.concatenate([block["perfect"] for block in blocks]) - reference).max() <= 1e-12
+        assert abs(out["perfect"].value - reference.mean()) <= 1e-12
+        if kinds:
+            per_trial = reference_density(x, H_dec, idx, c.points, params.sigma2) - reference
+            assert abs(out[f"{kind}-perfect"].value - per_trial.mean()) <= 1e-12
 
     def test_nonunitary_estimate_gets_gram_energy(self, monkeypatch):
         # A per-sample 1.1 U estimate is not unitary: LS must not use ||s||^2.
@@ -465,7 +483,7 @@ class TestDiscreteKernel:
         H_dec = 1.1 * estimate_kabsch(A)
         want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
         assert abs(out["ls"].value - want) <= 1e-12
-        shortcut = _separable_values(H_dec, x, c.points[idx], c.pam_levels, params.sigma2).mean()
+        shortcut = _separable_values(decode(H_dec, x), c.points[idx], c.pam_levels, params.sigma2).mean()
         assert abs(shortcut - want) > 1e-2
 
 
@@ -480,14 +498,14 @@ class TestIdentityChannelCoupling:
     def test_per_trial_values_match(self, eta_db):
         params = ChannelParams.from_eta_db(2, eta_db)
         c = make_constellation("dp_16qam", 2, params.power)
-        pilots, eye = make_pilots(2, 8, params.power), np.eye(2)
+        D, c_scale, eye = make_pilots(2, 8, params.power), params.power * 8 / 2, np.eye(2)
         H, N, idx, w = haar_draws(c, params, 8, 1024, np.random.default_rng(300 + int(eta_db)))
         s, Hd = c.points[idx], dagger(H)
-        X, x = H @ pilots.D + N, np.einsum("bij,bj->bi", H, s) + w
-        X0, x0 = pilots.D + Hd @ N, s + np.einsum("bij,bj->bi", Hd, w)
+        X, x = H @ D + N, np.einsum("bij,bj->bi", H, s) + w
+        X0, x0 = D + Hd @ N, s + np.einsum("bij,bj->bi", Hd, w)
         decoders = {"perfect": (H, eye)}
         for kind in ("ls", "kabsch"):
-            H_hat, H_hat0 = ESTIMATORS[kind](*statistic(X, pilots)), ESTIMATORS[kind](*statistic(X0, pilots))
+            H_hat, H_hat0 = ESTIMATORS[kind](*statistic(X, D, c_scale)), ESTIMATORS[kind](*statistic(X0, D, c_scale))
             decoders[kind] = (H_hat, H_hat0)
             rates = _corollary1_values(H, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
@@ -502,7 +520,7 @@ class TestIdentityChannelCoupling:
 class TestPilotStatisticCoupling:
     """Estimates from (D, D + N), D n x L, equal estimates from (D', D' + Z), D' = statistic pilots.
 
-    With c = P L / n and D' = make_pilots(n, n, c).D, Z = N D^dagger D'/c is
+    With c = P L / n and D' = make_pilots(n, n, c), Z = N D^dagger D'/c is
     again i.i.d. CN(0, sigma2) and (D' + Z) D'^dagger = (D + N) D^dagger, the
     statistic every registry kind reads. This is what lets every Monte Carlo
     step draw an n x n pilot block.
@@ -511,32 +529,32 @@ class TestPilotStatisticCoupling:
     @staticmethod
     def coupled(n, L, params, trials, seed):
         c = params.power * L / n
-        pilots, small = make_pilots(n, L, params.power), make_pilots(n, n, c)
+        D, small = make_pilots(n, L, params.power), make_pilots(n, n, c)
         N = sample_cgauss((trials, n, L), params.sigma2, np.random.default_rng(seed))
-        Z = N @ dagger(pilots.D) @ small.D / c
-        return pilots, pilots.D + N, small, small.D + Z
+        Z = N @ dagger(D) @ small / c
+        return D, D + N, small, small + Z
 
     @pytest.mark.parametrize("n, L", [(2, 2), (2, 8), (2, 64), (3, 6), (4, 4), (4, 64)])
     def test_every_kind_gives_the_same_estimate(self, n, L):
         params = ChannelParams.from_eta_db(n, 4.0)
-        pilots, X, small, X0 = self.coupled(n, L, params, 512, 400 + 10 * n + L)
-        assert np.array_equal(statistic_pilots(n, L, params.power).D, small.D)
+        D, X, small, X0 = self.coupled(n, L, params, 512, 400 + 10 * n + L)
+        assert np.array_equal(statistic_pilots(n, L, params.power), small)
+        c = params.power * L / n
         for kind, estimate in ESTIMATORS.items():
-            assert np.abs(estimate(*statistic(X, pilots)) - estimate(*statistic(X0, small))).max() <= 1e-12, kind
+            assert np.abs(estimate(*statistic(X, D, c)) - estimate(*statistic(X0, small, c))).max() <= 1e-12, kind
 
     @pytest.mark.parametrize("L", [2, 8, 64])
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
     def test_rates_and_densities_match_at_n2(self, eta_db, L):
         params, eye, b = ChannelParams.from_eta_db(2, eta_db), np.eye(2), 1024
         c = make_constellation("dp_16qam", 2, params.power)
-        pilots, X, small, X0 = self.coupled(2, L, params, b, 500 + int(eta_db) + L)
+        D, X, small, X0 = self.coupled(2, L, params, b, 500 + int(eta_db) + L)
+        c_scale = params.power * L / 2
         rng = np.random.default_rng(600 + int(eta_db) + L)
         idx = rng.integers(0, c.points.shape[0], size=b)
         x = c.points[idx] + sample_cgauss((b, 2), params.sigma2, rng)
         for kind, estimate in ESTIMATORS.items():
-            # perfect returns one shared I; the per-sample kernels take a (b, 2, 2) stack.
-            H_hat = np.broadcast_to(estimate(*statistic(X, pilots)), (b, 2, 2))
-            H_hat0 = np.broadcast_to(estimate(*statistic(X0, small)), (b, 2, 2))
+            H_hat, H_hat0 = estimate(*statistic(X, D, c_scale)), estimate(*statistic(X0, small, c_scale))
             rates = _corollary1_values(eye, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(eye - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
@@ -586,7 +604,7 @@ class TestSharedDraws:
     def test_gaussian_ls_independent_of_other_kinds(self):
         params = ChannelParams.from_eta_db(2, 8.0)
         alone = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(40), kinds=("ls",))
-        for kinds in (("ls", "kabsch"), ("kabsch", "perfect", "ls")):
+        for kinds in (("ls", "kabsch"), ("kabsch", "ls")):
             out = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(40), kinds=kinds)
             assert out["ls"] == alone["ls"]
 
@@ -594,9 +612,20 @@ class TestSharedDraws:
         params = ChannelParams.from_eta_db(2, 8.0)
         c = make_constellation("dp_qpsk", 2, params.power)
         alone = air_discrete_paired_mc(c, params, 8, 3000, np.random.default_rng(41), kinds=("ls",))
-        for kinds in (("ls", "kabsch"), ("perfect", "kabsch", "ls")):
+        for kinds in (("ls", "kabsch"), ("kabsch", "ls")):
             out = air_discrete_paired_mc(c, params, 8, 3000, np.random.default_rng(41), kinds=kinds)
             assert out["ls"] == alone["ls"]
+
+    def test_perfect_is_not_an_estimator_kind(self):
+        # The Gaussian rate rejects it; the discrete rate returns the
+        # perfect-CSI reference for any kinds, named among them or not.
+        params = ChannelParams.from_eta_db(2, 6.0)
+        c = make_constellation("dp_qpsk", 2, params.power)
+        with pytest.raises(ValueError):
+            air_gaussian_paired_mc(params, 8, 200, np.random.default_rng(0), kinds=("perfect",))
+        plain = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("ls",))
+        assert list(plain) == ["ls", "perfect", "ls-perfect"]
+        assert air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("perfect", "ls")) == plain
 
     def test_unknown_kind_is_value_error(self):
         params = ChannelParams.from_eta_db(2, 6.0)
@@ -617,19 +646,10 @@ class TestGaussianPaired:
 
     def test_all_below_capacity(self):
         params = ChannelParams.from_eta_db(2, 12.0)
-        out = air_gaussian_paired_mc(params, 8, 5000, np.random.default_rng(30), kinds=("ls", "kabsch", "perfect"))
+        out = air_gaussian_paired_mc(params, 8, 5000, np.random.default_rng(30), kinds=("ls", "kabsch"))
         cap = capacity_perfect(2, params.eta).value
         for kind in ("ls", "kabsch"):
             assert out[kind].value <= cap + 3 * out[kind].std_error
-        assert out["perfect"].value == pytest.approx(cap, abs=1e-12)
-
-    def test_perfect_stub(self):
-        # The perfect-CSI rate is the capacity itself, exactly and without spread.
-        params = ChannelParams.from_eta_db(2, 10.0)
-        for trials in (1000, 9000):  # one block and five
-            est = air_gaussian_paired_mc(params, 8, trials, np.random.default_rng(9), kinds=("perfect",))["perfect"]
-            assert est.value == capacity_perfect(2, params.eta).value
-            assert est.std_error == 0.0
 
     def test_ls_below_capacity(self):
         params = ChannelParams.from_eta_db(2, 10.0)

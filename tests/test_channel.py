@@ -85,20 +85,20 @@ class TestPilots:
     def test_minimal_pilot_block(self):
         # n=2, L=2: D = [[a, a], [a, -a]] with a = (1+i)/sqrt(2) satisfies
         # D D^dagger = 2 I (direct multiplication).
-        pil = make_pilots(2, 2, 2.0)
+        D = make_pilots(2, 2, 2.0)
         a = (1 + 1j) / np.sqrt(2)
-        assert np.allclose(pil.D, np.array([[a, a], [a, -a]]), atol=1e-12)
-        assert np.allclose(pil.D @ dagger(pil.D), 2.0 * np.eye(2), atol=1e-12)
+        assert np.allclose(D, np.array([[a, a], [a, -a]]), atol=1e-12)
+        assert np.allclose(D @ dagger(D), 2.0 * np.eye(2), atol=1e-12)
 
     def test_gram_identity(self):
-        pil = make_pilots(2, 8, 2.0)
-        assert fro_norm(pil.D @ dagger(pil.D) - 8.0 * np.eye(2)) < 1e-12
+        D = make_pilots(2, 8, 2.0)
+        assert fro_norm(D @ dagger(D) - 8.0 * np.eye(2)) < 1e-12
 
     @pytest.mark.parametrize("n,L", [(2, 4), (2, 16), (4, 8), (8, 16), (3, 9)])
     def test_gram_identity_general(self, n, L):
         P = 3.0
-        pil = make_pilots(n, L, P)
-        assert fro_norm(pil.D @ dagger(pil.D) - (P * L / n) * np.eye(n)) <= 1e-10
+        D = make_pilots(n, L, P)
+        assert fro_norm(D @ dagger(D) - (P * L / n) * np.eye(n)) <= 1e-10
 
     def test_not_multiple_rejected(self):
         with pytest.raises(ValueError):
@@ -109,14 +109,12 @@ class TestPilots:
             make_pilots(4, 2, 2.0)
 
     def test_deterministic(self):
-        a = make_pilots(2, 8, 2.0)
-        b = make_pilots(2, 8, 2.0)
-        assert np.array_equal(a.D, b.D)
+        assert np.array_equal(make_pilots(2, 8, 2.0), make_pilots(2, 8, 2.0))
 
     def test_qpsk_alphabet(self):
-        pil = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 2.0)
         # every entry is (+-1 +- i)/sqrt(2) scaled to per-channel power P/n
-        mags = np.abs(pil.D)
+        mags = np.abs(D)
         assert np.allclose(mags, 1.0, atol=1e-12)
-        phases = np.angle(pil.D) / (np.pi / 4)
+        phases = np.angle(D) / (np.pi / 4)
         assert np.allclose(phases, np.round(phases), atol=1e-12)

@@ -106,6 +106,15 @@ class TestSweep:
         code = main(["sweep", "--experiment", "fig3a", "--eta-db", "10", "--trials", "10"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("experiment", ["fig3b", "fig4"])
+    def test_discrete_input_needs_1000_trials(self, capsys, experiment):
+        # The discrete rate's own minimum is a configuration rule: exit 3, not a numerical failure.
+        args = ["--experiment", experiment, "--input", "dp_qpsk", "--eta-db", "4", "--trials", "500", "--out", "-"]
+        assert main(["sweep", *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000" in captured.err
+
     def test_eta_out_of_range(self, capsys):
         code = main(["sweep", "--experiment", "fig3a", "--eta-db", "99", "--trials", "200"])
         assert code == EXIT_CONFIG
@@ -287,6 +296,18 @@ class TestFlagsMatchConfigFile:
             csvs.append(out.read_text())
         assert configs[0] == configs[1] != config_from_text(base)
         assert csvs[0] == csvs[1]
+
+    def test_negative_first_snr_joins_its_flag(self, tmp_path, capsys):
+        # argparse takes a separate "-2,4" for a flag; joined by "=" it is the grid.
+        base = self.base("fig3a", "eta_db_grid")
+        for name, entries, flags in [("flag", base, ["--eta-db=-2,4"]), ("entry", base + "eta_db_grid = -2,4\n", [])]:
+            (tmp_path / f"{name}.cfg").write_text(entries)
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", "--config", str(tmp_path / f"{name}.cfg"), *flags, "--out", str(out)]) == EXIT_OK
+        assert (tmp_path / "flag.csv").read_text() == (tmp_path / "entry.csv").read_text()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(tmp_path / "flag.cfg"), "--eta-db", "-2,4", "--out", "-"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "experiment, flag, key, value, message",

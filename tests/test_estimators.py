@@ -14,53 +14,52 @@ from polair.estimators import (
 from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
 
 
-def statistic(X, pilots):
+def statistic(X, D, c):
     """The pilot statistic A = X D^dagger and its scale c = P L / n, D D^dagger = c I."""
-    return X @ dagger(pilots.D), pilots.power * pilots.L / pilots.n
+    return X @ dagger(D), c
 
 
 def pilot_block(n=2, L=8, eta=10.0, sigma2=1.0, seed=0):
     params = ChannelParams(n=n, power=n * sigma2 * eta, sigma2=sigma2)
     rng = np.random.default_rng(seed)
-    pilots = make_pilots(n, L, params.power)
+    D = make_pilots(n, L, params.power)
     H = haar_unitary(n, rng)
-    X = H @ pilots.D + sample_cgauss((n, L), sigma2, rng)
-    return params, pilots, H, X, rng
+    X = H @ D + sample_cgauss((n, L), sigma2, rng)
+    return params, D, H, X, rng
 
 
 class TestLeastSquares:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(1)
-        pilots = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 2.0)
         for _ in range(20):
             H = haar_unitary(2, rng)
-            assert fro_norm(estimate_ls(*statistic(H @ pilots.D, pilots)) - H) < 1e-10
+            assert fro_norm(estimate_ls(*statistic(H @ D, D, 8.0)) - H) < 1e-10
 
     @pytest.mark.parametrize("L", [2, 4, 16])
     def test_noiseless_recovery_any_length(self, L):
         rng = np.random.default_rng(2)
-        pilots = make_pilots(2, L, 2.0)
+        D = make_pilots(2, L, 2.0)
         H = haar_unitary(2, rng)
-        assert fro_norm(estimate_ls(*statistic(H @ pilots.D, pilots)) - H) < 1e-10
+        assert fro_norm(estimate_ls(*statistic(H @ D, D, 2.0 * L / 2)) - H) < 1e-10
 
     def test_matches_gram_shortcut(self):
-        params, pilots, H, X, _ = pilot_block()
-        shortcut = (params.n / (params.power * pilots.L)) * X @ dagger(pilots.D)
-        assert fro_norm(estimate_ls(*statistic(X, pilots)) - shortcut) < 1e-12
+        params, D, H, X, _ = pilot_block(L=8)
+        shortcut = (params.n / (params.power * 8)) * X @ dagger(D)
+        assert fro_norm(estimate_ls(*statistic(X, D, params.power * 8 / params.n)) - shortcut) < 1e-12
 
     @pytest.mark.parametrize("n, L", [(2, 8), (2, 64), (4, 8)])
     def test_matches_two_matmul_form(self, n, L):
         # Reference: the two batched matmuls X D^dagger (D D^dagger)^-1, on a
         # single block and on stacks with one and two leading axes.
         params = ChannelParams(n=n, power=n * 10.0, sigma2=1.0)
-        pilots = make_pilots(n, L, params.power)
-        D = pilots.D
+        D = make_pilots(n, L, params.power)
         rng = np.random.default_rng(10 + n + L)
         H = haar_unitary(n, rng, size=96)
         X = H @ D + sample_cgauss((96, n, L), params.sigma2, rng)
         for block in (X[0], X, X.reshape(8, 12, n, L)):
             ref = block @ dagger(D) @ np.linalg.inv(D @ dagger(D))
-            got = estimate_ls(*statistic(block, pilots))
+            got = estimate_ls(*statistic(block, D, params.power * L / n))
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
@@ -82,7 +81,7 @@ class TestLeastSquares:
                 assert np.allclose(stats.R_E, expected, atol=atol)
                 assert stats.trace_re == pytest.approx(n * n / (eta * L), rel=0.05)
 
-                D = make_pilots(n, L, params.power).D
+                D = make_pilots(n, L, params.power)
                 g = np.random.default_rng(17).standard_normal((2, trials, n, L))
                 Z = np.sqrt(params.sigma2 / 2.0) * (g[0] + 1j * g[1])
                 E = Z @ dagger(D) @ np.linalg.inv(D @ dagger(D))
@@ -100,52 +99,52 @@ class TestLeastSquares:
 class TestKabsch:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(3)
-        pilots = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 2.0)
         for _ in range(20):
             H = haar_unitary(2, rng)
-            assert fro_norm(estimate_kabsch(H @ pilots.D @ dagger(pilots.D)) - H) < 1e-10
+            assert fro_norm(estimate_kabsch(H @ D @ dagger(D)) - H) < 1e-10
 
     def test_always_unitary(self):
         rng = np.random.default_rng(4)
-        pilots = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 2.0)
         # heavy noise, and a pathological all-zero block
-        blocks = [haar_unitary(2, rng) @ pilots.D + sample_cgauss((2, 8), s2, rng) for s2 in (0.1, 10.0, 1000.0)]
+        blocks = [haar_unitary(2, rng) @ D + sample_cgauss((2, 8), s2, rng) for s2 in (0.1, 10.0, 1000.0)]
         for X in blocks + [np.zeros((2, 8), dtype=complex)]:
-            H_hat = estimate_kabsch(X @ dagger(pilots.D))
+            H_hat = estimate_kabsch(X @ dagger(D))
             assert np.all(np.isfinite(H_hat))
             assert fro_norm(H_hat @ dagger(H_hat) - np.eye(2)) <= 1e-12
 
     def test_degenerate_blocks_in_a_stack(self):
         # A normal block, a rank-1 X D^dagger (det 0) and an all-zero block, stacked.
         rng = np.random.default_rng(6)
-        pilots = make_pilots(2, 8, 2.0)
-        normal = haar_unitary(2, rng) @ pilots.D + sample_cgauss((2, 8), 0.1, rng)
-        row = (1.0 - 0.5j) * pilots.D[0] + 0.5j * pilots.D[1]
+        D = make_pilots(2, 8, 2.0)
+        normal = haar_unitary(2, rng) @ D + sample_cgauss((2, 8), 0.1, rng)
+        row = (1.0 - 0.5j) * D[0] + 0.5j * D[1]
         rank1 = np.stack([row, 2.0 * row])  # rows r and 2r: det(X D^dagger) is exactly 0
         X = np.stack([normal, rank1, np.zeros((2, 8), dtype=complex)])
-        H_hat = estimate_kabsch(X @ dagger(pilots.D))
+        H_hat = estimate_kabsch(X @ dagger(D))
         assert np.all(np.isfinite(H_hat))
         for U in H_hat:
             assert fro_norm(U @ dagger(U) - np.eye(2)) <= 1e-12
-        assert fro_norm(H_hat[0] - estimate_kabsch(normal @ dagger(pilots.D))) <= 1e-12
+        assert fro_norm(H_hat[0] - estimate_kabsch(normal @ dagger(D))) <= 1e-12
         assert np.array_equal(H_hat[2], np.eye(2))
 
     def test_rank_deficient_input_still_unitary(self):
-        pilots = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 2.0)
         X = np.zeros((2, 8), dtype=complex)
-        X[0] = pilots.D[0]
-        H_hat = estimate_kabsch(X @ dagger(pilots.D))
+        X[0] = D[0]
+        H_hat = estimate_kabsch(X @ dagger(D))
         assert fro_norm(H_hat @ dagger(H_hat) - np.eye(2)) <= 1e-12
 
     def test_extreme_scales_match_svd(self):
         # Squares of entries near 1e160 overflow and near 1e-160 underflow;
         # the polar factor does not depend on the scale of X.
         rng = np.random.default_rng(8)
-        pilots = make_pilots(2, 8, 2.0)
-        X = haar_unitary(2, rng) @ pilots.D + sample_cgauss((2, 8), 1.0, rng)
-        U, _, Vh = np.linalg.svd(X @ dagger(pilots.D))
+        D = make_pilots(2, 8, 2.0)
+        X = haar_unitary(2, rng) @ D + sample_cgauss((2, 8), 1.0, rng)
+        U, _, Vh = np.linalg.svd(X @ dagger(D))
         for scale in (1e-160, 1e160):
-            assert fro_norm(estimate_kabsch((scale * X) @ dagger(pilots.D)) - U @ Vh) <= 1e-12
+            assert fro_norm(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh) <= 1e-12
 
     def test_half_error_of_ls_at_high_snr(self):
         # Paired trials: both estimators see the same channel/noise draws.
@@ -153,10 +152,10 @@ class TestKabsch:
         for eta_db in (10.0, 20.0):
             params = ChannelParams.from_eta_db(n, eta_db)
             rng = np.random.default_rng(11)
-            pilots = make_pilots(n, L, params.power)
+            D = make_pilots(n, L, params.power)
             H = haar_unitary(n, rng, size=trials)
-            X = H @ pilots.D + sample_cgauss((trials, n, L), params.sigma2, rng)
-            A, c = statistic(X, pilots)
+            X = H @ D + sample_cgauss((trials, n, L), params.sigma2, rng)
+            A, c = statistic(X, D, params.power * L / n)
             e_ls = H - estimate_ls(A, c)
             e_k = H - estimate_kabsch(A)
             t_ls = np.sum(np.abs(e_ls) ** 2)
@@ -172,21 +171,21 @@ class TestKabschCrossCheck:
         rng = np.random.default_rng(21)
         for eta_db in np.linspace(-10.0, 40.0, 9):  # 4608 blocks
             params = ChannelParams.from_eta_db(n, eta_db)
-            pilots = make_pilots(n, L, params.power)
+            D = make_pilots(n, L, params.power)
             H = haar_unitary(n, rng, size=per_snr)
-            X = H @ pilots.D + sample_cgauss((per_snr, n, L), params.sigma2, rng)
-            U, _, Vh = np.linalg.svd(X @ dagger(pilots.D))
-            assert np.max(np.abs(estimate_kabsch(X @ dagger(pilots.D)) - U @ Vh)) <= 1e-12
+            X = H @ D + sample_cgauss((per_snr, n, L), params.sigma2, rng)
+            U, _, Vh = np.linalg.svd(X @ dagger(D))
+            assert np.max(np.abs(estimate_kabsch(X @ dagger(D)) - U @ Vh)) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_larger_n_is_the_svd(self, n):
         params = ChannelParams.from_eta_db(n, 10.0)
         rng = np.random.default_rng(22)
-        pilots = make_pilots(n, 2 * n, params.power)
+        D = make_pilots(n, 2 * n, params.power)
         H = haar_unitary(n, rng, size=64)
-        X = H @ pilots.D + sample_cgauss((64, n, 2 * n), params.sigma2, rng)
-        U, _, Vh = np.linalg.svd(X @ dagger(pilots.D))
-        assert np.array_equal(estimate_kabsch(X @ dagger(pilots.D)), U @ Vh)
+        X = H @ D + sample_cgauss((64, n, 2 * n), params.sigma2, rng)
+        U, _, Vh = np.linalg.svd(X @ dagger(D))
+        assert np.array_equal(estimate_kabsch(X @ dagger(D)), U @ Vh)
 
 
 class TestErrorStats:
@@ -237,17 +236,18 @@ class TestErrorStats:
 class TestRegistry:
     def test_kinds(self):
         assert ESTIMATOR_KINDS == ("ls", "kabsch")
-        assert set(ESTIMATORS) == {"ls", "kabsch", "perfect"}
-        assert UNITARY_KINDS == {"kabsch", "perfect"}
+        assert set(ESTIMATORS) == {"ls", "kabsch"}
+        assert UNITARY_KINDS == {"kabsch"}
 
     def test_entries_match_functions(self):
-        _, pilots, _, X, _ = pilot_block(seed=22)
-        A, c = statistic(X, pilots)
+        params, D, _, X, _ = pilot_block(L=8, seed=22)
+        A, c = statistic(X, D, params.power * 8 / params.n)
         assert np.array_equal(ESTIMATORS["ls"](A, c), estimate_ls(A, c))
         assert np.array_equal(ESTIMATORS["kabsch"](A, c), estimate_kabsch(A))
-        assert np.array_equal(ESTIMATORS["perfect"](A, c), np.eye(2))  # the identity channel
 
     def test_perfect_is_not_a_pilot_estimator(self):
+        # The perfect-CSI reference belongs to the discrete rate, not to the registry.
+        assert "perfect" not in ESTIMATORS
         params = ChannelParams.from_eta_db(2, 5.0)
         with pytest.raises(ValueError):
             empirical_error_covariance(("perfect",), params, 8, 500, np.random.default_rng(0))

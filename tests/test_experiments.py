@@ -219,10 +219,10 @@ class TestErrorCovRows:
         config = small_config("error_cov", trials=MC_BLOCK + 904, eta_db_grid=(10.0,), L_grid=(8,))
         n, L = config.n, 8
         params = ChannelParams.from_eta_db(n, 10.0)
-        pilots = make_pilots(n, n, params.power * L / n)
+        D = make_pilots(n, n, params.power * L / n)
         sq = {"ls": [], "kabsch": []}
         for b, rng in zip((MC_BLOCK, config.trials - MC_BLOCK), _substream(config, 0, 0).spawn(2)):
-            A = (pilots.D + sample_cgauss((b, n, n), params.sigma2, rng)) @ dagger(pilots.D)
+            A = (D + sample_cgauss((b, n, n), params.sigma2, rng)) @ dagger(D)
             sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(A, params.power * L / n)) ** 2, axis=(1, 2)))
             sq["kabsch"].append(np.sum(np.abs(np.eye(n) - estimate_kabsch(A)) ** 2, axis=(1, 2)))
         for row in run_experiment(config).rows:
