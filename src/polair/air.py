@@ -327,8 +327,6 @@ def mi_discrete_mc(
     rng: np.random.Generator,
 ) -> AirEstimate:
     """Monte Carlo mutual information for a uniform discrete input, given H."""
-    if not constellation.is_discrete:
-        raise ValueError("constellation must be discrete")
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     if sigma2 <= 0:
@@ -371,8 +369,6 @@ def air_discrete_paired_mc(
     ``"perfect"`` in ``kinds`` names the reference, which is returned
     anyway.
     """
-    if not constellation.is_discrete:
-        raise ValueError("constellation must be discrete")
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     kinds = tuple(kind for kind in kinds if kind != "perfect")

@@ -24,7 +24,7 @@ __all__ = [
     "make_pilots",
 ]
 
-CONSTELLATION_KINDS = ("gaussian", "dp_qpsk", "dp_16qam")
+CONSTELLATION_KINDS = ("dp_qpsk", "dp_16qam")
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,8 @@ class ChannelParams:
 class Constellation:
     """A finite set of n-dimensional symbols with uniform prior.
 
-    ``points`` has shape (M, n); it is empty (shape (0, n)) for the
-    ``gaussian`` kind, which tags a circular Gaussian codebook handled by
-    closed-form rate expressions instead of symbol-wise sums.
+    ``points`` is a non-empty (M, n) array. A circular Gaussian input has no
+    constellation: the rates handle it in closed form.
     """
 
     kind: str
@@ -70,13 +69,14 @@ class Constellation:
     power: float
     points: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        shape = np.shape(self.points)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != self.n:
+            raise ValueError(f"points must be a non-empty (M, {self.n}) array, got shape {shape}")
+
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.points.shape[0] > 0
 
     @property
     def pam_levels(self) -> np.ndarray | None:
@@ -84,10 +84,8 @@ class Constellation:
 
         The real dimensions are Re and Im of each component, in the order of
         ``points.view(float)``. DP-QPSK and DP-16-QAM are the products of
-        PAM-2 and PAM-4 levels; ``gaussian`` and any other set give None.
+        PAM-2 and PAM-4 levels; any other set gives None.
         """
-        if not self.is_discrete:
-            return None
         # Python sets, not np.unique, whose first call imports numpy.ma (1.2 MB of peak RSS).
         coords = np.ascontiguousarray(self.points, dtype=complex).view(float).tolist()  # M rows of 2n
         levels = sorted({value for row in coords for value in row})
@@ -123,8 +121,6 @@ def make_constellation(kind: str, n: int, power: float) -> Constellation:
         raise ValueError(f"unsupported constellation kind {kind!r}")
     if power <= 0:
         raise ValueError(f"power must be > 0, got {power}")
-    if kind == "gaussian":
-        return Constellation(kind=kind, n=n, power=power, points=np.zeros((0, n), dtype=complex))
     if n != 2:
         raise ValueError(f"{kind} requires n = 2, got n = {n}")
     per_pol = _square_qam(4 if kind == "dp_qpsk" else 16)

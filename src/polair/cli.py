@@ -36,11 +36,11 @@ import numpy as np
 
 from . import __version__
 from .air import capacity_perfect
-from .channel import CONSTELLATION_KINDS
 from .estimators import ESTIMATOR_KINDS
 from .experiments import (
     CSV_SCHEMA_VERSION,
     EXPERIMENTS,
+    INPUT_KINDS,
     ConfigError,
     check_eta_db,
     config_from_text,
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-db", help="comma-separated SNR grid in dB; write --eta-db=-2,4 when it starts below 0")
         p.add_argument("--L", help="comma-separated pilot-length grid")
         p.add_argument("--E2", help="comma-separated per-DOF error grid (fig2)")
-        p.add_argument("--input", choices=CONSTELLATION_KINDS)
+        p.add_argument("--input", choices=INPUT_KINDS)
         p.add_argument("--estimator", help=f"comma-separated subset of {','.join(ESTIMATOR_KINDS)}")
         p.add_argument("--trials")
         p.add_argument("--seed")

@@ -24,13 +24,13 @@ error covariance here, the Monte Carlo rates in :mod:`polair.air`) reads
 the registry. The perfect-CSI reference the rates are compared with is not
 an estimator; :func:`polair.air.air_discrete_paired_mc` computes it itself.
 
-On the identity channel, X = D + N and A = c I + N D^dagger. For any n x n
-D' with D' D'^dagger = c I, Z = N D^dagger D'/c is again i.i.d.
-CN(0, sigma2) and (D' + Z) D'^dagger = A. So each Monte Carlo step draws
-the n x n block X' = D' + Z, with the pilots of :func:`statistic_pilots`,
-in place of the n x L block (n^2 noise entries per trial in place of n L),
-forms A once per block (:func:`statistic_sampler`) and hands it to every
-kind. The law of A, and so of every estimate, is unchanged.
+On the identity channel, X = D + N and A = c I + N D^dagger. The rows of D
+are orthogonal with squared norm c, so N D^dagger is i.i.d. CN(0, sigma2 c).
+Each Monte Carlo step therefore draws A directly as c I + sqrt(c) Z, Z
+i.i.d. CN(0, sigma2) n x n (:func:`statistic_sampler`): n^2 noise entries
+per trial in place of n L, and no pilots. It draws A once per block and
+hands it to every kind. The law of A, and so of every estimate, is that of
+the n x L pilot block.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, check_pilot_args, make_pilots
+from .channel import ChannelParams, check_pilot_args
 from .linalg import check_hermitian_psd, dagger, mc_blocks, sample_cgauss
 
 __all__ = [
@@ -54,34 +54,25 @@ __all__ = [
 ]
 
 
-def statistic_pilots(n: int, L: int, power: float) -> np.ndarray:
-    """n x n pilots with the Gram matrix of ``make_pilots(n, L, power)``, (P L / n) I_n.
-
-    What the Monte Carlo steps estimate from: a draw X' = D' + Z with Z i.i.d.
-    CN(0, sigma2) gives A = X' D'^dagger the law it has from the n x L block
-    (see the module docstring). An L that ``make_pilots(n, L, power)``
-    rejects raises the same ``ValueError``; the n x L pilots are not built.
-    """
-    check_pilot_args(n, L, power)
-    return make_pilots(n, n, power * L / n)
-
-
 def statistic_sampler(params: ChannelParams, L: int):
     """``(draw, c)``: ``draw(b, rng)`` is a (b, n, n) stack of pilot statistics from ``L`` pilots, c = P L / n.
 
-    Each is A = (D' + Z) D'^dagger, Z i.i.d. CN(0, sigma2), with the pilots
-    D' of :func:`statistic_pilots`.
+    Each is A = c I + sqrt(c) Z, Z i.i.d. CN(0, sigma2), drawn as one
+    CN(0, sigma2 c) array plus c on the diagonal. An L that
+    ``make_pilots(n, L, power)`` rejects raises the same ``ValueError``; the
+    n x L pilots are not built.
     """
     n = params.n
-    D = statistic_pilots(n, L, params.power)
-    D_dag = dagger(D)
+    check_pilot_args(n, L, params.power)
+    c = params.power * L / n
+    diagonal = c * np.eye(n)
 
     def draw(b, rng):
-        X = sample_cgauss((b, n, n), params.sigma2, rng)
-        X += D
-        return np.tensordot(X, D_dag, axes=1)
+        A = sample_cgauss((b, n, n), params.sigma2 * c, rng)
+        A += diagonal
+        return A
 
-    return draw, params.power * L / n
+    return draw, c
 
 
 def estimate_ls(A, c: float) -> np.ndarray:

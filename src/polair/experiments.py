@@ -49,6 +49,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "EXPERIMENTS",
+    "INPUT_KINDS",
     "CSV_SCHEMA_VERSION",
     "CSV_COLUMNS",
     "ETA_DB_RANGE",
@@ -62,6 +63,7 @@ __all__ = [
 
 EXPERIMENTS = ("fig2", "fig3a", "fig3b", "fig4", "error_cov")
 _EXPERIMENT_ID = {name: i for i, name in enumerate(EXPERIMENTS)}
+INPUT_KINDS = ("gaussian", *CONSTELLATION_KINDS)
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = (
@@ -125,7 +127,7 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.input not in CONSTELLATION_KINDS:
+        if self.input not in INPUT_KINDS:
             raise ConfigError(f"unknown input kind {self.input!r}")
         if self.input != "gaussian" and self.n != 2:
             raise ConfigError(f"{self.input} is a dual-polarization input and requires n = 2, got n = {self.n}")

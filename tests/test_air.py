@@ -32,7 +32,6 @@ from polair.estimators import (
     empirical_error_covariance,
     estimate_kabsch,
     estimate_ls,
-    statistic_pilots,
     statistic_sampler,
 )
 from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, mc_blocks, sample_cgauss
@@ -386,21 +385,20 @@ def haar_draws(constellation, params, L, trials, rng):
 def paired_draws(constellation, params, L, trials, seed):
     """The draws of air_discrete_paired_mc: block k from the k-th of rng.spawn(n_blocks).
 
-    The pilot block is n x n, with the Gram matrix (P L / n) I_n of the n x L
-    pilots; returns its statistic (A, c), the point indices and the received symbols.
+    The pilot statistic is drawn directly, A = c I + sqrt(c) Z with c = P L / n;
+    returns (A, c), the point indices and the received symbols.
     """
     n, points = params.n, constellation.points
     c = params.power * L / n
-    D = make_pilots(n, n, c)
     starts = range(0, trials, MC_BLOCK)
     parts = []
     for start, rng in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
         b = min(MC_BLOCK, trials - start)
-        X = D + sample_cgauss((b, n, n), params.sigma2, rng)
+        A = c * np.eye(n) + sample_cgauss((b, n, n), params.sigma2 * c, rng)
         idx = rng.integers(0, points.shape[0], size=b)
-        parts.append((X, idx, points[idx] + sample_cgauss((b, n), params.sigma2, rng)))
-    X, idx, x = (np.concatenate(p) for p in zip(*parts))
-    return *statistic(X, D, c), idx, x
+        parts.append((A, idx, points[idx] + sample_cgauss((b, n), params.sigma2, rng)))
+    A, idx, x = (np.concatenate(p) for p in zip(*parts))
+    return A, c, idx, x
 
 
 class TestDiscreteKernel:
@@ -518,43 +516,53 @@ class TestIdentityChannelCoupling:
 
 
 class TestPilotStatisticCoupling:
-    """Estimates from (D, D + N), D n x L, equal estimates from (D', D' + Z), D' = statistic pilots.
+    """Estimates from (D, D + N), D n x L, equal estimates from the direct draw A = c I + sqrt(c) Z.
 
-    With c = P L / n and D' = make_pilots(n, n, c), Z = N D^dagger D'/c is
-    again i.i.d. CN(0, sigma2) and (D' + Z) D'^dagger = (D + N) D^dagger, the
-    statistic every registry kind reads. This is what lets every Monte Carlo
-    step draw an n x n pilot block.
+    With c = P L / n, (D + N) D^dagger = c I + N D^dagger, the statistic every
+    registry kind reads, and Z = N D^dagger / sqrt(c) is again i.i.d.
+    CN(0, sigma2). This is what lets every Monte Carlo step draw the n x n
+    statistic with no pilots.
     """
 
     @staticmethod
     def coupled(n, L, params, trials, seed):
         c = params.power * L / n
-        D, small = make_pilots(n, L, params.power), make_pilots(n, n, c)
+        D = make_pilots(n, L, params.power)
         N = sample_cgauss((trials, n, L), params.sigma2, np.random.default_rng(seed))
-        Z = N @ dagger(D) @ small / c
-        return D, D + N, small, small + Z
+        Z = N @ dagger(D) / np.sqrt(c)
+        return D, D + N, c * np.eye(n) + np.sqrt(c) * Z
 
     @pytest.mark.parametrize("n, L", [(2, 2), (2, 8), (2, 64), (3, 6), (4, 4), (4, 64)])
     def test_every_kind_gives_the_same_estimate(self, n, L):
         params = ChannelParams.from_eta_db(n, 4.0)
-        D, X, small, X0 = self.coupled(n, L, params, 512, 400 + 10 * n + L)
-        assert np.array_equal(statistic_pilots(n, L, params.power), small)
+        D, X, A0 = self.coupled(n, L, params, 512, 400 + 10 * n + L)
         c = params.power * L / n
         for kind, estimate in ESTIMATORS.items():
-            assert np.abs(estimate(*statistic(X, D, c)) - estimate(*statistic(X0, small, c))).max() <= 1e-12, kind
+            assert np.abs(estimate(*statistic(X, D, c)) - estimate(A0, c)).max() <= 1e-12, kind
+
+    @pytest.mark.parametrize("L_per_n", [1, 4, 32])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_draw_is_scaled_standard_draw(self, n, L_per_n):
+        # The same normals in the same order: draw(b, rng) is c I + sqrt(c) times the CN(0, sigma2) draw.
+        params, L, b = ChannelParams.from_eta_db(n, 4.0), n * L_per_n, 1000
+        draw, c = statistic_sampler(params, L)
+        assert c == params.power * L / n
+        seed = 800 + 10 * n + L
+        Z = sample_cgauss((b, n, n), params.sigma2, np.random.default_rng(seed))
+        assert np.abs(draw(b, np.random.default_rng(seed)) - (c * np.eye(n) + np.sqrt(c) * Z)).max() <= 1e-12
 
     @pytest.mark.parametrize("L", [2, 8, 64])
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
     def test_rates_and_densities_match_at_n2(self, eta_db, L):
         params, eye, b = ChannelParams.from_eta_db(2, eta_db), np.eye(2), 1024
         c = make_constellation("dp_16qam", 2, params.power)
-        D, X, small, X0 = self.coupled(2, L, params, b, 500 + int(eta_db) + L)
+        D, X, A0 = self.coupled(2, L, params, b, 500 + int(eta_db) + L)
         c_scale = params.power * L / 2
         rng = np.random.default_rng(600 + int(eta_db) + L)
         idx = rng.integers(0, c.points.shape[0], size=b)
         x = c.points[idx] + sample_cgauss((b, 2), params.sigma2, rng)
         for kind, estimate in ESTIMATORS.items():
-            H_hat, H_hat0 = estimate(*statistic(X, D, c_scale)), estimate(*statistic(X0, small, c_scale))
+            H_hat, H_hat0 = estimate(*statistic(X, D, c_scale)), estimate(A0, c_scale)
             rates = _corollary1_values(eye, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(eye - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))

@@ -48,10 +48,15 @@ class TestConstellation:
         assert np.mean(np.sum(np.abs(c.points) ** 2, axis=1)) == pytest.approx(2.0, abs=1e-12)
         assert np.abs(c.points.sum(axis=0)).max() < 1e-12
 
-    def test_gaussian_tag(self):
-        c = make_constellation("gaussian", 2, 2.0)
-        assert not c.is_discrete
-        assert c.points.shape == (0, 2)
+    def test_gaussian_kind_raises(self):
+        # A Gaussian input is handled in closed form and has no constellation.
+        with pytest.raises(ValueError, match="unsupported constellation kind"):
+            make_constellation("gaussian", 2, 2.0)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (4,), (4, 3)])
+    def test_points_must_be_nonempty_m_by_n(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            Constellation(kind="bad", n=2, power=2.0, points=np.zeros(shape, dtype=complex))
 
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):
@@ -71,7 +76,6 @@ class TestConstellation:
         assert np.array_equal(shuffled.pam_levels, levels)  # the point order does not matter
 
     def test_pam_levels_none_for_other_inputs(self):
-        assert make_constellation("gaussian", 2, 2.0).pam_levels is None
         unit = Constellation(kind="unit", n=2, power=2.0, points=np.sqrt(2.0) * np.eye(2, dtype=complex))
         assert unit.pam_levels is None
         qpsk = make_constellation("dp_qpsk", 2, 2.0)

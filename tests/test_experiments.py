@@ -8,7 +8,7 @@ import pytest
 import polair.air
 import polair.estimators
 from polair.air import air_corollary4
-from polair.channel import ChannelParams, make_pilots
+from polair.channel import ChannelParams
 from polair.estimators import empirical_error_covariance, estimate_kabsch, estimate_ls
 from polair.experiments import (
     CSV_COLUMNS,
@@ -22,7 +22,7 @@ from polair.experiments import (
     run_experiment,
     _substream,
 )
-from polair.linalg import MC_BLOCK, dagger, sample_cgauss
+from polair.linalg import MC_BLOCK, sample_cgauss
 
 
 def small_config(experiment, **overrides):
@@ -212,18 +212,18 @@ class TestErrorCovRows:
 
     def test_air_stderr_of_per_trial_bounds(self):
         # Redo the draws of one grid point by hand, on the identity channel and
-        # n x n pilots with the Gram matrix of L = 8 pilots, block k from the
-        # k-th generator of rng.spawn(n_blocks); the per-trial Corollary-4
-        # values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to air_bits and
-        # give air_stderr. The trials span two blocks.
+        # the pilot statistic A = c I + sqrt(c) Z of L = 8 pilots, c = P L / n,
+        # block k from the k-th generator of rng.spawn(n_blocks); the per-trial
+        # Corollary-4 values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to
+        # air_bits and give air_stderr. The trials span two blocks.
         config = small_config("error_cov", trials=MC_BLOCK + 904, eta_db_grid=(10.0,), L_grid=(8,))
         n, L = config.n, 8
         params = ChannelParams.from_eta_db(n, 10.0)
-        D = make_pilots(n, n, params.power * L / n)
+        c = params.power * L / n
         sq = {"ls": [], "kabsch": []}
         for b, rng in zip((MC_BLOCK, config.trials - MC_BLOCK), _substream(config, 0, 0).spawn(2)):
-            A = (D + sample_cgauss((b, n, n), params.sigma2, rng)) @ dagger(D)
-            sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(A, params.power * L / n)) ** 2, axis=(1, 2)))
+            A = c * np.eye(n) + sample_cgauss((b, n, n), params.sigma2 * c, rng)
+            sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(A, c)) ** 2, axis=(1, 2)))
             sq["kabsch"].append(np.sum(np.abs(np.eye(n) - estimate_kabsch(A)) ** 2, axis=(1, 2)))
         for row in run_experiment(config).rows:
             values = n * np.log2(1.0 + params.eta) - params.eta * np.concatenate(sq[row.estimator]) / np.log(2.0)

@@ -6,6 +6,12 @@ absolute. A refactor or a faster kernel must pass unchanged. Re-pin only
 for a declared change of the random stream, with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every cell that moves by more than 1e-12 before it overwrites
+the pinned CSVs. A moved ``air_bits`` gets its z-score
+delta / sqrt(se_old^2 + se_new^2) from the ``air_stderr`` columns, unless the
+pinned stderr is below 1e-4 bits: such a row is saturated (its rate is at
+the ceiling and its stderr near round-off), and is listed with no z.
 """
 
 import csv
@@ -20,6 +26,7 @@ from polair.experiments import default_config, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TOL = 1e-12
+SATURATED_STDERR = 1e-4  # perfbench's row check skips its stderr test below this too
 FLOAT_COLUMNS = ("E2", "air_bits", "air_stderr", "capacity_bits", "gap_bits")
 KEY_COLUMNS = ("experiment", "estimator", "input", "eta_db", "L", "trials", "seed")
 
@@ -66,8 +73,32 @@ def test_matches_pinned_csv(name):
             )
 
 
+def _print_moves(name: str, pinned: list[dict], rows: list[dict]) -> None:
+    """Print each cell of ``rows`` that differs from ``pinned``, with the z-score of each moved ``air_bits``."""
+    if len(rows) != len(pinned):
+        print(f"{name}: {len(pinned)} pinned rows, {len(rows)} new")
+    for old, new in zip(pinned, rows):
+        where = f"{name} {old['estimator']} {old['eta_db']} dB L={old['L']} E2={old['E2']}"
+        for c in KEY_COLUMNS:
+            if new[c] != old[c]:
+                print(f"{where}: {c} {old[c]} -> {new[c]}")
+        for c in FLOAT_COLUMNS:
+            delta = float(new[c]) - float(old[c])
+            if abs(delta) <= TOL:
+                continue
+            line = f"{where}: {c} {old[c]} -> {new[c]} ({delta:+.3g})"
+            if c == "air_bits":
+                se_old, se_new = float(old["air_stderr"]), float(new["air_stderr"])
+                line += ", saturated" if se_old < SATURATED_STDERR else f", z = {delta / math.hypot(se_old, se_new):+.2f}"
+            print(line)
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, config in GOLDEN_CONFIGS.items():
-        (GOLDEN_DIR / f"{name}.csv").write_text(run_experiment(config).to_csv_string())
+        path = GOLDEN_DIR / f"{name}.csv"
+        text = run_experiment(config).to_csv_string()
+        if path.exists():
+            _print_moves(name, _rows(path.read_text()), _rows(text))
+        path.write_text(text)
         print(f"pinned {name}")
