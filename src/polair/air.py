@@ -293,13 +293,14 @@ def _separable_values(y: np.ndarray, s: np.ndarray, levels: np.ndarray, sigma2: 
     """Per-sample information density of a unitary decoder on a product-PAM input.
 
     ``y`` is the decoded vector H_dec^dagger x of a unitary H_dec and ``s``
-    the transmitted point, each a contiguous complex (B, n) array; the
-    constellation is the full product of ``levels`` over the 2n real
-    dimensions (:attr:`~polair.channel.Constellation.pam_levels`). The
-    metric -||x - H_dec s||^2/sigma2 is -||y - s||^2/sigma2, a sum over the
-    real dimensions d of -(y_d - s_d)^2/sigma2. So the log-sum-exp over the
-    M = side^(2n) points is the sum of 2n log-sum-exps over the side levels,
-    and the density is 2n log2(side) + sum_d (num_d - lse_d)/ln 2.
+    the transmitted point, each a contiguous complex (B, n) array; ``levels``
+    is the constellation's :attr:`~polair.channel.Constellation.pam_levels`,
+    and every constellation is their full product over the 2n real
+    dimensions. The metric -||x - H_dec s||^2/sigma2 is -||y - s||^2/sigma2,
+    a sum over the real dimensions d of -(y_d - s_d)^2/sigma2. So the
+    log-sum-exp over the M = side^(2n) points is the sum of 2n log-sum-exps
+    over the side levels, and the density is
+    2n log2(side) + sum_d (num_d - lse_d)/ln 2.
     """
     y = y.view(float)  # (B, 2n)
     dims = y.shape[1]
@@ -361,13 +362,12 @@ def air_discrete_paired_mc(
     channel. Every requested estimator (``"ls"``, ``"kabsch"``) decodes the
     same realization, and so does the perfect-CSI reference, returned under
     ``"perfect"`` for any ``kinds``: the mutual information, whose decoder is
-    the channel itself, the identity. A unitary decoder's density is
-    separable over the real dimensions (:func:`_separable_values`), so the
-    constellation's :attr:`~polair.channel.Constellation.pam_levels` must
-    not be None; ``ls`` takes the full (B, M) metric. Paired differences are
-    reported under keys ``"a-b"``, among them ``"<kind>-perfect"``.
-    ``"perfect"`` in ``kinds`` names the reference, which is returned
-    anyway.
+    the channel itself, the identity. Every constellation is a product of
+    PAM levels, so a unitary decoder's density is separable over the real
+    dimensions (:func:`_separable_values`); ``ls`` takes the full (B, M)
+    metric. Paired differences are reported under keys ``"a-b"``, among
+    them ``"<kind>-perfect"``. ``"perfect"`` in ``kinds`` names the
+    reference, which is returned anyway.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
@@ -375,8 +375,6 @@ def air_discrete_paired_mc(
     estimators = {kind: get_estimator(kind) for kind in kinds}
     draw, c = statistic_sampler(params, L)
     points, levels = constellation.points, constellation.pam_levels
-    if levels is None:
-        raise ValueError("the separable density needs a constellation that is a product of PAM levels")
     weights = _metric_weights(points, params.sigma2)
 
     def step(b, rng):

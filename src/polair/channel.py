@@ -58,64 +58,38 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class Constellation:
-    """A finite set of n-dimensional symbols with uniform prior.
+    """A uniform discrete input: the full product of a real PAM alphabet over 2n real dimensions.
 
-    ``points`` is a non-empty (M, n) array. A circular Gaussian input has no
-    constellation: the rates handle it in closed form.
+    ``pam_levels`` is the sorted real alphabet. ``points`` is the (M, n)
+    complex array of all M = side^(2n) symbols, built once at construction;
+    the real dimensions are Re and Im of each component, in the order of
+    ``points.view(float)``. A circular Gaussian input has no constellation:
+    the rates handle it in closed form.
     """
 
-    kind: str
     n: int
-    power: float
-    points: np.ndarray = field(repr=False)
+    pam_levels: np.ndarray
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        shape = np.shape(self.points)
-        if len(shape) != 2 or shape[0] < 1 or shape[1] != self.n:
-            raise ValueError(f"points must be a non-empty (M, {self.n}) array, got shape {shape}")
+        levels = np.asarray(self.pam_levels, dtype=float)
+        # isfinite first: the difference of two infinities warns.
+        if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all() or not (np.diff(levels) > 0).all():
+            raise ValueError(f"pam_levels must be a non-empty, finite, strictly increasing 1-D array, got {self.pam_levels!r}")
+        object.__setattr__(self, "pam_levels", levels)
+        object.__setattr__(self, "points", np.array(list(itertools.product(levels, repeat=2 * self.n))).view(complex))
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def pam_levels(self) -> np.ndarray | None:
-        """The sorted real alphabet when the points are its full product over the 2n real dimensions, else None.
-
-        The real dimensions are Re and Im of each component, in the order of
-        ``points.view(float)``. DP-QPSK and DP-16-QAM are the products of
-        PAM-2 and PAM-4 levels; any other set gives None.
-        """
-        # Python sets, not np.unique, whose first call imports numpy.ma (1.2 MB of peak RSS).
-        coords = np.ascontiguousarray(self.points, dtype=complex).view(float).tolist()  # M rows of 2n
-        levels = sorted({value for row in coords for value in row})
-        # M distinct points, each of whose 2n coordinates is a level, are the full product when M = side^(2n).
-        if self.size != len(levels) ** len(coords[0]) or len(set(map(tuple, coords))) != self.size:
-            return None
-        return np.array(levels)
-
-
-def _qam_levels(order_per_dim: int) -> np.ndarray:
-    # Gray-ordered PAM levels: 2 -> [-1, 1], 4 -> [-3, -1, 1, 3].
-    m = order_per_dim
-    return np.arange(-(m - 1), m, 2, dtype=float)
-
-
-def _square_qam(order: int) -> np.ndarray:
-    """Unnormalized square QAM points for one polarization (complex scalars)."""
-    side = int(round(np.sqrt(order)))
-    if side * side != order:
-        raise ValueError(f"order {order} is not a square")
-    levels = _qam_levels(side)
-    re, im = np.meshgrid(levels, levels, indexing="ij")
-    return (re + 1j * im).ravel()
-
 
 def make_constellation(kind: str, n: int, power: float) -> Constellation:
     """Build a constellation of total symbol power ``power``.
 
-    dp_qpsk and dp_16qam are product constellations over n = 2
-    polarizations with per-polarization power ``power / n``.
+    dp_qpsk and dp_16qam are the products of PAM-2 and PAM-4 levels over
+    the real dimensions of n = 2 polarizations: each polarization is a
+    square QAM of average power ``power / n``.
     """
     if kind not in CONSTELLATION_KINDS:
         raise ValueError(f"unsupported constellation kind {kind!r}")
@@ -123,11 +97,11 @@ def make_constellation(kind: str, n: int, power: float) -> Constellation:
         raise ValueError(f"power must be > 0, got {power}")
     if n != 2:
         raise ValueError(f"{kind} requires n = 2, got n = {n}")
-    per_pol = _square_qam(4 if kind == "dp_qpsk" else 16)
-    # Normalize each polarization to power / n on average.
-    per_pol = per_pol * np.sqrt((power / n) / np.mean(np.abs(per_pol) ** 2))
-    points = np.array(list(itertools.product(per_pol, repeat=n)), dtype=complex)
-    return Constellation(kind=kind, n=n, power=power, points=points)
+    side = 2 if kind == "dp_qpsk" else 4
+    levels = np.arange(-(side - 1), side, 2, dtype=float)  # [-1, 1] or [-3, -1, 1, 3]
+    # Normalize by the mean power of one polarization's square QAM, a + jb over levels x levels.
+    qam = (levels[:, None] + 1j * levels).ravel()
+    return Constellation(n, levels * np.sqrt((power / n) / np.mean(np.abs(qam) ** 2)))
 
 
 def check_pilot_args(n: int, L: int, power: float) -> None:

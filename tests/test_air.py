@@ -293,10 +293,9 @@ class TestDiscreteMi:
         assert est.value == pytest.approx(0.0, abs=0.02)
 
     def test_matches_quadrature_oracle_for_binary_input(self):
-        # 1-D channel, 2-point real constellation at eta = 1
-        points = np.array([[1.0 + 0j], [-1.0 + 0j]])
-        c = Constellation(kind="custom", n=1, power=1.0, points=points)
-        oracle = scalar_awgn_mi_quadrature([1.0, -1.0], sigma2=1.0)
+        # 1-D channel, PAM-2 on Re and Im (QPSK) at sigma2 = 1: two independent binary real channels
+        c = Constellation(n=1, pam_levels=[-1.0, 1.0])
+        oracle = 2 * scalar_awgn_mi_quadrature([1.0, -1.0], sigma2=1.0)
         est = mi_discrete_mc(np.eye(1), c, 1.0, 200_000, np.random.default_rng(22))
         assert est.value == pytest.approx(oracle, abs=0.01)
 
@@ -306,10 +305,6 @@ class TestDiscreteMi:
         H = haar_unitary(2, np.random.default_rng(23))
         est = mi_discrete_mc(H, c, params.sigma2, 5000, np.random.default_rng(24))
         assert -3 * est.std_error <= est.value <= np.log2(256) + 3 * est.std_error
-
-    def test_requires_discrete(self):
-        with pytest.raises(ValueError):
-            mi_discrete_mc(np.eye(2), make_constellation("gaussian", 2, 2.0), 1.0, 2000, np.random.default_rng(0))
 
 
 class TestDiscreteAir:
@@ -333,14 +328,20 @@ class TestDiscreteAir:
         ls_vs_kabsch = out["ls-kabsch"]
         assert -ls_vs_kabsch.value >= -3 * ls_vs_kabsch.std_error  # kabsch >= ls
 
-    @pytest.mark.parametrize("kinds", [("kabsch",), ("ls",), ("ls", "kabsch")])
-    def test_unitary_kinds_need_a_pam_product(self, kinds):
-        # The perfect-CSI reference of every call decodes with the separable density.
-        params = ChannelParams.from_eta_db(2, 10.0)
-        points = np.sqrt(params.power) * np.eye(2, dtype=complex)  # not a product of PAM levels
-        c = Constellation(kind="unit", n=2, power=params.power, points=points)
-        with pytest.raises(ValueError, match="PAM"):
-            air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=kinds)
+    @pytest.mark.parametrize("eta_db", [-2.0, 4.0, 14.0])
+    @pytest.mark.parametrize("kind", ["dp_qpsk", "dp_16qam"])
+    def test_perfect_matches_quadrature_oracle(self, kind, eta_db):
+        # The perfect-CSI reference is the MI of 2n independent real PAM channels of noise variance sigma2/2.
+        params = ChannelParams.from_eta_db(2, eta_db)
+        c = make_constellation(kind, 2, params.power)
+        perfect = air_discrete_paired_mc(c, params, 8, 20_000, np.random.default_rng(29), kinds=())["perfect"]
+        oracle = 2 * params.n * scalar_awgn_mi_quadrature(c.pam_levels, params.sigma2)
+        bound = 4 * perfect.std_error + 1e-6
+        if perfect.std_error < 1e-4:
+            # Saturated (DP-QPSK at 14 dB): the loss below log2(M), 4.7e-6 bits, comes from noise tails of
+            # probability ~3e-7 per dimension that 20,000 trials rarely sample, and the stderr cannot show it.
+            bound += np.log2(c.size) - oracle
+        assert abs(perfect.value - oracle) <= bound
 
 
 def reference_density(x, H_dec, idx, points, sigma2):
@@ -576,8 +577,7 @@ class TestPilotStatisticCoupling:
     def test_invalid_L_rejected(self, entry, n, L):
         # The steps draw n x n blocks, so only the entry point can reject an L the n x L pilots do not admit.
         params = ChannelParams.from_eta_db(n, 10.0)
-        points = np.sqrt(params.power) * np.eye(n, dtype=complex)  # any discrete input of dimension n
-        c = Constellation(kind="unit", n=n, power=params.power, points=points)
+        c = Constellation(n=n, pam_levels=[-1.0, 1.0])  # any discrete input of dimension n
         rng = np.random.default_rng(0)
         calls = {
             "gaussian": lambda: air_gaussian_paired_mc(params, L, 100, rng),

@@ -53,10 +53,26 @@ class TestConstellation:
         with pytest.raises(ValueError, match="unsupported constellation kind"):
             make_constellation("gaussian", 2, 2.0)
 
-    @pytest.mark.parametrize("shape", [(0, 2), (4,), (4, 3)])
-    def test_points_must_be_nonempty_m_by_n(self, shape):
-        with pytest.raises(ValueError, match="non-empty"):
-            Constellation(kind="bad", n=2, power=2.0, points=np.zeros(shape, dtype=complex))
+    @pytest.mark.parametrize(
+        "levels",
+        [[], [[-1.0, 1.0]], [-1.0, 1.0, 1.0], [1.0, -1.0], [-1.0, float("nan")]],
+        ids=["empty", "2-D", "repeated", "unsorted", "nan"],
+    )
+    def test_pam_levels_must_be_a_sorted_alphabet(self, levels):
+        with pytest.raises(ValueError, match="strictly increasing 1-D"):
+            Constellation(n=2, pam_levels=levels)
+
+    def test_points_match_square_qam_product(self):
+        # Reference: normalize one polarization's complex square QAM, then take its product over the two; bit for bit.
+        for kind, side in [("dp_qpsk", 2), ("dp_16qam", 4)]:
+            levels = np.arange(-(side - 1), side, 2, dtype=float)
+            re, im = np.meshgrid(levels, levels, indexing="ij")
+            qam = (re + 1j * im).ravel()
+            for eta_db in np.linspace(-10.0, 40.0, 101):
+                power = 2 * 10.0 ** (eta_db / 10.0)
+                per_pol = qam * np.sqrt((power / 2) / np.mean(np.abs(qam) ** 2))
+                want = np.array(list(itertools.product(per_pol, repeat=2)), dtype=complex)
+                assert np.array_equal(make_constellation(kind, 2, power).points, want), (kind, eta_db)
 
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):
@@ -72,17 +88,6 @@ class TestConstellation:
         assert np.allclose(levels, -levels[::-1], atol=1e-15)  # symmetric PAM
         coords = {tuple(row) for row in c.points.view(float)}
         assert coords == set(itertools.product(levels, repeat=4))  # the full product over Re, Im of 2 components
-        shuffled = Constellation(kind=kind, n=2, power=2.0, points=c.points[::-1])
-        assert np.array_equal(shuffled.pam_levels, levels)  # the point order does not matter
-
-    def test_pam_levels_none_for_other_inputs(self):
-        unit = Constellation(kind="unit", n=2, power=2.0, points=np.sqrt(2.0) * np.eye(2, dtype=complex))
-        assert unit.pam_levels is None
-        qpsk = make_constellation("dp_qpsk", 2, 2.0)
-        partial = Constellation(kind="partial", n=2, power=2.0, points=qpsk.points[1:])
-        assert partial.pam_levels is None  # one point short of the product
-        repeated = Constellation(kind="repeated", n=2, power=2.0, points=np.concatenate([qpsk.points[:-1], qpsk.points[:1]]))
-        assert repeated.size == 16 and repeated.pam_levels is None  # M = side^(2n), but a point repeats
 
 
 class TestPilots:

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,19 @@ class TestCapacity:
         with pytest.raises(SystemExit) as exc:
             main(["capacity"])
         assert exc.value.code == 2
+
+    def test_process_exit_status(self):
+        # `python -m polair.cli` hands main's return value to sys.exit; the other tests only call main.
+        src = str(Path(polair.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "polair.cli", *args], capture_output=True, text=True, env=env, timeout=60)
+
+        ok = run("capacity", "--n", "2", "--eta-db", "10")
+        assert (ok.returncode, ok.stdout) == (EXIT_OK, "6.9189 bits/symbol\n")
+        assert run("capacity", "--n", "1", "--eta-db", "10").returncode == EXIT_CONFIG
+        assert run("capacity").returncode == 2
 
 
 class TestEstimate:
