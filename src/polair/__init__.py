@@ -10,15 +10,11 @@ __version__ = "0.1.0"
 
 from .air import (
     AirEstimate,
-    air_corollary1,
     air_corollary4,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
     air_synthetic_mc,
-    air_theorem1,
     capacity_perfect,
-    mi_discrete_mc,
-    mi_gaussian_given_H,
     synthetic_estimates,
 )
 from .channel import (

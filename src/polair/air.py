@@ -1,10 +1,15 @@
 """Information rates of the unitary MIMO-AWGN channel.
 
-Closed forms for the perfect-CSI capacity and mutual information, the
-mismatched-decoding achievable information rate (AIR) for a fixed channel
-estimate, its specializations to unitary channels and unitary estimates,
-and Monte Carlo estimators for discrete inputs and random channel
-estimates.
+Closed forms for the perfect-CSI capacity and for the mismatched-decoding
+achievable information rate (AIR) of a channel estimate on a unitary
+channel (Corollary 1) and of a unitary estimate (Corollary 4), and Monte
+Carlo estimators for discrete inputs and random channel estimates.
+
+Every rate is invariant under a common rotation of the channel, so every
+kernel here runs on the identity channel: an estimate H_hat of a unitary
+channel U enters as U^dagger H_hat. The paper's general forms (Theorem 1
+for an arbitrary fixed channel, the mutual information given H) are kept
+as test oracles, in ``tests/oracles.py``.
 
 All rates are in bits per (vector) symbol; logarithms are base 2 at the
 interface.
@@ -18,18 +23,14 @@ import numpy as np
 
 from .channel import ChannelParams, Constellation
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
-from .linalg import as_complex_matrix, check_hermitian_psd, dagger, fro_norm, mc_blocks, sample_cgauss
+from .linalg import check_hermitian_psd, dagger, mc_blocks, sample_cgauss
 
 __all__ = [
     "AirEstimate",
     "capacity_perfect",
-    "mi_gaussian_given_H",
-    "air_theorem1",
-    "air_corollary1",
     "air_corollary4",
     "synthetic_estimates",
     "air_synthetic_mc",
-    "mi_discrete_mc",
     "air_gaussian_paired_mc",
     "air_discrete_paired_mc",
 ]
@@ -83,16 +84,6 @@ def _paired_mc(step, kinds: tuple[str, ...], trials: int, rng: np.random.Generat
     return out
 
 
-def _check_unitary(H: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
-    H = as_complex_matrix(H, name)
-    n = H.shape[0]
-    if H.shape[0] != H.shape[1]:
-        raise ValueError(f"{name} must be square, got {H.shape}")
-    if fro_norm(H @ dagger(H) - np.eye(n)) > tol:
-        raise ValueError(f"{name} is not unitary within {tol}")
-    return H
-
-
 def capacity_perfect(n: int, eta: float) -> AirEstimate:
     """Perfect-CSI capacity n * log2(1 + eta) of the unitary channel."""
     if n < 1:
@@ -102,56 +93,14 @@ def capacity_perfect(n: int, eta: float) -> AirEstimate:
     return AirEstimate(value=n * np.log2(1.0 + eta))
 
 
-def mi_gaussian_given_H(H, Q) -> AirEstimate:
-    """Mutual information log2|I + H^dagger H Q| for Gaussian inputs.
+def _corollary1_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
+    """Vectorized three-term unitary-channel AIR over stacked estimates of the identity channel.
 
-    ``Q`` is the input covariance normalized by the noise variance.
-    """
-    H = as_complex_matrix(H, "H")
-    Q = check_hermitian_psd(Q, "Q")
-    n = H.shape[1]
-    _, logdet = np.linalg.slogdet(np.eye(n) + dagger(H) @ H @ Q)
-    return AirEstimate(value=float(logdet) / LN2)
-
-
-def air_theorem1(H, H_hat, Q, sigma2: float) -> AirEstimate:
-    """Mismatched-decoding AIR for a fixed channel H and fixed estimate H_hat.
-
-    With E = H - H_hat, input covariance sigma2 * Q and output covariances
-    Lx = H (sigma2 Q) H^dagger + sigma2 I and Lx_hat likewise for H_hat:
-
-        I_q = log2|I + H_hat Q H_hat^dagger|
-              - tr(Q E^dagger E) / ln 2
-              - tr(I - Lx Lx_hat^-1) / ln 2
-    """
-    H = as_complex_matrix(H, "H")
-    H_hat = as_complex_matrix(H_hat, "H_hat")
-    if H.shape != H_hat.shape:
-        raise ValueError(f"shape mismatch: H {H.shape}, H_hat {H_hat.shape}")
-    Q = check_hermitian_psd(Q, "Q")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    n = H.shape[0]
-    eye = np.eye(n)
-    lam_s = sigma2 * Q
-    lam_x = H @ lam_s @ dagger(H) + sigma2 * eye
-    lam_x_hat = H_hat @ lam_s @ dagger(H_hat) + sigma2 * eye
-    E = H - H_hat
-    _, logdet = np.linalg.slogdet(eye + H_hat @ Q @ dagger(H_hat))
-    term1 = float(logdet) / LN2
-    term2 = float(np.trace(Q @ dagger(E) @ E).real) / LN2
-    term3 = (n - float(np.trace(lam_x @ np.linalg.inv(lam_x_hat)).real)) / LN2
-    return AirEstimate(value=term1 - term2 - term3)
-
-
-def _corollary1_values(H_u: np.ndarray, H_hat: np.ndarray, eta: float) -> np.ndarray:
-    """Vectorized three-term unitary-channel AIR over stacked estimates.
-
-    ``H_u`` and ``H_hat`` broadcast against each other over leading axes.
-    The terms need log det A and tr A^-1 of A = I + eta H_hat H_hat^dagger.
-    For n = 2, A = [[a, b], [b*, d]] is formed from the rows r_0, r_1 of
-    H_hat: a = 1 + eta ||r_0||^2, d = 1 + eta ||r_1||^2, b = eta <r_0, r_1>,
-    so det A = a d - |b|^2 and tr A^-1 = (a + d) / det A. For n > 2 they come
+    The estimation error is E = I - H_hat. The terms need log det A and
+    tr A^-1 of A = I + eta H_hat H_hat^dagger. For n = 2,
+    A = [[a, b], [b*, d]] is formed from the rows r_0, r_1 of H_hat:
+    a = 1 + eta ||r_0||^2, d = 1 + eta ||r_1||^2, b = eta <r_0, r_1>, so
+    det A = a d - |b|^2 and tr A^-1 = (a + d) / det A. For n > 2 they come
     from a batched ``slogdet`` and ``inv``.
     """
     n = H_hat.shape[-1]
@@ -168,7 +117,7 @@ def _corollary1_values(H_u: np.ndarray, H_hat: np.ndarray, eta: float) -> np.nda
         logdet = np.linalg.slogdet(A)[1]
         tr_inv = np.trace(np.linalg.inv(A), axis1=-2, axis2=-1).real
     term1 = logdet / LN2
-    E = H_u - H_hat
+    E = np.eye(n) - H_hat
     term2 = eta * np.sum(np.abs(E) ** 2, axis=(-2, -1)) / LN2
     term3 = (n - (1.0 + eta) * tr_inv) / LN2
     return term1 - term2 - term3
@@ -184,17 +133,6 @@ def _corollary4_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
     return n * np.log2(1.0 + eta) - eta * np.sum(E.real**2 + E.imag**2, axis=(-2, -1)) / LN2
 
 
-def air_corollary1(H_u, H_hat, eta: float) -> AirEstimate:
-    """AIR of a unitary channel with uniform power loading, fixed estimate."""
-    H_u = _check_unitary(H_u, "H_u")
-    H_hat = as_complex_matrix(H_hat, "H_hat")
-    if H_u.shape != H_hat.shape:
-        raise ValueError(f"shape mismatch: H_u {H_u.shape}, H_hat {H_hat.shape}")
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    return AirEstimate(value=float(_corollary1_values(H_u, H_hat, eta)))
-
-
 def air_corollary4(n: int, eta: float, R_E) -> AirEstimate:
     """Average AIR with a unitary estimate: n log2(1+eta) - eta tr(R_E)/ln 2."""
     if eta <= 0:
@@ -206,13 +144,8 @@ def air_corollary4(n: int, eta: float, R_E) -> AirEstimate:
     return AirEstimate(value=value)
 
 
-def synthetic_estimates(
-    H_u: np.ndarray,
-    error_per_dof: float,
-    size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw channel estimates H_hat = H_u - E under a synthetic error.
+def synthetic_estimates(n: int, error_per_dof: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw estimates H_hat = I - E of the n x n identity channel under a synthetic error.
 
     E is i.i.d. circular Gaussian, scaled so that
     tr E[E^dagger E] = n * (2 n^2) * error_per_dof: the general (nonunitary)
@@ -221,27 +154,22 @@ def synthetic_estimates(
     """
     if error_per_dof < 0:
         raise ValueError("error_per_dof must be >= 0")
-    n = H_u.shape[-1]
     if error_per_dof == 0.0:
-        return np.broadcast_to(H_u, (size, n, n)).copy()
-    return H_u - sample_cgauss((size, n, n), 2.0 * n * error_per_dof, rng)
+        return np.tile(np.eye(n, dtype=complex), (size, 1, 1))
+    return np.eye(n) - sample_cgauss((size, n, n), 2.0 * n * error_per_dof, rng)
 
 
-def air_synthetic_mc(
-    H_u,
-    error_per_dof: float,
-    eta: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> AirEstimate:
-    """Average AIR under the synthetic general-model estimation error."""
+def air_synthetic_mc(n: int, error_per_dof: float, eta: float, trials: int, rng: np.random.Generator) -> AirEstimate:
+    """Average AIR of the n x n unitary channel under the synthetic general-model estimation error.
+
+    The error is spherically symmetric, so the identity channel gives the
+    average of every unitary channel.
+    """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    H_u = _check_unitary(H_u, "H_u")
 
     def step(b, rng):
-        H_hat = synthetic_estimates(H_u, error_per_dof, b, rng)
-        return {"general": _corollary1_values(H_u, H_hat, eta)}
+        return {"general": _corollary1_values(synthetic_estimates(n, error_per_dof, b, rng), eta)}
 
     return _paired_mc(step, ("general",), trials, rng)["general"]
 
@@ -320,31 +248,6 @@ def _separable_values(y: np.ndarray, s: np.ndarray, levels: np.ndarray, sigma2: 
     return dims * np.log2(levels.size) + num @ np.full(dims, 1.0 / LN2)
 
 
-def mi_discrete_mc(
-    H,
-    constellation: Constellation,
-    sigma2: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> AirEstimate:
-    """Monte Carlo mutual information for a uniform discrete input, given H."""
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    H = as_complex_matrix(H, "H")
-    points = constellation.points
-    sent = points @ H.T  # (M, n) noiseless receptions
-    weights = _metric_weights(points, sigma2)
-
-    def step(b, rng):
-        idx = rng.integers(0, points.shape[0], size=b)
-        x = sent[idx] + sample_cgauss((b, H.shape[0]), sigma2, rng)
-        return {"mi": _discrete_values(_decoding_metric(np.broadcast_to(H, (b, *H.shape)), x, weights), idx)}
-
-    return _paired_mc(step, ("mi",), trials, rng)["mi"]
-
-
 def air_discrete_paired_mc(
     constellation: Constellation,
     params: ChannelParams,
@@ -416,14 +319,14 @@ def air_gaussian_paired_mc(
         raise ValueError(f"trials must be >= 100, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
     draw, c = statistic_sampler(params, L)
-    eta, eye = params.eta, np.eye(params.n)
+    eta = params.eta
 
     def step(b, rng):
         A = draw(b, rng)
         out = {}
         for kind, estimate in estimators.items():
             H_hat = estimate(A, c)
-            out[kind] = _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(eye, H_hat, eta)
+            out[kind] = _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(H_hat, eta)
         return out
 
     return _paired_mc(step, kinds, trials, rng)

@@ -22,7 +22,7 @@ unparsable values, empty list items, non-finite grid values, SNRs outside
 kinds, an E2 grid outside fig2, a discrete input for fig2 or error_cov or
 with n != 2 or fewer than 1000 trials, and n < 2), 4 numerical failure
 (including any value the numeric core rejects that the configuration
-checks let through).
+checks let through, and an array too large to allocate).
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         raise ConfigError(f"unknown subcommand {args.subcommand!r}")
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError, MemoryError) as exc:
         return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
     except OSError as exc:
         return _fail(str(exc), EXIT_CONFIG)

@@ -233,17 +233,15 @@ def _fig2_rows(config: ExperimentConfig, eta_db: float, e2: float, rng: np.rando
     """Gaussian-input AIR at one SNR under one synthetic per-DOF error level.
 
     The general error model is averaged by Monte Carlo over random error
-    draws (the channel is irrelevant by rotation invariance, so the
-    identity is used); the unitary model is the closed form with
-    tr(R_E) = n^3 * E2.
+    draws (:func:`~polair.air.air_synthetic_mc`); the unitary model is the
+    closed form with tr(R_E) = n^3 * E2.
     """
     n = config.n
-    eye = np.eye(n)
     # Not ChannelParams.from_eta_db(n, eta_db).eta, which is (n eta)/n and can differ by one ulp.
     eta = 10.0 ** (eta_db / 10.0)
     cap = capacity_perfect(n, eta).value
-    general = air_synthetic_mc(eye, e2, eta, config.trials, rng)
-    unitary = air_corollary4(n, eta, (n * n * e2) * eye)
+    general = air_synthetic_mc(n, e2, eta, config.trials, rng)
+    unitary = air_corollary4(n, eta, (n * n * e2) * np.eye(n))
     return [SweepRow(name, eta_db, 0, e2, est, cap) for name, est in (("general", general), ("unitary", unitary))]
 
 

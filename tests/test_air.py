@@ -14,15 +14,11 @@ from polair.air import (
     _discrete_values,
     _metric_weights,
     _separable_values,
-    air_corollary1,
     air_corollary4,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
     air_synthetic_mc,
-    air_theorem1,
     capacity_perfect,
-    mi_discrete_mc,
-    mi_gaussian_given_H,
     synthetic_estimates,
 )
 from polair.channel import ChannelParams, Constellation, make_constellation, make_pilots
@@ -35,6 +31,16 @@ from polair.estimators import (
     statistic_sampler,
 )
 from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, mc_blocks, sample_cgauss
+
+from oracles import (
+    air_theorem1,
+    corollary1_reference,
+    mi_discrete_given_H,
+    mi_gaussian_given_H,
+    reference_density,
+    scalar_awgn_mi_quadrature,
+    synthetic_air_given_U,
+)
 
 LN2 = np.log(2.0)
 
@@ -115,14 +121,15 @@ class TestTheorem1:
 
 
 class TestCorollary1:
+    """The kernel on the identity channel: an estimate H_hat of the unitary channel U enters as U^dagger H_hat."""
+
     def test_perfect_estimate(self):
         U = haar_unitary(2, np.random.default_rng(4))
-        assert air_corollary1(U, U, 10.0).value == pytest.approx(capacity_perfect(2, 10.0).value, abs=1e-10)
+        assert _corollary1_values(dagger(U) @ U, 10.0) == pytest.approx(capacity_perfect(2, 10.0).value, abs=1e-10)
 
     def test_zero_estimate_gives_zero(self):
         # symbolic evaluation: log|I| - (eta/ln2) n + (eta/ln2) n = 0
-        U = haar_unitary(2, np.random.default_rng(5))
-        assert air_corollary1(U, np.zeros((2, 2)), 10.0).value == pytest.approx(0.0, abs=1e-10)
+        assert _corollary1_values(np.zeros((2, 2)), 10.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_specializes_theorem1(self):
         rng = np.random.default_rng(6)
@@ -130,23 +137,9 @@ class TestCorollary1:
         for _ in range(1000):
             U = haar_unitary(2, rng)
             H_hat = U + random_complex((2, 2), rng, scale=0.2)
-            a = air_corollary1(U, H_hat, eta).value
+            a = _corollary1_values(dagger(U) @ H_hat, eta)
             b = air_theorem1(U, H_hat, eta * np.eye(2), 1.0).value
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
-
-    def test_nonunitary_channel_rejected(self):
-        with pytest.raises(ValueError):
-            air_corollary1(2 * np.eye(2), np.eye(2), 1.0)
-
-
-def corollary1_reference(H_u, H_hat, eta):
-    """Corollary 1 from a batched slogdet and inverse of A = I + eta H_hat H_hat^dagger."""
-    n = H_hat.shape[-1]
-    A = np.eye(n) + eta * (H_hat @ dagger(H_hat))
-    logdet = np.linalg.slogdet(A)[1]
-    tr_inv = np.trace(np.linalg.inv(A), axis1=-2, axis2=-1).real
-    err = np.sum(np.abs(H_u - H_hat) ** 2, axis=(-2, -1))
-    return (logdet - eta * err - n + (1.0 + eta) * tr_inv) / LN2
 
 
 class TestCorollary1Kernel:
@@ -160,25 +153,38 @@ class TestCorollary1Kernel:
         D = make_pilots(n, L, params.power)
         H = haar_unitary(n, rng, size=b)
         X = H @ D + sample_cgauss((b, n, L), params.sigma2, rng)
-        U = haar_unitary(n, rng)
         A, c = statistic(X, D, params.power * L / n)
+        eye = np.eye(n)
         estimates = {
             "ls": (H, estimate_ls(A, c)),
             "kabsch": (H, estimate_kabsch(A)),
-            "synthetic": (U, synthetic_estimates(U, 1e-2, b, rng)),
+            "synthetic": (eye, synthetic_estimates(n, 1e-2, b, rng)),
         }
         for kind, (H_u, H_hat) in estimates.items():
-            got = _corollary1_values(H_u, H_hat, params.eta)
+            got = _corollary1_values(dagger(H_u) @ H_hat, params.eta)
             ref = corollary1_reference(H_u, H_hat, params.eta)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=kind)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_larger_n(self, n):
-        rng = np.random.default_rng(31 + n)
-        U = haar_unitary(n, rng)
-        H_hat = synthetic_estimates(U, 1e-2, 64, rng)
+        H_hat = synthetic_estimates(n, 1e-2, 64, np.random.default_rng(31 + n))
         np.testing.assert_allclose(
-            _corollary1_values(U, H_hat, 10.0), corollary1_reference(U, H_hat, 10.0), rtol=1e-12, atol=1e-12
+            _corollary1_values(H_hat, 10.0), corollary1_reference(np.eye(n), H_hat, 10.0), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("eta_db", [-10.0, 10.0, 40.0])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_synthetic_error_on_haar_channel(self, n, eta_db):
+        # The synthetic estimate U - E of a Haar channel U is the estimate I - U^dagger E of the identity.
+        rng = np.random.default_rng(900 + 10 * n + int(eta_db))
+        U = haar_unitary(n, rng)
+        E = sample_cgauss((256, n, n), 2.0 * n * 1e-2, rng)
+        eta = 10.0 ** (eta_db / 10.0)
+        np.testing.assert_allclose(
+            _corollary1_values(np.eye(n) - dagger(U) @ E, eta),
+            corollary1_reference(U, U - E, eta),
+            rtol=1e-12,
+            atol=1e-12,
         )
 
 
@@ -193,7 +199,7 @@ class TestCorollary4Kernel:
         kabsch = estimate_kabsch(draw(512, np.random.default_rng(700 + 10 * n + int(eta_db))))
         for H_hat in (kabsch, eye):
             got = _corollary4_values(H_hat, params.eta)
-            assert np.abs(got - _corollary1_values(eye, H_hat, params.eta)).max() <= 1e-12
+            assert np.abs(got - _corollary1_values(H_hat, params.eta)).max() <= 1e-12
         assert _corollary4_values(eye, params.eta) == capacity_perfect(n, params.eta).value
 
 
@@ -220,7 +226,7 @@ class TestCorollary4:
             H_hat = haar_unitary(2, rng)
             E = U - H_hat
             single_sample = air_corollary4(2, eta, dagger(E) @ E).value
-            assert air_corollary1(U, H_hat, eta).value == pytest.approx(single_sample, abs=1e-10)
+            assert _corollary1_values(dagger(U) @ H_hat, eta) == pytest.approx(single_sample, abs=1e-10)
 
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
@@ -229,14 +235,14 @@ class TestCorollary4:
 
 class TestCorollary2MonteCarlo:
     def test_rotation_invariance_with_spherical_error(self):
-        # spherically symmetric synthetic error: identical average AIR for
-        # the identity channel and random Haar channels
+        # spherically symmetric synthetic error: the identity-channel average
+        # of the package equals the general-form average on Haar channels
         eta, e2, trials = 10.0, 1e-2, 20_000
-        baseline = air_synthetic_mc(np.eye(2), e2, eta, trials, np.random.default_rng(100))
+        baseline = air_synthetic_mc(2, e2, eta, trials, np.random.default_rng(100))
         rng = np.random.default_rng(12)
         for i in range(3):
             U = haar_unitary(2, rng)
-            other = air_synthetic_mc(U, e2, eta, trials, np.random.default_rng(200 + i))
+            other = synthetic_air_given_U(U, e2, eta, trials, np.random.default_rng(200 + i))
             margin = 3 * np.hypot(baseline.std_error, other.std_error)
             assert abs(baseline.value - other.value) <= margin
 
@@ -245,65 +251,46 @@ class TestSyntheticModels:
     def test_general_model_error_scale(self):
         # tr E[E^dag E] should equal n * (2 n^2) * e2
         n, e2 = 2, 1e-2
-        U = np.eye(n)
-        H_hat = synthetic_estimates(U, e2, 100_000, np.random.default_rng(15))
-        E = U - H_hat
+        H_hat = synthetic_estimates(n, e2, 100_000, np.random.default_rng(15))
+        E = np.eye(n) - H_hat
         tr = np.mean(np.sum(np.abs(E) ** 2, axis=(1, 2)))
         assert tr == pytest.approx(n * 2 * n**2 * e2, rel=0.02)
 
     def test_zero_error_returns_channel(self):
-        U = haar_unitary(2, np.random.default_rng(16))
-        H_hat = synthetic_estimates(U, 0.0, 3, np.random.default_rng(17))
-        assert np.array_equal(H_hat[0], U)
-
-
-def scalar_awgn_mi_quadrature(points, sigma2):
-    """Independent 1-D oracle for the discrete-input complex AWGN MI.
-
-    For a real constellation the imaginary noise dimension cancels in the
-    information density, leaving a real integral with per-dimension noise
-    variance sigma2/2, evaluated here by trapezoid quadrature.
-    """
-    points = np.asarray(points, dtype=float)
-    var = sigma2 / 2.0
-    span = np.abs(points).max() + 8 * np.sqrt(var)
-    u = np.linspace(-span, span, 20_001)
-    pdf = lambda c: np.exp(-((u - c) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
-    cond = np.array([pdf(c) for c in points])
-    mix = cond.mean(axis=0)
-    M = len(points)
-    integrand = cond / M * np.log2(np.where(cond > 0, cond, 1.0) / mix)
-    f = integrand.sum(axis=0)
-    return float(0.5 * np.sum((f[1:] + f[:-1]) * np.diff(u)))  # trapezoid rule
+        H_hat = synthetic_estimates(2, 0.0, 3, np.random.default_rng(17))
+        assert H_hat.shape == (3, 2, 2) and H_hat.dtype == complex
+        assert np.array_equal(H_hat, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 class TestDiscreteMi:
+    """The Monte Carlo MI oracle given a fixed channel, against known limits."""
+
     def test_saturates_at_high_snr(self):
         params = ChannelParams.from_eta_db(2, 30.0)
         c = make_constellation("dp_qpsk", 2, params.power)
         H = haar_unitary(2, np.random.default_rng(18))
-        est = mi_discrete_mc(H, c, params.sigma2, 20_000, np.random.default_rng(19))
+        est = mi_discrete_given_H(H, c, params.sigma2, 20_000, np.random.default_rng(19))
         assert est.value == pytest.approx(4.0, abs=0.02)
 
     def test_vanishes_at_low_snr(self):
         params = ChannelParams.from_eta_db(2, -30.0)
         c = make_constellation("dp_qpsk", 2, params.power)
         H = haar_unitary(2, np.random.default_rng(20))
-        est = mi_discrete_mc(H, c, params.sigma2, 20_000, np.random.default_rng(21))
+        est = mi_discrete_given_H(H, c, params.sigma2, 20_000, np.random.default_rng(21))
         assert est.value == pytest.approx(0.0, abs=0.02)
 
     def test_matches_quadrature_oracle_for_binary_input(self):
         # 1-D channel, PAM-2 on Re and Im (QPSK) at sigma2 = 1: two independent binary real channels
         c = Constellation(n=1, pam_levels=[-1.0, 1.0])
         oracle = 2 * scalar_awgn_mi_quadrature([1.0, -1.0], sigma2=1.0)
-        est = mi_discrete_mc(np.eye(1), c, 1.0, 200_000, np.random.default_rng(22))
+        est = mi_discrete_given_H(np.eye(1), c, 1.0, 200_000, np.random.default_rng(22))
         assert est.value == pytest.approx(oracle, abs=0.01)
 
     def test_bounded(self):
         params = ChannelParams.from_eta_db(2, 5.0)
         c = make_constellation("dp_16qam", 2, params.power)
         H = haar_unitary(2, np.random.default_rng(23))
-        est = mi_discrete_mc(H, c, params.sigma2, 5000, np.random.default_rng(24))
+        est = mi_discrete_given_H(H, c, params.sigma2, 5000, np.random.default_rng(24))
         assert -3 * est.std_error <= est.value <= np.log2(256) + 3 * est.std_error
 
 
@@ -313,7 +300,7 @@ class TestDiscreteAir:
         c = make_constellation("dp_qpsk", 2, params.power)
         air = air_discrete_paired_mc(c, params, 8, 30_000, np.random.default_rng(25), kinds=())["perfect"]
         H = haar_unitary(2, np.random.default_rng(26))
-        mi = mi_discrete_mc(H, c, params.sigma2, 30_000, np.random.default_rng(27))
+        mi = mi_discrete_given_H(H, c, params.sigma2, 30_000, np.random.default_rng(27))
         margin = 3 * np.hypot(air.std_error, mi.std_error)
         assert abs(air.value - mi.value) <= margin
 
@@ -342,20 +329,6 @@ class TestDiscreteAir:
             # probability ~3e-7 per dimension that 20,000 trials rarely sample, and the stderr cannot show it.
             bound += np.log2(c.size) - oracle
         assert abs(perfect.value - oracle) <= bound
-
-
-def reference_density(x, H_dec, idx, points, sigma2):
-    """Independent form of the information density: the full (B, M, n) distances.
-
-    ``H_dec`` is (n, n) shared or (B, n, n) per sample. The log-sum-exp is
-    np.logaddexp.reduce, not the max-shifted sum of the kernel.
-    """
-    ref = np.einsum("...ij,mj->...mi", H_dec, points)  # (M, n) or (B, M, n)
-    dist = np.sum(np.abs(x[:, None, :] - ref) ** 2, axis=-1)  # (B, M)
-    metric = -dist / sigma2
-    lse = np.logaddexp.reduce(metric, axis=1)
-    num = metric[np.arange(metric.shape[0]), idx]
-    return np.log2(points.shape[0]) + (num - lse) / LN2
 
 
 def decode(H_dec, x):
@@ -422,7 +395,7 @@ class TestDiscreteKernel:
                 got = density(name, H_dec, x, idx, c, sigma2)
                 want = reference_density(x, H_dec, idx, points, sigma2)
                 assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
-            # shared channel, as in mi_discrete_mc
+            # one channel shared by every sample
             Hs = H[0]
             xs = points[idx] @ Hs.T + sample_cgauss(x.shape, sigma2, np.random.default_rng(200 + eta_db))
             got = _discrete_values(_decoding_metric(np.broadcast_to(Hs, H.shape), xs, weights), idx)
@@ -506,7 +479,7 @@ class TestIdentityChannelCoupling:
         for kind in ("ls", "kabsch"):
             H_hat, H_hat0 = ESTIMATORS[kind](*statistic(X, D, c_scale)), ESTIMATORS[kind](*statistic(X0, D, c_scale))
             decoders[kind] = (H_hat, H_hat0)
-            rates = _corollary1_values(H, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
+            rates = corollary1_reference(H, H_hat, params.eta), _corollary1_values(H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(H - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
             assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
@@ -564,7 +537,7 @@ class TestPilotStatisticCoupling:
         x = c.points[idx] + sample_cgauss((b, 2), params.sigma2, rng)
         for kind, estimate in ESTIMATORS.items():
             H_hat, H_hat0 = estimate(*statistic(X, D, c_scale)), estimate(A0, c_scale)
-            rates = _corollary1_values(eye, H_hat, params.eta), _corollary1_values(eye, H_hat0, params.eta)
+            rates = _corollary1_values(H_hat, params.eta), _corollary1_values(H_hat0, params.eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(eye - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
             assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
@@ -678,11 +651,9 @@ class TestAirEstimate:
         with pytest.raises(ValueError):
             air_gaussian_paired_mc(params, 8, 10, rng)
         with pytest.raises(ValueError):
-            air_synthetic_mc(np.eye(2), 1e-2, 10.0, 10, rng)
+            air_synthetic_mc(2, 1e-2, 10.0, 10, rng)
         with pytest.raises(ValueError):
             air_discrete_paired_mc(c, params, 8, 999, rng)
-        with pytest.raises(ValueError):
-            mi_discrete_mc(np.eye(2), c, params.sigma2, 999, rng)
 
     def test_finite_value_required(self):
         with pytest.raises(ValueError):
@@ -720,7 +691,5 @@ class TestFig2Shape:
             for eta_db in (0.0, 10.0, 20.0):
                 eta = 10 ** (eta_db / 10.0)
                 unitary = air_corollary4(2, eta, (4 * e2) * np.eye(2)).value
-                general = air_synthetic_mc(
-                    np.eye(2), e2, eta, 5000, np.random.default_rng(next(rng_seed))
-                )
+                general = air_synthetic_mc(2, e2, eta, 5000, np.random.default_rng(next(rng_seed)))
                 assert unitary >= general.value - 3 * general.std_error

@@ -50,7 +50,7 @@ class TestCapacity:
             main(["capacity"])
         assert exc.value.code == 2
 
-    def test_process_exit_status(self):
+    def test_process_exit_status(self, tmp_path):
         # `python -m polair.cli` hands main's return value to sys.exit; the other tests only call main.
         src = str(Path(polair.cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -62,6 +62,13 @@ class TestCapacity:
         assert (ok.returncode, ok.stdout) == (EXIT_OK, "6.9189 bits/symbol\n")
         assert run("capacity", "--n", "1", "--eta-db", "10").returncode == EXIT_CONFIG
         assert run("capacity").returncode == 2
+        # An accepted config whose arrays cannot be allocated: np.eye(n) alone asks for 512 TiB, beyond the
+        # 47-bit address space, so the request fails before any memory is taken.
+        huge = tmp_path / "huge.cfg"
+        huge.write_text("experiment = fig3a\nn = 8388608\nL_grid = 8388608\ntrials = 100\n")
+        out_of_memory = run("sweep", "--config", str(huge), "--out", "-")
+        assert out_of_memory.returncode == EXIT_NUMERICAL, out_of_memory.stderr
+        assert out_of_memory.stderr.startswith("error: numerical failure")
 
 
 class TestEstimate:

@@ -157,6 +157,15 @@ class TestRowContents:
         assert all(r.L == 0 for r in result.rows)
         assert {row["input"] for row in csv_rows(result)} == {"gaussian"}
 
+    def test_fig2_zero_error_gives_capacity(self):
+        # Zero synthetic error: every estimate is the channel itself, over two Monte Carlo blocks.
+        config = small_config("fig2", eta_db_grid=(-10.0, 10.0, 40.0), E2_grid=(0.0,), trials=MC_BLOCK + 952)
+        rows = csv_rows(run_experiment(config))
+        assert sorted({row["estimator"] for row in rows}) == ["general", "unitary"] and len(rows) == 6
+        for row in rows:
+            assert abs(float(row["air_bits"]) - float(row["capacity_bits"])) <= 1e-12, row
+            assert float(row["air_stderr"]) == 0.0, row
+
     def test_fig3_grid_coverage_and_bound(self):
         config = small_config("fig3a", trials=500)
         result = run_experiment(config)
