@@ -49,6 +49,9 @@ GOLDEN_CONFIGS = {
     "fig4": replace(
         default_config("fig4", master_seed=15), eta_db_grid=(4.0,), L_grid=(2, 8, 32), trials=2000
     ),
+    "fig4_n4": replace(
+        default_config("fig4", master_seed=17), n=4, eta_db_grid=(-10.0, 4.0, 40.0), L_grid=(4, 16), trials=2000
+    ),
     "error_cov": replace(
         default_config("error_cov", master_seed=16), eta_db_grid=(0.0, 20.0), trials=2000
     ),
