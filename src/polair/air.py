@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelParams, Constellation
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
-from .linalg import check_hermitian_psd, dagger, mc_blocks, sample_cgauss
+from .linalg import check_hermitian_psd, dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
 
 __all__ = [
     "AirEstimate",
@@ -101,7 +101,9 @@ def _corollary1_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
     A = [[a, b], [b*, d]] is formed from the rows r_0, r_1 of H_hat:
     a = 1 + eta ||r_0||^2, d = 1 + eta ||r_1||^2, b = eta <r_0, r_1>, so
     det A = a d - |b|^2 and tr A^-1 = (a + d) / det A. For n > 2 they come
-    from a batched ``slogdet`` and ``inv``.
+    from a batch-last Cholesky factor, A = L L^dagger (A >= I, so it exists):
+    log det A = 2 sum_i log L_ii and tr A^-1 = ||L^-1||_F^2, with L^-1 by
+    forward substitution.
     """
     n = H_hat.shape[-1]
     if n == 2:
@@ -113,9 +115,20 @@ def _corollary1_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
         logdet = np.log(det)
         tr_inv = (a + d) / det
     else:
-        A = np.eye(n) + eta * (H_hat @ dagger(H_hat))
-        logdet = np.linalg.slogdet(A)[1]
-        tr_inv = np.trace(np.linalg.inv(A), axis1=-2, axis2=-1).real
+        H = np.ascontiguousarray(np.moveaxis(H_hat, (-2, -1), (0, 1)))
+        G = eta * matmul_last(H, dagger_last(H))  # A = I + G
+        L = np.zeros_like(G)  # below the diagonal; the diagonal is the real d
+        d = np.empty(G.shape[1:])
+        for j in range(n):  # column j of A = L L^dagger
+            col = G[j:, j] - np.sum(L[j:, :j] * np.conj(L[j, :j]), axis=1)
+            d[j] = np.sqrt(1.0 + col[0].real)
+            L[j + 1 :, j] = col[1:] / d[j]
+        L_inv = np.zeros_like(L)
+        for i in range(n):  # row i of L^-1, by forward substitution
+            L_inv[i, i] = 1.0 / d[i]
+            L_inv[i, :i] = np.sum(L[i, :i, None] * L_inv[:i, :i], axis=0) / -d[i]
+        logdet = 2.0 * np.sum(np.log(d), axis=0)
+        tr_inv = sq_fro_last(L_inv)
     term1 = logdet / LN2
     E = np.eye(n) - H_hat
     term2 = eta * np.sum(np.abs(E) ** 2, axis=(-2, -1)) / LN2

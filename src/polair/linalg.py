@@ -3,10 +3,12 @@
 The helpers validate a matrix argument (:func:`as_complex_matrix`,
 :func:`check_hermitian_psd`), form a conjugate transpose (:func:`dagger`)
 and a Frobenius norm (:func:`fro_norm`); products, inverses and
-factorizations are numpy's, called directly where they are needed. The
-samplers draw Haar-distributed unitary matrices and circularly symmetric
-complex Gaussian arrays, both vectorized over a stack of draws; :func:`mc_blocks`
-is the package's one Monte Carlo block loop.
+factorizations are numpy's, called directly where they are needed. Three
+more (:func:`matmul_last`, :func:`dagger_last`, :func:`sq_fro_last`) work on
+batch-last stacks, which the n > 2 kernels use in place of one LAPACK call
+per small matrix. The samplers draw Haar-distributed unitary matrices and
+circularly symmetric complex Gaussian arrays, both vectorized over a stack
+of draws; :func:`mc_blocks` is the package's one Monte Carlo block loop.
 
 Input arrays are never modified; a sampler may fill its own fresh buffer in
 place. Random sampling takes an explicit ``numpy.random.Generator`` so that
@@ -100,6 +102,36 @@ def sample_cgauss(shape, variance_per_entry: float, rng: np.random.Generator) ->
     z = rng.standard_normal((*np.atleast_1d(shape), 2))
     z *= np.sqrt(variance_per_entry / 2.0)
     return z.view(complex)[..., 0]
+
+
+# Batch-last stacks: an (n, n, ...) array holds matrices with the matrix index
+# last, so that each entry is one contiguous vector over the stack, and a
+# product is n broadcast multiply-adds over whole arrays where numpy's stacked
+# ``@`` and LAPACK wrappers pay per matrix. Every operation is elementwise and
+# sums in a fixed order, so a matrix's result does not depend on the rest of
+# the stack. Not in __all__, like mc_blocks: the per-layer tracer would book
+# the kernels' time to these helpers.
+def matmul_last(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Products X Y of two batch-last stacks of square matrices."""
+    C = X[:, :1] * Y[:1]
+    term = np.empty_like(C)
+    for j in range(1, X.shape[1]):
+        C += np.multiply(X[:, j : j + 1], Y[j : j + 1], out=term)
+    return C
+
+
+def dagger_last(X: np.ndarray) -> np.ndarray:
+    """Conjugate transposes of a batch-last stack."""
+    return np.conj(np.swapaxes(X, 0, 1))
+
+
+def sq_fro_last(X: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of a batch-last stack, summed entry by entry."""
+    sq = X.real**2 + X.imag**2
+    total = sq[0, 0].copy()
+    for entry in sq.reshape(sq.shape[0] * sq.shape[1], *sq.shape[2:])[1:]:
+        total += entry
+    return total
 
 
 MC_BLOCK = 2048  # trials per Monte Carlo block

@@ -143,7 +143,7 @@ class TestCorollary1:
 
 
 class TestCorollary1Kernel:
-    """The n = 2 closed form of _corollary1_values against slogdet and inv."""
+    """The n = 2 closed form and the n > 2 Cholesky form of _corollary1_values against slogdet and inv."""
 
     @pytest.mark.parametrize("eta_db", [-10.0, 0.0, 10.0, 20.0, 40.0])
     def test_closed_form_matches_slogdet_inv(self, eta_db):
@@ -167,10 +167,24 @@ class TestCorollary1Kernel:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_larger_n(self, n):
-        H_hat = synthetic_estimates(n, 1e-2, 64, np.random.default_rng(31 + n))
-        np.testing.assert_allclose(
-            _corollary1_values(H_hat, 10.0), corollary1_reference(np.eye(n), H_hat, 10.0), rtol=1e-12, atol=1e-12
-        )
+        rng = np.random.default_rng(31 + n)
+        for eta_db in (-10.0, 0.0, 10.0, 20.0, 40.0):
+            params, eye = ChannelParams.from_eta_db(n, eta_db), np.eye(n)
+            draw, c = statistic_sampler(params, 2 * n)
+            A = draw(512, rng)
+            estimates = {
+                "ls": estimate_ls(A, c),
+                "kabsch": estimate_kabsch(A),
+                "synthetic": synthetic_estimates(n, 1e-2, 512, rng),
+            }
+            for kind, H_hat in estimates.items():
+                np.testing.assert_allclose(
+                    _corollary1_values(H_hat, params.eta),
+                    corollary1_reference(eye, H_hat, params.eta),
+                    rtol=1e-12,
+                    atol=1e-12,
+                    err_msg=f"{kind} at {eta_db} dB",
+                )
 
     @pytest.mark.parametrize("eta_db", [-10.0, 10.0, 40.0])
     @pytest.mark.parametrize("n", [2, 4])

@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from polair.estimators import (
     empirical_error_covariance,
     estimate_kabsch,
     estimate_ls,
+    statistic_sampler,
 )
 from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
 
@@ -164,7 +167,7 @@ class TestKabsch:
 
 
 class TestKabschCrossCheck:
-    """The n = 2 closed form against the SVD polar factor U V^dagger."""
+    """The n = 2 closed form and the n > 2 Newton-Schulz iteration against the SVD polar factor U V^dagger."""
 
     def test_closed_form_matches_svd(self):
         n, L, per_snr = 2, 8, 512
@@ -177,15 +180,86 @@ class TestKabschCrossCheck:
             U, _, Vh = np.linalg.svd(X @ dagger(D))
             assert np.max(np.abs(estimate_kabsch(X @ dagger(D)) - U @ Vh)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 6])
     def test_larger_n_is_the_svd(self, n):
-        params = ChannelParams.from_eta_db(n, 10.0)
+        per_snr = 256
         rng = np.random.default_rng(22)
-        D = make_pilots(n, 2 * n, params.power)
-        H = haar_unitary(n, rng, size=64)
-        X = H @ D + sample_cgauss((64, n, 2 * n), params.sigma2, rng)
+        for eta_db in np.linspace(-10.0, 40.0, 9):
+            for L in (n, 4 * n):
+                params = ChannelParams.from_eta_db(n, eta_db)
+                D = make_pilots(n, L, params.power)
+                H = haar_unitary(n, rng, size=per_snr)
+                X = H @ D + sample_cgauss((per_snr, n, L), params.sigma2, rng)
+                U, _, Vh = np.linalg.svd(X @ dagger(D))
+                assert np.max(np.abs(estimate_kabsch(X @ dagger(D)) - U @ Vh)) <= 1e-12
+
+
+def degenerate_stack(n=4, seed=23):
+    """Normal pilot statistics at 10 dB interleaved with exactly singular, rank-deficient and zero n x n matrices.
+
+    Returns the stack and the indices of the normal ones.
+    """
+    rng = np.random.default_rng(seed)
+    draw, _ = statistic_sampler(ChannelParams.from_eta_db(n, 10.0), 2 * n)
+    normal = draw(6, rng)
+    equal_rows = normal[0].copy()
+    equal_rows[1] = equal_rows[0]  # exactly singular
+    zero_column = normal[1].copy()
+    zero_column[:, 2] = 0.0  # exactly singular
+    u, v = sample_cgauss((2, n, 2), 1.0, rng)
+    rank2 = u @ dagger(v)  # rank deficient up to round-off
+    rank1 = 1e3 * np.outer(u[:, 0], np.conj(v[:, 0]))
+    degenerate = [equal_rows, zero_column, rank2, rank1, np.zeros((n, n), dtype=complex)]
+    stack = np.stack([m for pair in zip(normal, degenerate) for m in pair] + [normal[-1]])
+    return stack, np.arange(0, len(stack), 2)
+
+
+class TestKabschLargerN:
+    """The n > 2 polar factor: Newton-Schulz on the stack, the SVD for what does not converge."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_zero_gives_identity(self, n):
+        assert np.array_equal(estimate_kabsch(np.zeros((n, n))), np.eye(n))
+        assert np.array_equal(estimate_kabsch(np.zeros((3, n, n))), np.broadcast_to(np.eye(n), (3, n, n)))
+
+    def test_degenerate_matrices_take_the_svd(self, monkeypatch):
+        stack, normal = degenerate_stack()
+        svd_inputs = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            svd_inputs.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H_hat = estimate_kabsch(stack)
+        monkeypatch.undo()
+        assert np.all(np.isfinite(H_hat))
+        for U in H_hat:
+            assert fro_norm(U @ dagger(U) - np.eye(4)) <= 1e-12
+        # Only the degenerate matrices reach the fallback, and each keeps its SVD polar factor.
+        degenerate = np.setdiff1d(np.arange(len(stack)), normal)
+        assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], stack[degenerate])
+        U, _, Vh = np.linalg.svd(stack[degenerate])
+        assert np.array_equal(H_hat[degenerate], U @ Vh)
+
+    def test_each_matrix_is_independent_of_the_stack(self):
+        stack, normal = degenerate_stack()
+        H_hat = estimate_kabsch(stack)
+        for k in normal:
+            assert np.array_equal(H_hat[k], estimate_kabsch(stack[k]))
+        assert np.array_equal(estimate_kabsch(stack[::-1]), H_hat[::-1])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_extreme_scales_match_svd(self, n):
+        rng = np.random.default_rng(9)
+        D = make_pilots(n, 2 * n, 2.0)
+        X = haar_unitary(n, rng, size=16) @ D + sample_cgauss((16, n, 2 * n), 1.0, rng)
         U, _, Vh = np.linalg.svd(X @ dagger(D))
-        assert np.array_equal(estimate_kabsch(X @ dagger(D)), U @ Vh)
+        for scale in (1e-160, 1e160):
+            assert np.max(np.abs(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh)) <= 1e-12
 
 
 class TestErrorStats:
