@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .air import (
     AirEstimate,
     air_corollary4,
+    air_corollary4_paired_mc,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
     air_synthetic_mc,
@@ -24,8 +25,6 @@ from .channel import (
     make_pilots,
 )
 from .estimators import (
-    ErrorStats,
-    empirical_error_covariance,
     estimate_kabsch,
     estimate_ls,
 )

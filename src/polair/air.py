@@ -32,6 +32,7 @@ __all__ = [
     "synthetic_estimates",
     "air_synthetic_mc",
     "air_gaussian_paired_mc",
+    "air_corollary4_paired_mc",
     "air_discrete_paired_mc",
 ]
 
@@ -131,7 +132,7 @@ def _corollary1_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
         tr_inv = sq_fro_last(L_inv)
     term1 = logdet / LN2
     E = np.eye(n) - H_hat
-    term2 = eta * np.sum(np.abs(E) ** 2, axis=(-2, -1)) / LN2
+    term2 = eta * np.sum(E.real**2 + E.imag**2, axis=(-2, -1)) / LN2
     term3 = (n - (1.0 + eta) * tr_inv) / LN2
     return term1 - term2 - term3
 
@@ -312,6 +313,25 @@ def air_discrete_paired_mc(
     return _paired_mc(step, (*kinds, "perfect"), trials, rng)
 
 
+def _statistic_paired_mc(params: ChannelParams, L: int, trials: int, rng, kinds, rate) -> dict[str, AirEstimate]:
+    """:func:`_paired_mc` of ``rate(kind, H_hat)``, every kind estimating from one pilot statistic per trial.
+
+    The statistic comes from ``L`` pilots on the identity channel
+    (:func:`~polair.estimators.statistic_sampler`; ``L`` must be a multiple
+    of n and at least n).
+    """
+    if trials < 100:
+        raise ValueError(f"trials must be >= 100, got {trials}")
+    estimators = {kind: get_estimator(kind) for kind in kinds}
+    draw, c = statistic_sampler(params, L)
+
+    def step(b, rng):
+        A = draw(b, rng)
+        return {kind: rate(kind, estimate(A, c)) for kind, estimate in estimators.items()}
+
+    return _paired_mc(step, kinds, trials, rng)
+
+
 def air_gaussian_paired_mc(
     params: ChannelParams,
     L: int,
@@ -321,25 +341,31 @@ def air_gaussian_paired_mc(
 ) -> dict[str, AirEstimate]:
     """Average Gaussian-input AIR for several estimators on shared draws.
 
-    Per trial, one pilot statistic from ``L`` pilots on the identity channel
-    (as in :func:`air_discrete_paired_mc`) feeds all requested estimators.
-    The AIR of a unitary estimate is Corollary 4 of its own error; that of
-    any other is the closed three-term unitary-channel expression. The
-    perfect-CSI reference is the closed form :func:`capacity_perfect`.
-    Paired differences are under keys ``"a-b"``.
+    One pilot statistic per trial (:func:`_statistic_paired_mc`) feeds every
+    requested estimator. The AIR of a unitary estimate is Corollary 4 of its
+    own error; that of any other is the closed three-term unitary-channel
+    expression. The perfect-CSI reference is the closed form
+    :func:`capacity_perfect`. Paired differences are under keys ``"a-b"``.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    estimators = {kind: get_estimator(kind) for kind in kinds}
-    draw, c = statistic_sampler(params, L)
     eta = params.eta
 
-    def step(b, rng):
-        A = draw(b, rng)
-        out = {}
-        for kind, estimate in estimators.items():
-            H_hat = estimate(A, c)
-            out[kind] = _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(H_hat, eta)
-        return out
+    def rate(kind, H_hat):
+        return _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(H_hat, eta)
 
-    return _paired_mc(step, kinds, trials, rng)
+    return _statistic_paired_mc(params, L, trials, rng, kinds, rate)
+
+
+def air_corollary4_paired_mc(
+    params: ChannelParams,
+    L: int,
+    trials: int,
+    rng: np.random.Generator,
+    kinds: tuple[str, ...] = ESTIMATOR_KINDS,
+) -> dict[str, AirEstimate]:
+    """Average Corollary-4 bound n log2(1+eta) - eta ||I - H_hat||_F^2 / ln 2 of every estimator, on shared draws.
+
+    The draws are those of :func:`air_gaussian_paired_mc`, and every kind,
+    ``ls`` too, takes the bound of its own error E = I - H_hat, whose mean is
+    n log2(1+eta) - eta tr(R_E) / ln 2, R_E = E[E^dagger E].
+    """
+    return _statistic_paired_mc(params, L, trials, rng, kinds, lambda _, H_hat: _corollary4_values(H_hat, params.eta))

@@ -3,9 +3,9 @@
 Subcommands:
 
 * ``capacity``  -- print the perfect-CSI capacity for given n and SNR.
-* ``error-cov`` -- the error-covariance sweep, written as CSV; one grid
-                   point and one ``--estimator`` give one setting's
-                   statistics, with tr(R_E) = E2 * n * dof.
+* ``error-cov`` -- the error-statistics sweep, written as CSV: each estimator's
+                   Corollary-4 bound and per-DOF error E2 = tr(R_E) / (n * dof);
+                   one grid point and one ``--estimator`` give one setting.
 * ``sweep``     -- a named figure experiment (fig2, fig3a, fig3b, fig4),
                    written as CSV.
 

@@ -22,8 +22,8 @@ statistics:
 ``{kind: (A, c) -> H_hat}``, holding ``ls`` and ``kabsch``. The kinds in
 :data:`UNITARY_KINDS` give unitary estimates and have n^2 real degrees of
 freedom; the others have 2 n^2. Everything that dispatches on a kind (the
-error covariance here, the Monte Carlo rates in :mod:`polair.air`) reads
-the registry. The perfect-CSI reference the rates are compared with is not
+Monte Carlo rates and error statistics in :mod:`polair.air`) reads the
+registry. The perfect-CSI reference the rates are compared with is not
 an estimator; :func:`polair.air.air_discrete_paired_mc` computes it itself.
 
 On the identity channel, X = D + N and A = c I + N D^dagger. The rows of D
@@ -37,22 +37,18 @@ the n x L pilot block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .channel import ChannelParams, check_pilot_args
-from .linalg import check_hermitian_psd, dagger, dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
+from .linalg import dagger_last, matmul_last, sample_cgauss, sq_fro_last
 
 __all__ = [
     "ESTIMATORS",
     "ESTIMATOR_KINDS",
     "UNITARY_KINDS",
     "get_estimator",
-    "ErrorStats",
     "estimate_ls",
     "estimate_kabsch",
-    "empirical_error_covariance",
 ]
 
 
@@ -195,84 +191,3 @@ def get_estimator(kind: str):
     if kind not in ESTIMATORS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     return ESTIMATORS[kind]
-
-
-@dataclass(frozen=True)
-class ErrorStats:
-    """Empirical error covariance R_E = E[E^dagger E] and derived scalars.
-
-    ``dof`` is the estimator's number of real degrees of freedom;
-    ``trace_stderr`` is the standard error of tr(R_E) as the mean of the
-    per-trial ||E_t||_F^2.
-    """
-
-    kind: str
-    R_E: np.ndarray = field(repr=False)
-    trials: int
-    dof: int
-    trace_stderr: float
-
-    def __post_init__(self):
-        check_hermitian_psd(self.R_E, "R_E")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.R_E.shape[0]
-
-    @property
-    def trace_re(self) -> float:
-        return float(np.trace(self.R_E).real)
-
-    @property
-    def error_per_dof(self) -> float:
-        """Per-DOF error trace(R_E) / (n * dof)."""
-        return self.trace_re / (self.n * self.dof)
-
-
-def empirical_error_covariance(
-    kinds: tuple[str, ...],
-    params: ChannelParams,
-    L: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> dict[str, ErrorStats]:
-    """Average E^dagger E over independent pilot-noise draws, per estimator kind.
-
-    The channel is the identity: E has the same law for every unitary H, as
-    H^dagger times the noise is again i.i.d. Gaussian. Each trial draws the
-    pilot statistic of :func:`statistic_sampler`, which has its law from L
-    pilots; ``L`` must be a multiple of n and at least n. Every kind
-    (``"ls"``, ``"kabsch"``) estimates from the same statistic; per-block
-    Gram sums add in block order, and the per-trial ||E_t||_F^2 give
-    ``trace_stderr``.
-    """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    estimators = {kind: get_estimator(kind) for kind in kinds}
-    n = params.n
-    draw, c = statistic_sampler(params, L)
-
-    def step(b, rng):
-        A = draw(b, rng)
-        out = {}
-        for kind, estimate in estimators.items():
-            E = np.eye(n) - estimate(A, c)
-            out[kind] = np.einsum("bij,bik->jk", np.conj(E), E), np.sum(E.real**2 + E.imag**2, axis=(1, 2))
-        return out
-
-    blocks = mc_blocks(step, trials, rng)
-    out = {}
-    for kind in estimators:
-        R = sum(block[kind][0] for block in blocks) / trials
-        R = 0.5 * (R + dagger(R))  # symmetrize away accumulation round-off
-        sq_norms = np.concatenate([block[kind][1] for block in blocks])
-        out[kind] = ErrorStats(
-            kind=kind,
-            R_E=R,
-            trials=trials,
-            dof=n * n if kind in UNITARY_KINDS else 2 * n * n,
-            trace_stderr=float(sq_norms.std(ddof=1) / np.sqrt(trials)),
-        )
-    return out

@@ -19,7 +19,7 @@ Experiments:
                   inputs, against the perfect-CSI mutual information.
 * ``fig4``     -- information gap vs pilot length: the fig3 rates on an
                   (SNR, pilot length) grid.
-* ``error_cov``-- empirical estimation-error covariance statistics.
+* ``error_cov``-- each pilot estimator's Corollary-4 bound and per-DOF error.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from .air import (
     LN2,
     AirEstimate,
     air_corollary4,
+    air_corollary4_paired_mc,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
     air_synthetic_mc,
     capacity_perfect,
 )
 from .channel import CONSTELLATION_KINDS, ChannelParams, make_constellation
-from .estimators import ESTIMATOR_KINDS, empirical_error_covariance
+from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS
 
 __all__ = [
     "ConfigError",
@@ -264,25 +265,23 @@ def _rate_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.G
 
 
 def _error_cov_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.Generator) -> list[SweepRow]:
-    """Empirical error-covariance statistics per estimator at one (SNR, pilot length).
+    """Estimation-error statistics per estimator at one (SNR, pilot length).
 
-    Both estimators see the same noise draws. The E2 column carries the
-    measured per-DOF error tr(R_E)/(n * dof); the air column reports the
-    unitary-estimate bound implied by the measured covariance,
-    n log2(1+eta) - eta tr(R_E)/ln 2, with the standard error of the
-    per-trial values n log2(1+eta) - eta ||E_t||_F^2/ln 2 over
-    ``config.trials`` trials.
+    Both estimators see the same noise draws. The air column is the mean of
+    the per-trial unitary-estimate bounds n log2(1+eta) - eta ||E_t||_F^2/ln 2
+    over ``config.trials`` trials (:func:`~polair.air.air_corollary4_paired_mc`),
+    with their standard error; its mean is n log2(1+eta) - eta tr(R_E)/ln 2.
+    The E2 column is the per-DOF error tr(R_E)/(n * dof) that follows from it.
     """
     n = config.n
     params = ChannelParams.from_eta_db(n, eta_db)
     cap = capacity_perfect(n, params.eta).value
-    stats = empirical_error_covariance(config.estimators, params, L, config.trials, rng)
+    estimates = air_corollary4_paired_mc(params, L, config.trials, rng, kinds=config.estimators)
     rows = []
     for kind in config.estimators:
-        s = stats[kind]
-        bound = air_corollary4(n, params.eta, s.R_E)
-        air = replace(bound, std_error=params.eta * s.trace_stderr / LN2, trials=s.trials)
-        rows.append(SweepRow(kind, eta_db, L, s.error_per_dof, air, cap))
+        air = estimates[kind]
+        dof = n * n if kind in UNITARY_KINDS else 2 * n * n
+        rows.append(SweepRow(kind, eta_db, L, (cap - air.value) * LN2 / (params.eta * n * dof), air, cap))
     return rows
 
 

@@ -9,12 +9,15 @@ channel and estimate, Corollary 1 of a unitary channel from ``slogdet`` and
 scalar AWGN mutual information by quadrature, and Monte Carlo averages of
 the last ones given a fixed channel. Tests compare a production kernel fed
 the rotated estimate U^dagger H_hat with a form here fed (U, H_hat).
+The error covariance R_E, which no CSV column reports, is averaged here
+over the production draws, so its entries can be checked one by one.
 """
 
 import numpy as np
 
 from polair.air import AirEstimate
-from polair.linalg import as_complex_matrix, check_hermitian_psd, dagger, sample_cgauss
+from polair.estimators import ESTIMATORS, statistic_sampler
+from polair.linalg import as_complex_matrix, check_hermitian_psd, dagger, mc_blocks, sample_cgauss
 
 LN2 = float(np.log(2.0))
 
@@ -137,3 +140,18 @@ def synthetic_air_given_U(U, error_per_dof, eta, trials, rng) -> AirEstimate:
     shape = (trials, n, n)
     E = np.sqrt(n * error_per_dof) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return _sample_mean(corollary1_reference(U, U - E, eta))
+
+
+def error_covariance(kind, params, L, trials, rng) -> np.ndarray:
+    """R_E = E[E^dagger E], E = I - H_hat, of registry kind ``kind`` over the Monte Carlo draws of the rates.
+
+    The blocks and pilot statistics are those of
+    ``polair.air.air_corollary4_paired_mc`` with the same ``rng``.
+    """
+    draw, c = statistic_sampler(params, L)
+
+    def step(b, rng):
+        E = np.eye(params.n) - ESTIMATORS[kind](draw(b, rng), c)
+        return np.einsum("bij,bik->jk", E.conj(), E)
+
+    return sum(mc_blocks(step, trials, rng)) / trials

@@ -15,6 +15,7 @@ from polair.air import (
     _metric_weights,
     _separable_values,
     air_corollary4,
+    air_corollary4_paired_mc,
     air_discrete_paired_mc,
     air_gaussian_paired_mc,
     air_synthetic_mc,
@@ -25,7 +26,6 @@ from polair.channel import ChannelParams, Constellation, make_constellation, mak
 from polair.estimators import (
     ESTIMATORS,
     UNITARY_KINDS,
-    empirical_error_covariance,
     estimate_kabsch,
     estimate_ls,
     statistic_sampler,
@@ -35,6 +35,7 @@ from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, mc_blocks, s
 from oracles import (
     air_theorem1,
     corollary1_reference,
+    error_covariance,
     mi_discrete_given_H,
     mi_gaussian_given_H,
     reference_density,
@@ -569,7 +570,7 @@ class TestPilotStatisticCoupling:
         calls = {
             "gaussian": lambda: air_gaussian_paired_mc(params, L, 100, rng),
             "discrete": lambda: air_discrete_paired_mc(c, params, L, 1000, rng),
-            "error_cov": lambda: empirical_error_covariance(("ls", "kabsch"), params, L, 100, rng),
+            "error_cov": lambda: air_corollary4_paired_mc(params, L, 100, rng),
         }
         with pytest.raises(ValueError, match="L must be"):
             calls[entry]()
@@ -582,7 +583,7 @@ class TestPilotStatisticCoupling:
         calls = {
             "gaussian": lambda: air_gaussian_paired_mc(params, L, 100, np.random.default_rng(0)),
             "discrete": lambda: air_discrete_paired_mc(c, params, L, 1000, np.random.default_rng(0)),
-            "error_cov": lambda: empirical_error_covariance(("ls", "kabsch"), params, L, 100, np.random.default_rng(0)),
+            "error_cov": lambda: air_corollary4_paired_mc(params, L, 100, np.random.default_rng(0)),
         }
         tracemalloc.start()
         try:
@@ -654,6 +655,40 @@ class TestGaussianPaired:
         # the dominant penalty is (eta/ln2) tr(R_E) with tr(R_E) = n^2/(eta L)
         rough_gap = (params.eta / LN2) * (4 / (params.eta * 8))
         assert cap - est.value == pytest.approx(rough_gap, rel=0.35)
+
+
+class TestCorollary4Paired:
+    """The error_cov driver: every kind's Corollary-4 bound of its own error, on shared draws."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_mean_is_bound_of_error_covariance(self, n):
+        # The mean of the per-trial bounds is n log2(1+eta) - eta tr(R_E)/ln 2
+        # of the R_E averaged over the same draws.
+        params = ChannelParams.from_eta_db(n, 4.0)
+        out = air_corollary4_paired_mc(params, 2 * n, MC_BLOCK + 500, np.random.default_rng(20 + n))
+        for kind in ("ls", "kabsch"):
+            R_E = error_covariance(kind, params, 2 * n, MC_BLOCK + 500, np.random.default_rng(20 + n))
+            bound = n * np.log2(1.0 + params.eta) - params.eta * np.trace(R_E).real / LN2
+            assert out[kind].value == pytest.approx(bound, abs=1e-12)
+            assert out[kind].std_error > 0
+
+    def test_ls_independent_of_other_kinds(self):
+        # One call for several kinds shares the draws without changing any kind's result.
+        params = ChannelParams.from_eta_db(2, 5.0)
+        alone = air_corollary4_paired_mc(params, 8, 9000, np.random.default_rng(15), kinds=("ls",))
+        both = air_corollary4_paired_mc(params, 8, 9000, np.random.default_rng(15), kinds=("kabsch", "ls"))
+        assert both["ls"] == alone["ls"]
+
+    def test_unknown_kind(self):
+        params = ChannelParams.from_eta_db(2, 5.0)
+        for kinds in (("mmse",), ("ls", "perfect")):
+            with pytest.raises(ValueError):
+                air_corollary4_paired_mc(params, 8, 500, np.random.default_rng(0), kinds=kinds)
+
+    def test_min_trials(self):
+        params = ChannelParams.from_eta_db(2, 10.0)
+        with pytest.raises(ValueError):
+            air_corollary4_paired_mc(params, 8, 50, np.random.default_rng(0), kinds=("ls",))
 
 
 class TestAirEstimate:

@@ -4,17 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
+from polair.air import air_corollary4_paired_mc
 from polair.channel import ChannelParams, make_pilots
 from polair.estimators import (
     ESTIMATOR_KINDS,
     ESTIMATORS,
     UNITARY_KINDS,
-    empirical_error_covariance,
     estimate_kabsch,
     estimate_ls,
     statistic_sampler,
 )
 from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
+
+from oracles import error_covariance
 
 
 def statistic(X, D, c):
@@ -69,20 +71,19 @@ class TestLeastSquares:
     def test_error_covariance_law(self):
         # Exact law for the LS error with orthogonal pilots:
         # E[E^dagger E] = (n / (eta L)) I_n, i.e. per-entry error variance
-        # 1/(eta L) summed over the n rows. Verified against a brute-force
+        # 1/(eta L) summed over the n rows. R_E is averaged over the
+        # production LS estimates, and verified against a brute-force
         # average of Z D^dagger (D D^dagger)^-1 Gram matrices that draws the
         # noise Z itself and never calls estimate_ls.
         n, trials = 2, 10_000
         for eta in (1.0, 10.0, 100.0):
             for L in (8, 16):
                 params = ChannelParams(n=n, power=n * eta, sigma2=1.0)
-                stats = empirical_error_covariance(
-                    ("ls",), params, L, trials, np.random.default_rng(7)
-                )["ls"]
+                R_E = error_covariance("ls", params, L, trials, np.random.default_rng(7))
                 expected = (n / (eta * L)) * np.eye(n)
                 atol = 0.05 * n / (eta * L)
-                assert np.allclose(stats.R_E, expected, atol=atol)
-                assert stats.trace_re == pytest.approx(n * n / (eta * L), rel=0.05)
+                assert np.allclose(R_E, expected, atol=atol)
+                assert np.trace(R_E).real == pytest.approx(n * n / (eta * L), rel=0.05)
 
                 D = make_pilots(n, L, params.power)
                 g = np.random.default_rng(17).standard_normal((2, trials, n, L))
@@ -90,12 +91,12 @@ class TestLeastSquares:
                 E = Z @ dagger(D) @ np.linalg.inv(D @ dagger(D))
                 brute = np.mean(dagger(E) @ E, axis=0)
                 assert np.allclose(brute, expected, atol=atol)
-                assert np.allclose(brute, stats.R_E, atol=atol)
+                assert np.allclose(brute, R_E, atol=atol)
 
     def test_trace_halves_with_double_pilots(self):
         params = ChannelParams(n=2, power=4.0, sigma2=1.0)
-        t8 = empirical_error_covariance(("ls",), params, 8, 10_000, np.random.default_rng(8))["ls"].trace_re
-        t16 = empirical_error_covariance(("ls",), params, 16, 10_000, np.random.default_rng(9))["ls"].trace_re
+        t8 = np.trace(error_covariance("ls", params, 8, 10_000, np.random.default_rng(8))).real
+        t16 = np.trace(error_covariance("ls", params, 16, 10_000, np.random.default_rng(9))).real
         assert t16 == pytest.approx(t8 / 2, rel=0.10)
 
 
@@ -262,51 +263,6 @@ class TestKabschLargerN:
             assert np.max(np.abs(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh)) <= 1e-12
 
 
-class TestErrorStats:
-    def test_dof(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        stats = empirical_error_covariance(("ls", "kabsch"), params, 8, 500, np.random.default_rng(16))
-        assert stats["ls"].dof == 8
-        assert stats["kabsch"].dof == 4
-
-    def test_hermitian_psd(self):
-        params = ChannelParams.from_eta_db(2, 5.0)
-        stats = empirical_error_covariance(
-            ("kabsch",), params, 8, 500, np.random.default_rng(12)
-        )["kabsch"]
-        R = stats.R_E
-        assert fro_norm(R - dagger(R)) < 1e-12
-        assert np.min(np.linalg.eigvalsh(R)) >= -1e-12
-        assert stats.error_per_dof >= 0
-
-    def test_kabsch_per_dof_not_above_ls(self):
-        for eta_db in (0.0, 10.0, 20.0):
-            for L in (8, 16):
-                params = ChannelParams.from_eta_db(2, eta_db)
-                both = empirical_error_covariance(("ls", "kabsch"), params, L, 2000, np.random.default_rng(13))
-                ls, kb = both["ls"], both["kabsch"]
-                assert kb.error_per_dof <= ls.error_per_dof * 1.1
-
-    def test_ls_independent_of_other_kinds(self):
-        # One call for several kinds shares the draws without changing any kind's result.
-        params = ChannelParams.from_eta_db(2, 5.0)
-        alone = empirical_error_covariance(("ls",), params, 8, 9000, np.random.default_rng(15))["ls"]
-        both = empirical_error_covariance(("kabsch", "ls"), params, 8, 9000, np.random.default_rng(15))
-        assert np.array_equal(both["ls"].R_E, alone.R_E)
-        assert both["ls"].error_per_dof == alone.error_per_dof
-
-    def test_unknown_kind(self):
-        params = ChannelParams.from_eta_db(2, 5.0)
-        for kinds in (("mmse",), ("ls", "perfect")):
-            with pytest.raises(ValueError):
-                empirical_error_covariance(kinds, params, 8, 500, np.random.default_rng(0))
-
-    def test_min_trials(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        with pytest.raises(ValueError):
-            empirical_error_covariance(("ls",), params, 8, 50, np.random.default_rng(0))
-
-
 class TestRegistry:
     def test_kinds(self):
         assert ESTIMATOR_KINDS == ("ls", "kabsch")
@@ -324,4 +280,4 @@ class TestRegistry:
         assert "perfect" not in ESTIMATORS
         params = ChannelParams.from_eta_db(2, 5.0)
         with pytest.raises(ValueError):
-            empirical_error_covariance(("perfect",), params, 8, 500, np.random.default_rng(0))
+            air_corollary4_paired_mc(params, 8, 500, np.random.default_rng(0), kinds=("perfect",))

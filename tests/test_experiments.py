@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import polair.air
-import polair.estimators
-from polair.air import air_corollary4
+from polair.air import air_corollary4_paired_mc, air_gaussian_paired_mc
 from polair.channel import ChannelParams
-from polair.estimators import empirical_error_covariance, estimate_kabsch, estimate_ls
+from polair.estimators import estimate_kabsch, estimate_ls
 from polair.experiments import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -23,6 +22,8 @@ from polair.experiments import (
     _substream,
 )
 from polair.linalg import MC_BLOCK, sample_cgauss
+
+from oracles import error_covariance
 
 
 def small_config(experiment, **overrides):
@@ -127,7 +128,6 @@ class TestDeterminism:
             return [out[k] for k in range(len(starts))]
 
         monkeypatch.setattr(polair.air, "mc_blocks", reversed_blocks)
-        monkeypatch.setattr(polair.estimators, "mc_blocks", reversed_blocks)
         assert run_experiment(config).to_csv_string() == forward
         assert calls and set(calls) == {3}
 
@@ -204,20 +204,51 @@ class TestRowContents:
 
 class TestErrorCovRows:
     def test_rows_equal_error_covariance_on_substream(self):
+        # The air column is the Corollary-4 driver's estimate on the grid point's
+        # substream, and E2 is tr(R_E)/(n dof) of the R_E of the same draws.
         config = small_config("error_cov", trials=5000, eta_db_grid=(0.0, 10.0))
         rows = iter(run_experiment(config).rows)
         for i_eta, eta_db in enumerate(config.eta_db_grid):
             params = ChannelParams.from_eta_db(config.n, eta_db)
             for i_L, L in enumerate(config.L_grid):
-                rng = _substream(config, i_eta, i_L)
-                stats = empirical_error_covariance(config.estimators, params, L, config.trials, rng)
+                estimates = air_corollary4_paired_mc(params, L, config.trials, _substream(config, i_eta, i_L))
                 for kind in config.estimators:
                     row = next(rows)
                     assert (row.estimator, row.eta_db, row.L) == (kind, eta_db, L)
-                    assert row.E2 == stats[kind].error_per_dof
-                    assert row.air.value == air_corollary4(config.n, params.eta, stats[kind].R_E).value
+                    assert row.air == estimates[kind]
                     assert row.air.trials == config.trials
+                    R_E = error_covariance(kind, params, L, config.trials, _substream(config, i_eta, i_L))
+                    dof = {"ls": 8, "kabsch": 4}[kind]
+                    assert row.E2 == pytest.approx(np.trace(R_E).real / (config.n * dof), rel=1e-12)
         assert next(rows, None) is None
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_E2_is_the_bound_gap_per_dof(self, n):
+        # E2 = (capacity - air) ln 2 / (eta n dof), dof = 2 n^2 for ls and n^2 for kabsch.
+        config = small_config("error_cov", n=n, L_grid=(2 * n,), eta_db_grid=(0.0, 20.0))
+        for row in run_experiment(config).rows:
+            eta = 10.0 ** (row.eta_db / 10.0)
+            dof = {"ls": 2 * n * n, "kabsch": n * n}[row.estimator]
+            assert row.E2 * eta * n * dof / np.log(2.0) == pytest.approx(row.gap, rel=1e-12)
+            assert row.E2 > 0
+
+    def test_kabsch_per_dof_not_above_ls(self):
+        config = small_config("error_cov", trials=2000, eta_db_grid=(0.0, 10.0, 20.0), L_grid=(8, 16))
+        by_point = {}
+        for row in run_experiment(config).rows:
+            by_point.setdefault((row.eta_db, row.L), {})[row.estimator] = row.E2
+        assert len(by_point) == 6
+        for point in by_point.values():
+            assert point["kabsch"] <= point["ls"] * 1.1
+
+    def test_kabsch_row_equals_gaussian_driver(self):
+        # Both compute Corollary 4 of the Kabsch error on the same draws.
+        config = small_config("error_cov", trials=3000, eta_db_grid=(0.0,), L_grid=(8,), master_seed=4)
+        params = ChannelParams.from_eta_db(config.n, 0.0)
+        gaussian = air_gaussian_paired_mc(params, 8, config.trials, _substream(config, 0, 0), kinds=config.estimators)
+        row = next(r for r in run_experiment(config).rows if r.estimator == "kabsch")
+        assert row.air.value == gaussian["kabsch"].value
+        assert row.air.std_error == gaussian["kabsch"].std_error
 
     def test_air_stderr_of_per_trial_bounds(self):
         # Redo the draws of one grid point by hand, on the identity channel and

@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 
 import polair.estimators
-from polair.air import air_discrete_paired_mc, air_gaussian_paired_mc
+from polair.air import air_corollary4_paired_mc, air_discrete_paired_mc, air_gaussian_paired_mc
 from polair.channel import ChannelParams, make_constellation
-from polair.estimators import empirical_error_covariance
 from polair.linalg import MC_BLOCK
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -69,6 +68,6 @@ def test_steps_estimate_through_the_traced_names(entry, n, monkeypatch):
     elif entry == "discrete":
         air_discrete_paired_mc(make_constellation("dp_qpsk", n, params.power), params, 2 * n, trials, rng)
     else:
-        empirical_error_covariance(("ls", "kabsch"), params, 2 * n, trials, rng)
+        air_corollary4_paired_mc(params, 2 * n, trials, rng)
     blocks = [(MC_BLOCK, n, n), (952, n, n)]  # one call per kind and Monte Carlo block
     assert calls == [(name, shape) for shape in blocks for name in ("estimate_ls", "estimate_kabsch")]
