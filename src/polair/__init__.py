@@ -37,8 +37,6 @@ from .experiments import (
     run_experiment,
 )
 from .linalg import (
-    dagger,
-    fro_norm,
     haar_unitary,
     sample_cgauss,
 )

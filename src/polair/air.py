@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelParams, Constellation
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
-from .linalg import check_hermitian_psd, dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
+from .linalg import dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
 
 __all__ = [
     "AirEstimate",
@@ -147,15 +147,17 @@ def _corollary4_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
     return n * np.log2(1.0 + eta) - eta * np.sum(E.real**2 + E.imag**2, axis=(-2, -1)) / LN2
 
 
-def air_corollary4(n: int, eta: float, R_E) -> AirEstimate:
-    """Average AIR with a unitary estimate: n log2(1+eta) - eta tr(R_E)/ln 2."""
+def air_corollary4(n: int, eta: float, tr_R_E: float) -> AirEstimate:
+    """Average AIR with a unitary estimate: n log2(1+eta) - eta tr_R_E/ln 2.
+
+    The bound depends on the error covariance R_E = E[E^dagger E] only
+    through its trace ``tr_R_E``, which must be finite and >= 0.
+    """
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    R_E = check_hermitian_psd(R_E, "R_E")
-    if R_E.shape != (n, n):
-        raise ValueError(f"R_E must be {n}x{n}, got {R_E.shape}")
-    value = n * np.log2(1.0 + eta) - eta * float(np.trace(R_E).real) / LN2
-    return AirEstimate(value=value)
+    if not (np.isfinite(tr_R_E) and tr_R_E >= 0):
+        raise ValueError(f"tr_R_E must be finite and >= 0, got {tr_R_E}")
+    return AirEstimate(n * np.log2(1.0 + eta) - eta * tr_R_E / LN2)
 
 
 def synthetic_estimates(n: int, error_per_dof: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +166,7 @@ def synthetic_estimates(n: int, error_per_dof: float, size: int, rng: np.random.
     E is i.i.d. circular Gaussian, scaled so that
     tr E[E^dagger E] = n * (2 n^2) * error_per_dof: the general (nonunitary)
     error model of fig2. fig2's unitary curve needs no draws; it is the
-    closed form :func:`air_corollary4`.
+    closed form :func:`air_corollary4` of tr(R_E) = n^3 * error_per_dof.
     """
     if error_per_dof < 0:
         raise ValueError("error_per_dof must be >= 0")

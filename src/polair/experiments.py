@@ -242,7 +242,7 @@ def _fig2_rows(config: ExperimentConfig, eta_db: float, e2: float, rng: np.rando
     eta = 10.0 ** (eta_db / 10.0)
     cap = capacity_perfect(n, eta).value
     general = air_synthetic_mc(n, e2, eta, config.trials, rng)
-    unitary = air_corollary4(n, eta, (n * n * e2) * np.eye(n))
+    unitary = air_corollary4(n, eta, n**3 * e2)
     return [SweepRow(name, eta_db, 0, e2, est, cap) for name, est in (("general", general), ("unitary", unitary))]
 
 

@@ -1,14 +1,12 @@
-"""Small complex-matrix helpers and the simulator's random sampling primitives.
+"""Batch-last matrix helpers and the simulator's random sampling primitives.
 
-The helpers validate a matrix argument (:func:`as_complex_matrix`,
-:func:`check_hermitian_psd`), form a conjugate transpose (:func:`dagger`)
-and a Frobenius norm (:func:`fro_norm`); products, inverses and
-factorizations are numpy's, called directly where they are needed. Three
-more (:func:`matmul_last`, :func:`dagger_last`, :func:`sq_fro_last`) work on
-batch-last stacks, which the n > 2 kernels use in place of one LAPACK call
-per small matrix. The samplers draw Haar-distributed unitary matrices and
-circularly symmetric complex Gaussian arrays, both vectorized over a stack
-of draws; :func:`mc_blocks` is the package's one Monte Carlo block loop.
+Products, inverses and factorizations are numpy's, called directly where
+they are needed. Three helpers (:func:`matmul_last`, :func:`dagger_last`,
+:func:`sq_fro_last`) work on batch-last stacks, which the n > 2 kernels use
+in place of one LAPACK call per small matrix. The samplers draw
+Haar-distributed unitary matrices and circularly symmetric complex Gaussian
+arrays, both vectorized over a stack of draws; :func:`mc_blocks` is the
+package's one Monte Carlo block loop.
 
 Input arrays are never modified; a sampler may fill its own fresh buffer in
 place. Random sampling takes an explicit ``numpy.random.Generator`` so that
@@ -19,52 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "as_complex_matrix",
-    "check_hermitian_psd",
-    "dagger",
-    "fro_norm",
-    "haar_unitary",
-    "sample_cgauss",
-]
-
-
-def as_complex_matrix(A, name: str = "matrix") -> np.ndarray:
-    """Validate and convert ``A`` to a 2-D complex ndarray.
-
-    Rejects empty shapes and non-finite entries.
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and column, got {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return A
-
-
-def check_hermitian_psd(Q, name: str) -> np.ndarray:
-    """Validate ``Q`` as a Hermitian positive semidefinite matrix, to a 1e-10 relative tolerance."""
-    Q = as_complex_matrix(Q, name)
-    scale = max(1.0, fro_norm(Q))
-    if fro_norm(Q - dagger(Q)) > 1e-10 * scale:
-        raise ValueError(f"{name} is not Hermitian to tolerance")
-    if np.min(np.linalg.eigvalsh(0.5 * (Q + dagger(Q)))) < -1e-10 * scale:
-        raise ValueError(f"{name} is not positive semidefinite to tolerance")
-    return Q
-
-
-def dagger(A) -> np.ndarray:
-    """Conjugate transpose. Supports stacked (..., m, n) inputs."""
-    A = np.asarray(A, dtype=complex)
-    return np.conj(np.swapaxes(A, -2, -1))
-
-
-def fro_norm(A) -> float:
-    """Frobenius norm sqrt(sum |a_ij|^2)."""
-    A = np.asarray(A, dtype=complex)
-    return float(np.sqrt(np.sum(np.abs(A) ** 2)))
+__all__ = ["haar_unitary", "sample_cgauss"]
 
 
 def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -11,15 +11,59 @@ the last ones given a fixed channel. Tests compare a production kernel fed
 the rotated estimate U^dagger H_hat with a form here fed (U, H_hat).
 The error covariance R_E, which no CSV column reports, is averaged here
 over the production draws, so its entries can be checked one by one.
+
+The matrix helpers the general forms and the tests share live here too:
+validating a matrix argument (:func:`as_complex_matrix`,
+:func:`check_hermitian_psd`), the conjugate transpose (:func:`dagger`) and
+the Frobenius norm (:func:`fro_norm`). The package's kernels need none of
+them.
 """
 
 import numpy as np
 
 from polair.air import AirEstimate
 from polair.estimators import ESTIMATORS, statistic_sampler
-from polair.linalg import as_complex_matrix, check_hermitian_psd, dagger, mc_blocks, sample_cgauss
+from polair.linalg import mc_blocks, sample_cgauss
 
 LN2 = float(np.log(2.0))
+
+
+def as_complex_matrix(A, name: str = "matrix") -> np.ndarray:
+    """Validate and convert ``A`` to a 2-D complex ndarray.
+
+    Rejects empty shapes and non-finite entries.
+    """
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got ndim={A.ndim}")
+    if A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError(f"{name} must have at least one row and column, got {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return A
+
+
+def check_hermitian_psd(Q, name: str) -> np.ndarray:
+    """Validate ``Q`` as a Hermitian positive semidefinite matrix, to a 1e-10 relative tolerance."""
+    Q = as_complex_matrix(Q, name)
+    scale = max(1.0, fro_norm(Q))
+    if fro_norm(Q - dagger(Q)) > 1e-10 * scale:
+        raise ValueError(f"{name} is not Hermitian to tolerance")
+    if np.min(np.linalg.eigvalsh(0.5 * (Q + dagger(Q)))) < -1e-10 * scale:
+        raise ValueError(f"{name} is not positive semidefinite to tolerance")
+    return Q
+
+
+def dagger(A) -> np.ndarray:
+    """Conjugate transpose. Supports stacked (..., m, n) inputs."""
+    A = np.asarray(A, dtype=complex)
+    return np.conj(np.swapaxes(A, -2, -1))
+
+
+def fro_norm(A) -> float:
+    """Frobenius norm sqrt(sum |a_ij|^2)."""
+    A = np.asarray(A, dtype=complex)
+    return float(np.sqrt(np.sum(np.abs(A) ** 2)))
 
 
 def mi_gaussian_given_H(H, Q) -> AirEstimate:

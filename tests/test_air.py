@@ -30,12 +30,14 @@ from polair.estimators import (
     estimate_ls,
     statistic_sampler,
 )
-from polair.linalg import MC_BLOCK, dagger, fro_norm, haar_unitary, mc_blocks, sample_cgauss
+from polair.linalg import MC_BLOCK, haar_unitary, mc_blocks, sample_cgauss
 
 from oracles import (
     air_theorem1,
     corollary1_reference,
+    dagger,
     error_covariance,
+    fro_norm,
     mi_discrete_given_H,
     mi_gaussian_given_H,
     reference_density,
@@ -220,17 +222,17 @@ class TestCorollary4Kernel:
 
 class TestCorollary4:
     def test_zero_error(self):
-        assert air_corollary4(2, 10.0, np.zeros((2, 2))).value == pytest.approx(
+        assert air_corollary4(2, 10.0, 0.0).value == pytest.approx(
             capacity_perfect(2, 10.0).value, abs=1e-12
         )
 
     def test_reference_value(self):
         # 2 log2(11) - (10/ln2) * 0.05 = 6.197515...
-        got = air_corollary4(2, 10.0, 0.025 * np.eye(2)).value
+        got = air_corollary4(2, 10.0, 0.05).value
         assert got == pytest.approx(6.1976, abs=1e-3)
 
     def test_monotone_in_trace(self):
-        values = [air_corollary4(2, 10.0, t * np.eye(2)).value for t in (0.0, 0.01, 0.05, 0.2)]
+        values = [air_corollary4(2, 10.0, t).value for t in (0.0, 0.02, 0.1, 0.4)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_matches_corollary1_for_unitary_estimate(self):
@@ -240,12 +242,17 @@ class TestCorollary4:
             U = haar_unitary(2, rng)
             H_hat = haar_unitary(2, rng)
             E = U - H_hat
-            single_sample = air_corollary4(2, eta, dagger(E) @ E).value
+            single_sample = air_corollary4(2, eta, fro_norm(E) ** 2).value
             assert _corollary1_values(dagger(U) @ H_hat, eta) == pytest.approx(single_sample, abs=1e-10)
 
-    def test_non_psd_rejected(self):
+    @pytest.mark.parametrize(
+        "eta, tr_R_E",
+        [(1.0, -2.0), (1.0, float("nan")), (1.0, float("inf")), (0.0, 0.1), (-1.0, 0.1)],
+        ids=["negative_trace", "nan_trace", "inf_trace", "zero_eta", "negative_eta"],
+    )
+    def test_invalid_input_rejected(self, eta, tr_R_E):
         with pytest.raises(ValueError):
-            air_corollary4(2, 1.0, -np.eye(2))
+            air_corollary4(2, eta, tr_R_E)
 
 
 class TestCorollary2MonteCarlo:
@@ -715,9 +722,7 @@ class TestFig2Shape:
         # eta = 1/(n^2 e2) - 1 = 24 (13.8 dB), inside a 0-20 dB grid
         e2, n = 1e-2, 2
         grid_db = np.arange(0.0, 21.0)
-        values = [
-            air_corollary4(n, 10 ** (db / 10.0), (n * n * e2) * np.eye(n)).value for db in grid_db
-        ]
+        values = [air_corollary4(n, 10 ** (db / 10.0), n**3 * e2).value for db in grid_db]
         am = int(np.argmax(values))
         assert 0 < am < len(values) - 1
 
@@ -728,7 +733,7 @@ class TestFig2Shape:
         for e2 in (1e-3, 1e-2, 1e-1):
             grid_db = np.arange(-10.0, 40.0, 0.5)
             values = np.array(
-                [air_corollary4(n, 10 ** (db / 10.0), (n * n * e2) * np.eye(n)).value for db in grid_db]
+                [air_corollary4(n, 10 ** (db / 10.0), n**3 * e2).value for db in grid_db]
             )
             slopes_positive = np.diff(values) > 0
             switches = np.sum(np.abs(np.diff(slopes_positive.astype(int))))
@@ -739,6 +744,6 @@ class TestFig2Shape:
         for e2 in (1e-3, 1e-2, 1e-1):
             for eta_db in (0.0, 10.0, 20.0):
                 eta = 10 ** (eta_db / 10.0)
-                unitary = air_corollary4(2, eta, (4 * e2) * np.eye(2)).value
+                unitary = air_corollary4(2, eta, 2**3 * e2).value
                 general = air_synthetic_mc(2, e2, eta, 5000, np.random.default_rng(next(rng_seed)))
                 assert unitary >= general.value - 3 * general.std_error

@@ -9,7 +9,8 @@ from polair.channel import (
     make_constellation,
     make_pilots,
 )
-from polair.linalg import dagger, fro_norm
+
+from oracles import dagger, fro_norm
 
 
 class TestChannelParams:

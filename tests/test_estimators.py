@@ -14,9 +14,9 @@ from polair.estimators import (
     estimate_ls,
     statistic_sampler,
 )
-from polair.linalg import dagger, fro_norm, haar_unitary, sample_cgauss
+from polair.linalg import haar_unitary, sample_cgauss
 
-from oracles import error_covariance
+from oracles import dagger, error_covariance, fro_norm
 
 
 def statistic(X, D, c):

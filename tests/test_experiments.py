@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import polair.air
-from polair.air import air_corollary4_paired_mc, air_gaussian_paired_mc
+from polair.air import LN2, air_corollary4, air_corollary4_paired_mc, air_gaussian_paired_mc
 from polair.channel import ChannelParams
 from polair.estimators import estimate_kabsch, estimate_ls
 from polair.experiments import (
@@ -165,6 +165,18 @@ class TestRowContents:
         for row in rows:
             assert abs(float(row["air_bits"]) - float(row["capacity_bits"])) <= 1e-12, row
             assert float(row["air_stderr"]) == 0.0, row
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fig2_unitary_rows_are_corollary4_of_the_trace(self, n):
+        # fig2 checks L against n even though it draws no pilots, so L_grid = (n,).
+        config = small_config("fig2", n=n, L_grid=(n,), trials=200)
+        rows = [row for row in csv_rows(run_experiment(config)) if row["estimator"] == "unitary"]
+        assert len(rows) == len(config.eta_db_grid) * len(config.E2_grid)
+        for row in rows:
+            eta, e2, air = 10.0 ** (float(row["eta_db"]) / 10.0), float(row["E2"]), float(row["air_bits"])
+            assert air == air_corollary4(n, eta, n**3 * e2).value, row
+            assert abs(air - (n * np.log2(1.0 + eta) - eta * n**3 * e2 / LN2)) <= 1e-12, row
+            assert float(row["air_stderr"]) == 0.0 and int(row["trials"]) == 1, row
 
     def test_fig3_grid_coverage_and_bound(self):
         config = small_config("fig3a", trials=500)
