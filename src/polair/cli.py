@@ -9,27 +9,29 @@ Subcommands:
 * ``sweep``     -- a named figure experiment (fig2, fig3a, fig3b, fig4),
                    written as CSV.
 
-Each sweep flag sets one config field and is parsed as that field's
-config-file entry is (:func:`~polair.experiments.parse_config_value`), so
-``--L 4,8`` and ``L_grid = 4,8`` give the same configuration; flags
-override ``--config`` file entries. A value that starts with a minus sign
-is joined to its flag with ``=``, as in ``--eta-db=-2,4``: argparse takes
-a separate ``-2,4`` for a flag.
+Each sweep flag's ``dest`` is the config field it sets, and its value is
+parsed as that field's config-file entry is
+(:func:`~polair.experiments.parse_config_value`), so ``--L 4,8`` and
+``L_grid = 4,8`` give the same configuration; flags override ``--config``
+file entries. A value that starts with a minus sign is joined to its flag
+with ``=``, as in ``--eta-db=-2,4``: argparse takes a separate ``-2,4``
+for a flag.
 
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
 unparsable values, empty list items, non-finite grid values, SNRs outside
 [-10, 40] dB, E2 values outside [0, 1], repeated grid values or estimator
-kinds, an E2 grid outside fig2, a discrete input for fig2 or error_cov or
-with n != 2 or fewer than 1000 trials, and n < 2), 4 numerical failure
-(including any value the numeric core rejects that the configuration
-checks let through, and an array too large to allocate).
+kinds, an E2 grid outside fig2, an L grid or estimator list for fig2, an
+empty L grid or estimator list elsewhere, a discrete input for fig2 or
+error_cov or with n != 2 or fewer than 1000 trials, and n < 2), 4 numerical
+failure (including any value the numeric core rejects that the
+configuration checks let through, and an array too large to allocate).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,7 @@ from .experiments import (
     EXPERIMENTS,
     INPUT_KINDS,
     ConfigError,
+    ExperimentConfig,
     check_eta_db,
     config_from_text,
     default_config,
@@ -81,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--experiment", choices=[e for e in EXPERIMENTS if e != "error_cov"])
         p.add_argument("--config", help="key=value config file; flags override its entries")
-        p.add_argument("--eta-db", help="comma-separated SNR grid in dB; write --eta-db=-2,4 when it starts below 0")
-        p.add_argument("--L", help="comma-separated pilot-length grid")
-        p.add_argument("--E2", help="comma-separated per-DOF error grid (fig2)")
+        p.add_argument("--eta-db", dest="eta_db_grid", help="comma-separated SNR grid in dB; write --eta-db=-2,4 when it starts below 0")
+        p.add_argument("--L", dest="L_grid", help="comma-separated pilot-length grid")
+        p.add_argument("--E2", dest="E2_grid", help="comma-separated per-DOF error grid (fig2)")
         p.add_argument("--input", choices=INPUT_KINDS)
-        p.add_argument("--estimator", help=f"comma-separated subset of {','.join(ESTIMATOR_KINDS)}")
+        p.add_argument("--estimator", dest="estimators", help=f"comma-separated subset of {','.join(ESTIMATOR_KINDS)}")
         p.add_argument("--trials")
-        p.add_argument("--seed")
+        p.add_argument("--seed", dest="master_seed")
         p.add_argument("--out", help="output path, - for stdout (default ./out/<experiment>-<seed>.csv)")
     return parser
 
@@ -107,18 +110,6 @@ def _write_text(out: str | None, default_path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-# Each sweep flag and the config field it sets.
-_FLAG_FIELDS = {
-    "eta_db": "eta_db_grid",
-    "L": "L_grid",
-    "E2": "E2_grid",
-    "input": "input",
-    "estimator": "estimators",
-    "trials": "trials",
-    "seed": "master_seed",
-}
-
-
 def _build_sweep_config(args: argparse.Namespace, experiment: str):
     if args.config:
         config = config_from_text(Path(args.config).read_text())
@@ -129,9 +120,9 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
     else:
         config = default_config(experiment)
     overrides = {
-        name: parse_config_value(name, getattr(args, flag))
-        for flag, name in _FLAG_FIELDS.items()
-        if getattr(args, flag) is not None
+        f.name: parse_config_value(f.name, getattr(args, f.name))
+        for f in fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
     }
     return replace(config, **overrides)
 

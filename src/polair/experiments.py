@@ -1,9 +1,11 @@
 """Named, reproducible sweeps over SNR, pilot length and error level.
 
 Every experiment walks one grid, SNR crossed with a second axis: the error
-level E2 for fig2 and the pilot length L for the others.
-:func:`run_experiment` runs the experiment's rate computation at every grid
-point and collects one row per (grid point, estimator or error model).
+level E2 for fig2 and the pilot length L for the others. The table
+``_EXPERIMENTS`` gives each experiment's list fields (grid axis first; a
+list it does not read must be empty), row function, inputs and defaults.
+:func:`run_experiment` runs the row function at every grid point and
+collects one row per (grid point, estimator or error model).
 Randomness comes per grid point from ``numpy.random.SeedSequence`` spawn
 keys of the master seed, then per trial block (:func:`~polair.linalg.mc_blocks`):
 a configuration gives byte-identical results in any evaluation order.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -62,8 +65,6 @@ __all__ = [
     "parse_config_value",
 ]
 
-EXPERIMENTS = ("fig2", "fig3a", "fig3b", "fig4", "error_cov")
-_EXPERIMENT_ID = {name: i for i, name in enumerate(EXPERIMENTS)}
 INPUT_KINDS = ("gaussian", *CONSTELLATION_KINDS)
 
 CSV_SCHEMA_VERSION = 1
@@ -102,9 +103,9 @@ class ExperimentConfig:
     experiment: str
     eta_db_grid: tuple[float, ...]
     L_grid: tuple[int, ...] = (8,)
-    # fig2 only: per-DOF error levels in [0, 1]. At E2 = 1 the synthetic error
-    # already has 2 n^2 times the power of a channel entry; the paper's largest
-    # level is 1e-1.
+    # Per-DOF error levels in [0, 1], read by fig2 only (see _EXPERIMENTS). At
+    # E2 = 1 the synthetic error already has 2 n^2 times the power of a channel
+    # entry; the paper's largest level is 1e-1.
     E2_grid: tuple[float, ...] = ()
     input: str = "gaussian"
     estimators: tuple[str, ...] = ESTIMATOR_KINDS
@@ -113,10 +114,16 @@ class ExperimentConfig:
     n: int = 2
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        spec = _EXPERIMENTS[self.experiment]
         if len(self.eta_db_grid) == 0:
             raise ConfigError("eta_db_grid must be non-empty")
+        for name in ("L_grid", "E2_grid", "estimators"):
+            if name in spec.reads and not getattr(self, name):
+                raise ConfigError(f"{self.experiment} requires a non-empty {name}")
+            if name not in spec.reads and getattr(self, name):
+                raise ConfigError(f"{self.experiment} does not read {name}; leave it empty")
         for name in ("eta_db_grid", "E2_grid"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be finite")
@@ -128,52 +135,22 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.input not in INPUT_KINDS:
-            raise ConfigError(f"unknown input kind {self.input!r}")
+        if self.input not in spec.inputs:
+            raise ConfigError(f"{self.experiment} takes input {', '.join(spec.inputs)}; got {self.input!r}")
         if self.input != "gaussian" and self.n != 2:
             raise ConfigError(f"{self.input} is a dual-polarization input and requires n = 2, got n = {self.n}")
-        if len(self.L_grid) == 0:
-            raise ConfigError("L_grid must be non-empty")
         if any(L < self.n or L % self.n != 0 for L in self.L_grid):
             raise ConfigError("every L must be >= n and a multiple of n")
-        if len(self.estimators) == 0:
-            raise ConfigError("estimators must be non-empty")
         if any(k not in ESTIMATOR_KINDS for k in self.estimators):
             raise ConfigError(f"estimators must be a subset of {ESTIMATOR_KINDS}")
         for name in ("eta_db_grid", "L_grid", "E2_grid", "estimators"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {','.join(map(str, values))}")
-        if self.experiment == "fig2":
-            if len(self.E2_grid) == 0:
-                raise ConfigError("fig2 requires a non-empty E2_grid")
-            if any(not (0.0 <= e <= 1.0) for e in self.E2_grid):
-                raise ConfigError("E2 values must lie in [0, 1]")
-        elif self.E2_grid:
-            raise ConfigError(f"E2_grid is a fig2 setting; {self.experiment} requires it empty")
-        if self.experiment in ("fig2", "error_cov") and self.input != "gaussian":
-            raise ConfigError(f"{self.experiment} requires input gaussian, got {self.input!r}")
-        if self.experiment == "fig3b" and self.input == "gaussian":
-            raise ConfigError("fig3b requires a discrete input kind")
+        if any(not (0.0 <= e <= 1.0) for e in self.E2_grid):
+            raise ConfigError("E2 values must lie in [0, 1]")
         if self.input != "gaussian" and self.trials < 1000:
             raise ConfigError(f"a discrete input requires trials >= 1000, got {self.trials}")
-
-
-# Each experiment's overrides of the ExperimentConfig field defaults.
-_DEFAULTS = {
-    "fig2": dict(eta_db_grid=tuple(float(e) for e in range(0, 21)), E2_grid=(1e-3, 1e-2, 1e-1)),
-    "fig3a": dict(eta_db_grid=tuple(float(e) for e in range(-2, 21))),
-    "fig3b": dict(eta_db_grid=tuple(float(e) for e in range(-2, 21, 2)), input="dp_16qam", trials=200_000),
-    "fig4": dict(eta_db_grid=(4.0, 14.0), L_grid=(2, 4, 8, 16, 32, 64)),
-    "error_cov": dict(eta_db_grid=(0.0, 10.0, 20.0), L_grid=(8, 16)),
-}
-
-
-def default_config(experiment: str, master_seed: int = 0) -> ExperimentConfig:
-    """Engineering-default grids giving desk-scale runtimes."""
-    if experiment not in _DEFAULTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    return ExperimentConfig(experiment=experiment, master_seed=master_seed, **_DEFAULTS[experiment])
 
 
 @dataclass(frozen=True)
@@ -226,7 +203,7 @@ class SweepResult:
 
 def _substream(config: ExperimentConfig, *key: int) -> np.random.Generator:
     """Deterministic per-grid-point stream from (seed, experiment, indices)."""
-    spawn_key = (_EXPERIMENT_ID[config.experiment],) + tuple(key)
+    spawn_key = (EXPERIMENTS.index(config.experiment),) + tuple(key)
     return np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=spawn_key))
 
 
@@ -285,24 +262,57 @@ def _error_cov_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.ran
     return rows
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    reads: tuple[str, ...]  # the list fields the rows read, grid axis first
+    rows: Callable[[ExperimentConfig, float, float, np.random.Generator], list[SweepRow]]
+    inputs: tuple[str, ...]
+    defaults: dict  # overrides of the ExperimentConfig field defaults
+
+
+# The order is part of every substream's spawn key: append, never reorder.
+_EXPERIMENTS = {
+    "fig2": _Experiment(
+        ("E2_grid",), _fig2_rows, ("gaussian",),
+        dict(eta_db_grid=tuple(float(e) for e in range(0, 21)), E2_grid=(1e-3, 1e-2, 1e-1), L_grid=(), estimators=()),
+    ),
+    "fig3a": _Experiment(
+        ("L_grid", "estimators"), _rate_rows, INPUT_KINDS, dict(eta_db_grid=tuple(float(e) for e in range(-2, 21)))
+    ),
+    "fig3b": _Experiment(
+        ("L_grid", "estimators"), _rate_rows, CONSTELLATION_KINDS,
+        dict(eta_db_grid=tuple(float(e) for e in range(-2, 21, 2)), input="dp_16qam", trials=200_000),
+    ),
+    "fig4": _Experiment(
+        ("L_grid", "estimators"), _rate_rows, INPUT_KINDS, dict(eta_db_grid=(4.0, 14.0), L_grid=(2, 4, 8, 16, 32, 64))
+    ),
+    "error_cov": _Experiment(
+        ("L_grid", "estimators"), _error_cov_rows, ("gaussian",), dict(eta_db_grid=(0.0, 10.0, 20.0), L_grid=(8, 16))
+    ),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def default_config(experiment: str, master_seed: int = 0) -> ExperimentConfig:
+    """Engineering-default grids giving desk-scale runtimes."""
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    return ExperimentConfig(experiment=experiment, master_seed=master_seed, **_EXPERIMENTS[experiment].defaults)
+
+
 def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Validate ``config`` and run its sweep over the (SNR, second axis) grid.
 
-    The second axis is ``E2_grid`` for fig2 and ``L_grid`` otherwise; grid
-    point (i, j) draws from its own substream, so rows do not depend on
-    which other points the grid holds.
+    The second axis is the first list the experiment reads: ``E2_grid`` for
+    fig2 and ``L_grid`` otherwise. Grid point (i, j) draws from its own
+    substream, so rows do not depend on which other points the grid holds.
     """
     config.validate()
-    if config.experiment == "fig2":
-        axis, rows_at = config.E2_grid, _fig2_rows
-    elif config.experiment == "error_cov":
-        axis, rows_at = config.L_grid, _error_cov_rows
-    else:
-        axis, rows_at = config.L_grid, _rate_rows
+    spec = _EXPERIMENTS[config.experiment]
     rows = []
     for i_eta, eta_db in enumerate(config.eta_db_grid):
-        for j, value in enumerate(axis):
-            rows.extend(rows_at(config, eta_db, value, _substream(config, i_eta, j)))
+        for j, value in enumerate(getattr(config, spec.reads[0])):
+            rows.extend(spec.rows(config, eta_db, value, _substream(config, i_eta, j)))
     return SweepResult(config=config, rows=tuple(rows))
 
 

@@ -260,13 +260,16 @@ class TestSweep:
             ["sweep", "--experiment", "fig2", "--E2", "0.01", "--estimator", "mmse"],
             ["sweep", "--experiment", "fig2", "--E2", "0.01", "--input", "dp_16qam"],
             ["sweep", "--experiment", "fig2", "--E2", "0.01", "--L", "3"],
+            ["sweep", "--experiment", "fig2", "--E2", "0.01", "--L", "8"],
+            ["sweep", "--experiment", "fig2", "--E2", "0.01", "--estimator", "ls"],
             ["error-cov", "--input", "dp_16qam"],
             ["sweep", "--experiment", "fig3a", "--E2", "0.5"],
         ],
     )
     def test_unused_or_invalid_setting_rejected(self, capsys, args):
-        # fig2 checks the pilot lengths and estimators it does not use; fig2 and
-        # error_cov rate Gaussian inputs only; only fig2 takes an E2 grid.
+        # An experiment takes only the lists its rows read, even when the values are
+        # valid: fig2 reads no pilot lengths or estimators, and only fig2 reads an E2
+        # grid. fig2 and error_cov rate Gaussian inputs only.
         code = main(args + ["--eta-db", "10", "--trials", "200", "--out", "-"])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -300,8 +303,9 @@ class TestFlagsMatchConfigFile:
             ("fig3a", "--estimator", "estimators", "kabsch"),
             ("fig3a", "--trials", "trials", "300"),
             ("fig3a", "--seed", "master_seed", "9"),
+            ("error_cov", "--L", "L_grid", "4,16"),
         ],
-        ids=["eta-db", "L", "E2", "input", "estimator", "trials", "seed"],
+        ids=["eta-db", "L", "E2", "input", "estimator", "trials", "seed", "error-cov-L"],
     )
     def test_same_config_and_csv(self, tmp_path, capsys, monkeypatch, experiment, flag, key, value):
         configs = []
@@ -312,11 +316,12 @@ class TestFlagsMatchConfigFile:
 
         monkeypatch.setattr(polair.cli, "run_experiment", recording)
         base = self.base(experiment, key)
+        subcommand = "error-cov" if experiment == "error_cov" else "sweep"
         csvs = []
         for i, (entries, flags) in enumerate([(base, [flag, value]), (base + f"{key} = {value}\n", [])]):
             cfg_path, out = tmp_path / f"{i}.cfg", tmp_path / f"{i}.csv"
             cfg_path.write_text(entries)
-            assert main(["sweep", "--config", str(cfg_path), *flags, "--out", str(out)]) == EXIT_OK
+            assert main([subcommand, "--config", str(cfg_path), *flags, "--out", str(out)]) == EXIT_OK
             csvs.append(out.read_text())
         assert configs[0] == configs[1] != config_from_text(base)
         assert csvs[0] == csvs[1]

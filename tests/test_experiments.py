@@ -94,6 +94,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config("fig2", E2_grid=()).validate()
 
+    @pytest.mark.parametrize(
+        "experiment, name, value",
+        [
+            ("fig2", "L_grid", (8,)),
+            ("fig2", "estimators", ("ls",)),
+            *[(experiment, "E2_grid", (0.01,)) for experiment in ("fig3a", "fig3b", "fig4", "error_cov")],
+        ],
+    )
+    def test_unread_list_rejected(self, experiment, name, value):
+        # A list field the experiment's rows do not read must be empty, even when its values are valid.
+        with pytest.raises(ConfigError, match=f"{experiment} does not read {name}"):
+            small_config(experiment, **{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["L_grid", "estimators"])
+    @pytest.mark.parametrize("experiment", ["fig3a", "error_cov"])
+    def test_read_list_required(self, experiment, name):
+        with pytest.raises(ConfigError, match=f"{experiment} requires a non-empty {name}"):
+            small_config(experiment, **{name: ()}).validate()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_fig2_runs_at_any_n(self, n):
+        # fig2 draws no pilots, so its default config holds no L grid for n to divide.
+        config = replace(default_config("fig2"), n=n, eta_db_grid=(10.0,), E2_grid=(1e-2,))
+        rows = run_experiment(config).rows
+        assert [(r.estimator, r.L) for r in rows] == [("general", 0), ("unitary", 0)]
+        assert rows[0].air.trials == config.trials
+
     def test_fig3b_needs_discrete_input(self):
         with pytest.raises(ConfigError):
             small_config("fig3b", input="gaussian").validate()
@@ -168,8 +195,7 @@ class TestRowContents:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_fig2_unitary_rows_are_corollary4_of_the_trace(self, n):
-        # fig2 checks L against n even though it draws no pilots, so L_grid = (n,).
-        config = small_config("fig2", n=n, L_grid=(n,), trials=200)
+        config = small_config("fig2", n=n, trials=200)
         rows = [row for row in csv_rows(run_experiment(config)) if row["estimator"] == "unitary"]
         assert len(rows) == len(config.eta_db_grid) * len(config.E2_grid)
         for row in rows:
