@@ -19,7 +19,6 @@ from .air import (
     synthetic_estimates,
 )
 from .channel import (
-    ChannelParams,
     Constellation,
     make_constellation,
     make_pilots,

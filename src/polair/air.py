@@ -11,8 +11,9 @@ channel U enters as U^dagger H_hat. The paper's general forms (Theorem 1
 for an arbitrary fixed channel, the mutual information given H) are kept
 as test oracles, in ``tests/oracles.py``.
 
-All rates are in bits per (vector) symbol; logarithms are base 2 at the
-interface.
+The noise has unit variance per complex dimension, so every rate depends
+on the dimension n and the per-channel SNR eta alone. All rates are in bits
+per (vector) symbol; logarithms are base 2 at the interface.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, Constellation
+from .channel import Constellation
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
 from .linalg import dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
 
@@ -190,23 +191,23 @@ def air_synthetic_mc(n: int, error_per_dof: float, eta: float, trials: int, rng:
     return _paired_mc(step, ("general",), trials, rng)["general"]
 
 
-def _metric_weights(points: np.ndarray, sigma2: float) -> np.ndarray:
+def _metric_weights(points: np.ndarray) -> np.ndarray:
     """Weights of the decoding metric, computed once per constellation.
 
-    The metric of point s is (2 Re<y, s> - s^dagger G s)/sigma2 with
+    The metric of point s is 2 Re<y, s> - s^dagger G s with
     y = H_dec^dagger x and G = H_dec^dagger H_dec. Its product with per-sample
     features [Re y, Im y, Re G, Im G] takes the weights
-    [2 Re s; 2 Im s; -Re P; Im P]/sigma2, P = conj(s) s^T flattened, shape
+    [2 Re s; 2 Im s; -Re P; Im P], P = conj(s) s^T flattened, shape
     (2n + 2n^2, M); the first 2n rows give the cross term alone.
     """
     M, n = points.shape
     outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(M, n * n)
     rows = [2.0 * points.real, 2.0 * points.imag, -outer.real, outer.imag]
-    return np.concatenate(rows, axis=1).T / sigma2
+    return np.concatenate(rows, axis=1).T
 
 
 def _decoding_metric(H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Decoding metric -(||x - H_dec s||^2 - ||x||^2)/sigma2 of every point s, shape (B, M).
+    """Decoding metric ||x||^2 - ||x - H_dec s||^2 of every point s, shape (B, M).
 
     ``H_dec`` is a (B, n, n) stack, one decoder per sample; ``weights`` come
     from :func:`_metric_weights`. The per-sample Gram term joins the cross
@@ -233,29 +234,28 @@ def _discrete_values(metric: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.log2(metric.shape[1]) + (num - np.log(metric.sum(axis=1))) / LN2
 
 
-def _separable_values(y: np.ndarray, s: np.ndarray, levels: np.ndarray, sigma2: float) -> np.ndarray:
+def _separable_values(y: np.ndarray, s: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per-sample information density of a unitary decoder on a product-PAM input.
 
     ``y`` is the decoded vector H_dec^dagger x of a unitary H_dec and ``s``
     the transmitted point, each a contiguous complex (B, n) array; ``levels``
     is the constellation's :attr:`~polair.channel.Constellation.pam_levels`,
     and every constellation is their full product over the 2n real
-    dimensions. The metric -||x - H_dec s||^2/sigma2 is -||y - s||^2/sigma2,
-    a sum over the real dimensions d of -(y_d - s_d)^2/sigma2. So the
-    log-sum-exp over the M = side^(2n) points is the sum of 2n log-sum-exps
-    over the side levels, and the density is
-    2n log2(side) + sum_d (num_d - lse_d)/ln 2.
+    dimensions. The metric -||x - H_dec s||^2 is -||y - s||^2, a sum over
+    the real dimensions d of -(y_d - s_d)^2. So the log-sum-exp over the
+    M = side^(2n) points is the sum of 2n log-sum-exps over the side
+    levels, and the density is 2n log2(side) + sum_d (num_d - lse_d)/ln 2.
     """
     y = y.view(float)  # (B, 2n)
     dims = y.shape[1]
     # Levels first, (side, B, 2n): numpy reduces a short leading axis far faster than a short last one.
     metric = y - levels[:, None, None]
     np.square(metric, out=metric)
-    metric *= -1.0 / sigma2
+    metric *= -1.0
     peak = metric.max(axis=0)
     num = y - s.view(float)
     np.square(num, out=num)
-    num *= -1.0 / sigma2
+    num *= -1.0
     num -= peak
     metric -= peak
     np.exp(metric, out=metric)
@@ -266,7 +266,7 @@ def _separable_values(y: np.ndarray, s: np.ndarray, levels: np.ndarray, sigma2: 
 
 def air_discrete_paired_mc(
     constellation: Constellation,
-    params: ChannelParams,
+    eta: float,
     L: int,
     trials: int,
     rng: np.random.Generator,
@@ -274,9 +274,10 @@ def air_discrete_paired_mc(
 ) -> dict[str, AirEstimate]:
     """Average discrete-input AIR for several estimators on shared draws, with the perfect-CSI reference.
 
-    Each trial draws one pilot statistic from ``L`` pilots
-    (:func:`~polair.estimators.statistic_sampler`; ``L`` must be a multiple
-    of n and at least n), one data symbol and its noise on the identity
+    ``constellation`` gives the dimension n and must have been built at the
+    per-channel SNR ``eta``. Each trial draws one pilot statistic from
+    ``L`` pilots (:func:`~polair.estimators.statistic_sampler`; ``L`` must
+    be a multiple of n and at least n), one data symbol and its noise on the identity
     channel, which by rotation invariance gives the rates of every unitary
     channel. Every requested estimator (``"ls"``, ``"kabsch"``) decodes the
     same realization, and so does the perfect-CSI reference, returned under
@@ -285,37 +286,35 @@ def air_discrete_paired_mc(
     PAM levels, so a unitary decoder's density is separable over the real
     dimensions (:func:`_separable_values`); ``ls`` takes the full (B, M)
     metric. Paired differences are reported under keys ``"a-b"``, among
-    them ``"<kind>-perfect"``. ``"perfect"`` in ``kinds`` names the
-    reference, which is returned anyway.
+    them ``"<kind>-perfect"``.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
-    kinds = tuple(kind for kind in kinds if kind != "perfect")
     estimators = {kind: get_estimator(kind) for kind in kinds}
-    draw, c = statistic_sampler(params, L)
-    points, levels = constellation.points, constellation.pam_levels
-    weights = _metric_weights(points, params.sigma2)
+    n, points, levels = constellation.n, constellation.points, constellation.pam_levels
+    draw, c = statistic_sampler(n, eta, L)
+    weights = _metric_weights(points)
 
     def step(b, rng):
         A = draw(b, rng)
         idx = rng.integers(0, points.shape[0], size=b)
         s = points[idx]
-        x = s + sample_cgauss((b, params.n), params.sigma2, rng)
+        x = s + sample_cgauss((b, n), 1.0, rng)
         out = {}
         for kind, estimate in estimators.items():
             H_hat = estimate(A, c)
             if kind in UNITARY_KINDS:
                 y = np.einsum("...ji,...j->...i", H_hat.conj(), x)
-                out[kind] = _separable_values(y, s, levels, params.sigma2)
+                out[kind] = _separable_values(y, s, levels)
             else:  # the Gram term of a nonunitary H_hat couples the components
                 out[kind] = _discrete_values(_decoding_metric(H_hat, x, weights), idx)
-        out["perfect"] = _separable_values(x, s, levels, params.sigma2)
+        out["perfect"] = _separable_values(x, s, levels)
         return out
 
     return _paired_mc(step, (*kinds, "perfect"), trials, rng)
 
 
-def _statistic_paired_mc(params: ChannelParams, L: int, trials: int, rng, kinds, rate) -> dict[str, AirEstimate]:
+def _statistic_paired_mc(n: int, eta: float, L: int, trials: int, rng, kinds, rate) -> dict[str, AirEstimate]:
     """:func:`_paired_mc` of ``rate(kind, H_hat)``, every kind estimating from one pilot statistic per trial.
 
     The statistic comes from ``L`` pilots on the identity channel
@@ -325,7 +324,7 @@ def _statistic_paired_mc(params: ChannelParams, L: int, trials: int, rng, kinds,
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     estimators = {kind: get_estimator(kind) for kind in kinds}
-    draw, c = statistic_sampler(params, L)
+    draw, c = statistic_sampler(n, eta, L)
 
     def step(b, rng):
         A = draw(b, rng)
@@ -335,7 +334,8 @@ def _statistic_paired_mc(params: ChannelParams, L: int, trials: int, rng, kinds,
 
 
 def air_gaussian_paired_mc(
-    params: ChannelParams,
+    n: int,
+    eta: float,
     L: int,
     trials: int,
     rng: np.random.Generator,
@@ -349,16 +349,15 @@ def air_gaussian_paired_mc(
     expression. The perfect-CSI reference is the closed form
     :func:`capacity_perfect`. Paired differences are under keys ``"a-b"``.
     """
-    eta = params.eta
-
     def rate(kind, H_hat):
         return _corollary4_values(H_hat, eta) if kind in UNITARY_KINDS else _corollary1_values(H_hat, eta)
 
-    return _statistic_paired_mc(params, L, trials, rng, kinds, rate)
+    return _statistic_paired_mc(n, eta, L, trials, rng, kinds, rate)
 
 
 def air_corollary4_paired_mc(
-    params: ChannelParams,
+    n: int,
+    eta: float,
     L: int,
     trials: int,
     rng: np.random.Generator,
@@ -370,4 +369,4 @@ def air_corollary4_paired_mc(
     ``ls`` too, takes the bound of its own error E = I - H_hat, whose mean is
     n log2(1+eta) - eta tr(R_E) / ln 2, R_E = E[E^dagger E].
     """
-    return _statistic_paired_mc(params, L, trials, rng, kinds, lambda _, H_hat: _corollary4_values(H_hat, params.eta))
+    return _statistic_paired_mc(n, eta, L, trials, rng, kinds, lambda _, H_hat: _corollary4_values(H_hat, eta))

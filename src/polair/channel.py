@@ -5,8 +5,9 @@ transmission block and independent across blocks. Each block starts with L
 pilot symbols known to both ends; the remaining symbols carry data drawn
 from a constellation (or a circular Gaussian codebook).
 
-Power convention: the noise variance per complex dimension is sigma2, the
-total symbol power is P, and the per-channel SNR is eta = P / (n * sigma2).
+Power convention: the noise has unit variance per complex dimension, so the
+per-channel SNR eta is the power of each symbol component and the total
+symbol power is P = n * eta.
 """
 
 from __future__ import annotations
@@ -18,42 +19,12 @@ import numpy as np
 
 __all__ = [
     "CONSTELLATION_KINDS",
-    "ChannelParams",
     "Constellation",
     "make_constellation",
     "make_pilots",
 ]
 
 CONSTELLATION_KINDS = ("dp_qpsk", "dp_16qam")
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Channel dimension and power bookkeeping.
-
-    eta = power / (n * sigma2) is the per-channel SNR (linear).
-    """
-
-    n: int
-    power: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not (0 < self.power < np.inf):
-            raise ValueError(f"power must be finite and > 0, got {self.power}")
-        if not (0 < self.sigma2 < np.inf):
-            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
-
-    @property
-    def eta(self) -> float:
-        return self.power / (self.n * self.sigma2)
-
-    @classmethod
-    def from_eta_db(cls, n: int, eta_db: float) -> "ChannelParams":
-        """Build params from SNR in dB with unit noise variance (P = n * eta)."""
-        return cls(n=n, power=n * 10.0 ** (eta_db / 10.0), sigma2=1.0)
 
 
 @dataclass(frozen=True)
@@ -84,24 +55,24 @@ class Constellation:
         return self.points.shape[0]
 
 
-def make_constellation(kind: str, n: int, power: float) -> Constellation:
-    """Build a constellation of total symbol power ``power``.
+def make_constellation(kind: str, n: int, eta: float) -> Constellation:
+    """Build a constellation at per-channel SNR ``eta`` (unit noise variance).
 
     dp_qpsk and dp_16qam are the products of PAM-2 and PAM-4 levels over
     the real dimensions of n = 2 polarizations: each polarization is a
-    square QAM of average power ``power / n``.
+    square QAM of average power ``eta``.
     """
     if kind not in CONSTELLATION_KINDS:
         raise ValueError(f"unsupported constellation kind {kind!r}")
-    if power <= 0:
-        raise ValueError(f"power must be > 0, got {power}")
+    if not (0 < eta < np.inf):
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     if n != 2:
         raise ValueError(f"{kind} requires n = 2, got n = {n}")
     side = 2 if kind == "dp_qpsk" else 4
     levels = np.arange(-(side - 1), side, 2, dtype=float)  # [-1, 1] or [-3, -1, 1, 3]
     # Normalize by the mean power of one polarization's square QAM, a + jb over levels x levels.
     qam = (levels[:, None] + 1j * levels).ravel()
-    return Constellation(n, levels * np.sqrt((power / n) / np.mean(np.abs(qam) ** 2)))
+    return Constellation(n, levels * np.sqrt(eta / np.mean(np.abs(qam) ** 2)))
 
 
 def check_pilot_args(n: int, L: int, power: float) -> None:
@@ -112,8 +83,8 @@ def check_pilot_args(n: int, L: int, power: float) -> None:
         raise ValueError(f"L must be >= n, got L={L}, n={n}")
     if L % n != 0:
         raise ValueError(f"L must be a multiple of n, got L={L}, n={n}")
-    if power <= 0:
-        raise ValueError(f"power must be > 0, got {power}")
+    if not (0 < power < np.inf):
+        raise ValueError(f"power must be finite and > 0, got {power}")
 
 
 def make_pilots(n: int, L: int, power: float) -> np.ndarray:

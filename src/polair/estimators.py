@@ -26,20 +26,21 @@ Monte Carlo rates and error statistics in :mod:`polair.air`) reads the
 registry. The perfect-CSI reference the rates are compared with is not
 an estimator; :func:`polair.air.air_discrete_paired_mc` computes it itself.
 
-On the identity channel, X = D + N and A = c I + N D^dagger. The rows of D
-are orthogonal with squared norm c, so N D^dagger is i.i.d. CN(0, sigma2 c).
-Each Monte Carlo step therefore draws A directly as c I + sqrt(c) Z, Z
-i.i.d. CN(0, sigma2) n x n (:func:`statistic_sampler`): n^2 noise entries
-per trial in place of n L, and no pilots. It draws A once per block and
-hands it to every kind. The law of A, and so of every estimate, is that of
-the n x L pilot block.
+The noise has unit variance, so c = eta L at per-channel SNR eta. On the
+identity channel, X = D + N and A = c I + N D^dagger. The rows of D are
+orthogonal with squared norm c, so N D^dagger is i.i.d. CN(0, c). Each
+Monte Carlo step therefore draws A directly as c I + sqrt(c) Z, Z i.i.d.
+CN(0, 1) n x n (:func:`statistic_sampler`): n^2 noise entries per trial in
+place of n L, and no pilots. It draws A once per block and hands it to
+every kind. The law of A, and so of every estimate, is that of the n x L
+pilot block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelParams, check_pilot_args
+from .channel import check_pilot_args
 from .linalg import dagger_last, matmul_last, sample_cgauss, sq_fro_last
 
 __all__ = [
@@ -52,21 +53,19 @@ __all__ = [
 ]
 
 
-def statistic_sampler(params: ChannelParams, L: int):
-    """``(draw, c)``: ``draw(b, rng)`` is a (b, n, n) stack of pilot statistics from ``L`` pilots, c = P L / n.
+def statistic_sampler(n: int, eta: float, L: int):
+    """``(draw, c)``: ``draw(b, rng)`` is a (b, n, n) stack of pilot statistics from ``L`` pilots, c = eta L.
 
-    Each is A = c I + sqrt(c) Z, Z i.i.d. CN(0, sigma2), drawn as one
-    CN(0, sigma2 c) array plus c on the diagonal. An L that
-    ``make_pilots(n, L, power)`` rejects raises the same ``ValueError``; the
-    n x L pilots are not built.
+    Each is A = c I + sqrt(c) Z, Z i.i.d. CN(0, 1), drawn as one CN(0, c)
+    array plus c on the diagonal. Arguments that ``make_pilots(n, L, n * eta)``
+    rejects raise the same ``ValueError``; the n x L pilots are not built.
     """
-    n = params.n
-    check_pilot_args(n, L, params.power)
-    c = params.power * L / n
+    check_pilot_args(n, L, n * eta)
+    c = eta * L
     diagonal = c * np.eye(n)
 
     def draw(b, rng):
-        A = sample_cgauss((b, n, n), params.sigma2 * c, rng)
+        A = sample_cgauss((b, n, n), c, rng)
         A += diagonal
         return A
 

@@ -44,7 +44,7 @@ from .air import (
     air_synthetic_mc,
     capacity_perfect,
 )
-from .channel import CONSTELLATION_KINDS, ChannelParams, make_constellation
+from .channel import CONSTELLATION_KINDS, make_constellation
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS
 
 __all__ = [
@@ -102,13 +102,13 @@ def check_eta_db(eta_db: float) -> None:
 class ExperimentConfig:
     experiment: str
     eta_db_grid: tuple[float, ...]
-    L_grid: tuple[int, ...] = (8,)
+    L_grid: tuple[int, ...] = ()
     # Per-DOF error levels in [0, 1], read by fig2 only (see _EXPERIMENTS). At
     # E2 = 1 the synthetic error already has 2 n^2 times the power of a channel
     # entry; the paper's largest level is 1e-1.
     E2_grid: tuple[float, ...] = ()
     input: str = "gaussian"
-    estimators: tuple[str, ...] = ESTIMATOR_KINDS
+    estimators: tuple[str, ...] = ()
     trials: int = 10_000
     master_seed: int = 0
     n: int = 2
@@ -215,7 +215,6 @@ def _fig2_rows(config: ExperimentConfig, eta_db: float, e2: float, rng: np.rando
     closed form with tr(R_E) = n^3 * E2.
     """
     n = config.n
-    # Not ChannelParams.from_eta_db(n, eta_db).eta, which is (n eta)/n and can differ by one ulp.
     eta = 10.0 ** (eta_db / 10.0)
     cap = capacity_perfect(n, eta).value
     general = air_synthetic_mc(n, e2, eta, config.trials, rng)
@@ -230,13 +229,13 @@ def _rate_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.G
     (gap vs pilot length at a few SNRs); all estimators share the draws.
     """
     n = config.n
-    params = ChannelParams.from_eta_db(n, eta_db)
+    eta = 10.0 ** (eta_db / 10.0)
     if config.input == "gaussian":
-        estimates = air_gaussian_paired_mc(params, L, config.trials, rng, kinds=config.estimators)
-        reference = capacity_perfect(n, params.eta).value
+        estimates = air_gaussian_paired_mc(n, eta, L, config.trials, rng, kinds=config.estimators)
+        reference = capacity_perfect(n, eta).value
     else:
-        constellation = make_constellation(config.input, n, params.power)
-        estimates = air_discrete_paired_mc(constellation, params, L, config.trials, rng, kinds=config.estimators)
+        constellation = make_constellation(config.input, n, eta)
+        estimates = air_discrete_paired_mc(constellation, eta, L, config.trials, rng, kinds=config.estimators)
         reference = estimates["perfect"].value
     return [SweepRow(kind, eta_db, L, 0.0, estimates[kind], reference) for kind in config.estimators]
 
@@ -251,14 +250,14 @@ def _error_cov_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.ran
     The E2 column is the per-DOF error tr(R_E)/(n * dof) that follows from it.
     """
     n = config.n
-    params = ChannelParams.from_eta_db(n, eta_db)
-    cap = capacity_perfect(n, params.eta).value
-    estimates = air_corollary4_paired_mc(params, L, config.trials, rng, kinds=config.estimators)
+    eta = 10.0 ** (eta_db / 10.0)
+    cap = capacity_perfect(n, eta).value
+    estimates = air_corollary4_paired_mc(n, eta, L, config.trials, rng, kinds=config.estimators)
     rows = []
     for kind in config.estimators:
         air = estimates[kind]
         dof = n * n if kind in UNITARY_KINDS else 2 * n * n
-        rows.append(SweepRow(kind, eta_db, L, (cap - air.value) * LN2 / (params.eta * n * dof), air, cap))
+        rows.append(SweepRow(kind, eta_db, L, (cap - air.value) * LN2 / (eta * n * dof), air, cap))
     return rows
 
 
@@ -267,27 +266,33 @@ class _Experiment:
     reads: tuple[str, ...]  # the list fields the rows read, grid axis first
     rows: Callable[[ExperimentConfig, float, float, np.random.Generator], list[SweepRow]]
     inputs: tuple[str, ...]
-    defaults: dict  # overrides of the ExperimentConfig field defaults
+    defaults: dict  # the ExperimentConfig fields the experiment sets, every list it reads among them
 
 
 # The order is part of every substream's spawn key: append, never reorder.
 _EXPERIMENTS = {
     "fig2": _Experiment(
         ("E2_grid",), _fig2_rows, ("gaussian",),
-        dict(eta_db_grid=tuple(float(e) for e in range(0, 21)), E2_grid=(1e-3, 1e-2, 1e-1), L_grid=(), estimators=()),
+        dict(eta_db_grid=tuple(float(e) for e in range(0, 21)), E2_grid=(1e-3, 1e-2, 1e-1)),
     ),
     "fig3a": _Experiment(
-        ("L_grid", "estimators"), _rate_rows, INPUT_KINDS, dict(eta_db_grid=tuple(float(e) for e in range(-2, 21)))
+        ("L_grid", "estimators"), _rate_rows, INPUT_KINDS,
+        dict(eta_db_grid=tuple(float(e) for e in range(-2, 21)), L_grid=(8,), estimators=ESTIMATOR_KINDS),
     ),
     "fig3b": _Experiment(
         ("L_grid", "estimators"), _rate_rows, CONSTELLATION_KINDS,
-        dict(eta_db_grid=tuple(float(e) for e in range(-2, 21, 2)), input="dp_16qam", trials=200_000),
+        dict(
+            eta_db_grid=tuple(float(e) for e in range(-2, 21, 2)), L_grid=(8,), estimators=ESTIMATOR_KINDS,
+            input="dp_16qam", trials=200_000,
+        ),
     ),
     "fig4": _Experiment(
-        ("L_grid", "estimators"), _rate_rows, INPUT_KINDS, dict(eta_db_grid=(4.0, 14.0), L_grid=(2, 4, 8, 16, 32, 64))
+        ("L_grid", "estimators"), _rate_rows, INPUT_KINDS,
+        dict(eta_db_grid=(4.0, 14.0), L_grid=(2, 4, 8, 16, 32, 64), estimators=ESTIMATOR_KINDS),
     ),
     "error_cov": _Experiment(
-        ("L_grid", "estimators"), _error_cov_rows, ("gaussian",), dict(eta_db_grid=(0.0, 10.0, 20.0), L_grid=(8, 16))
+        ("L_grid", "estimators"), _error_cov_rows, ("gaussian",),
+        dict(eta_db_grid=(0.0, 10.0, 20.0), L_grid=(8, 16), estimators=ESTIMATOR_KINDS),
     ),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)

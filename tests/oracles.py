@@ -186,16 +186,16 @@ def synthetic_air_given_U(U, error_per_dof, eta, trials, rng) -> AirEstimate:
     return _sample_mean(corollary1_reference(U, U - E, eta))
 
 
-def error_covariance(kind, params, L, trials, rng) -> np.ndarray:
+def error_covariance(kind, n, eta, L, trials, rng) -> np.ndarray:
     """R_E = E[E^dagger E], E = I - H_hat, of registry kind ``kind`` over the Monte Carlo draws of the rates.
 
     The blocks and pilot statistics are those of
-    ``polair.air.air_corollary4_paired_mc`` with the same ``rng``.
+    ``polair.air.air_corollary4_paired_mc(n, eta, L, trials, rng)``.
     """
-    draw, c = statistic_sampler(params, L)
+    draw, c = statistic_sampler(n, eta, L)
 
     def step(b, rng):
-        E = np.eye(params.n) - ESTIMATORS[kind](draw(b, rng), c)
+        E = np.eye(n) - ESTIMATORS[kind](draw(b, rng), c)
         return np.einsum("bij,bik->jk", E.conj(), E)
 
     return sum(mc_blocks(step, trials, rng)) / trials

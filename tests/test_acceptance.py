@@ -20,7 +20,7 @@ from polair.air import (
     capacity_perfect,
     air_gaussian_paired_mc,
 )
-from polair.channel import ChannelParams, make_constellation, make_pilots
+from polair.channel import make_constellation, make_pilots
 from polair.estimators import estimate_kabsch, estimate_ls
 from polair.experiments import default_config, run_experiment
 from polair.linalg import haar_unitary, sample_cgauss
@@ -61,15 +61,14 @@ def test_criterion_02_ls_covariance_reference_law():
     # Reference law under test: for n = 2, R_E = E[E^dagger E] = (2/(eta L)) I_2,
     # i.e. every diagonal entry is 2/(eta L) and the off-diagonals vanish, so
     # tr(R_E) = n^2/(eta L). It follows from E = Z D^dagger (D D^dagger)^-1
-    # with D D^dagger = (P L/n) I and eta = P/(n sigma^2); the brute-force
+    # with D D^dagger = (P L/n) I and eta = P/n at unit noise variance; the brute-force
     # check is tests/test_estimators.py::test_error_covariance_law. R_E is
     # averaged over the production LS estimates of the Monte Carlo draws.
     n = 2
     failures = []
     for eta in (1.0, 10.0, 100.0):
         for L in (8, 16):
-            params = ChannelParams(n=n, power=n * eta, sigma2=1.0)
-            R_E = error_covariance("ls", params, L, 10_000, np.random.default_rng(1002))
+            R_E = error_covariance("ls", n, eta, L, 10_000, np.random.default_rng(1002))
             expected = 2.0 / (eta * L)
             where = f"eta={eta:g},L={L}"
             for k in range(n):
@@ -106,13 +105,13 @@ def test_criterion_03_kabsch_unitarity_and_recovery():
 def test_criterion_04_half_dof_error_ratio():
     failures = []
     for eta_db in (10.0, 15.0, 20.0):
-        params = ChannelParams.from_eta_db(2, eta_db)
-        D = make_pilots(2, 8, params.power)
+        power = 2 * 10.0 ** (eta_db / 10.0)  # P = n eta
+        D = make_pilots(2, 8, power)
         rng = np.random.default_rng(1004)
         H = haar_unitary(2, rng, size=10_000)
-        X = H @ D + sample_cgauss((10_000, 2, 8), params.sigma2, rng)
+        X = H @ D + sample_cgauss((10_000, 2, 8), 1.0, rng)
         A = X @ dagger(D)  # the pilot statistic; D D^dagger = (P L / n) I
-        t_ls = np.sum(np.abs(H - estimate_ls(A, params.power * 8 / 2)) ** 2)
+        t_ls = np.sum(np.abs(H - estimate_ls(A, power * 8 / 2)) ** 2)
         t_k = np.sum(np.abs(H - estimate_kabsch(A)) ** 2)
         ratio = t_k / t_ls
         if not (0.4 <= ratio <= 0.6):
@@ -123,8 +122,7 @@ def test_criterion_04_half_dof_error_ratio():
 def test_criterion_05_gaussian_input_estimator_gaps():
     results = []
     for eta_db, threshold in ((4.0, 0.15), (14.0, 0.30)):
-        params = ChannelParams.from_eta_db(2, eta_db)
-        out = air_gaussian_paired_mc(params, 8, 10_000, np.random.default_rng(1005))
+        out = air_gaussian_paired_mc(2, 10.0 ** (eta_db / 10.0), 8, 10_000, np.random.default_rng(1005))
         diff = -out["ls-kabsch"].value  # kabsch - ls on common random numbers
         results.append((eta_db, diff, threshold))
     ok = all(diff >= threshold for _, diff, threshold in results)
@@ -135,11 +133,9 @@ def test_criterion_05_gaussian_input_estimator_gaps():
 def test_criterion_06_discrete_input_ordering_and_saturation():
     failures = []
     for eta_db in (-2.0, 4.0, 10.0, 16.0, 20.0):
-        params = ChannelParams.from_eta_db(2, eta_db)
-        c = make_constellation("dp_16qam", 2, params.power)
-        out = air_discrete_paired_mc(
-            c, params, 8, 20_000, np.random.default_rng(1006), kinds=("ls", "kabsch")
-        )
+        eta = 10.0 ** (eta_db / 10.0)
+        c = make_constellation("dp_16qam", 2, eta)
+        out = air_discrete_paired_mc(c, eta, 8, 20_000, np.random.default_rng(1006), kinds=("ls", "kabsch"))
         d = out["ls-kabsch"]  # ls - kabsch, want <= 0 within noise
         if d.value > 3 * d.std_error:
             failures.append(f"{eta_db:g} dB: ls above kabsch by {d.value:.4f}")
@@ -147,10 +143,9 @@ def test_criterion_06_discrete_input_ordering_and_saturation():
             dp = out[f"{kind}-perfect"]
             if dp.value > 3 * dp.std_error:
                 failures.append(f"{eta_db:g} dB: {kind} above perfect by {dp.value:.4f}")
-    params = ChannelParams.from_eta_db(2, 30.0)
-    c = make_constellation("dp_16qam", 2, params.power)
+    c = make_constellation("dp_16qam", 2, 1000.0)
     H = haar_unitary(2, np.random.default_rng(1106))
-    sat = mi_discrete_given_H(H, c, params.sigma2, 20_000, np.random.default_rng(1107)).value
+    sat = mi_discrete_given_H(H, c, 1.0, 20_000, np.random.default_rng(1107)).value
     if abs(sat - 8.0) > 0.05:
         failures.append(f"30 dB MI {sat:.3f} not within 8.00 +- 0.05")
     _report(6, not failures, "; ".join(failures) or f"ordering holds, 30 dB MI {sat:.3f}")

@@ -22,7 +22,7 @@ from polair.air import (
     capacity_perfect,
     synthetic_estimates,
 )
-from polair.channel import ChannelParams, Constellation, make_constellation, make_pilots
+from polair.channel import Constellation, make_constellation, make_pilots
 from polair.estimators import (
     ESTIMATORS,
     UNITARY_KINDS,
@@ -151,12 +151,12 @@ class TestCorollary1Kernel:
     @pytest.mark.parametrize("eta_db", [-10.0, 0.0, 10.0, 20.0, 40.0])
     def test_closed_form_matches_slogdet_inv(self, eta_db):
         n, L, b = 2, 8, 2048
-        params = ChannelParams.from_eta_db(n, eta_db)
+        eta = 10.0 ** (eta_db / 10.0)
         rng = np.random.default_rng(int(eta_db) + 100)
-        D = make_pilots(n, L, params.power)
+        D = make_pilots(n, L, n * eta)
         H = haar_unitary(n, rng, size=b)
-        X = H @ D + sample_cgauss((b, n, L), params.sigma2, rng)
-        A, c = statistic(X, D, params.power * L / n)
+        X = H @ D + sample_cgauss((b, n, L), 1.0, rng)
+        A, c = statistic(X, D, eta * L)
         eye = np.eye(n)
         estimates = {
             "ls": (H, estimate_ls(A, c)),
@@ -164,16 +164,16 @@ class TestCorollary1Kernel:
             "synthetic": (eye, synthetic_estimates(n, 1e-2, b, rng)),
         }
         for kind, (H_u, H_hat) in estimates.items():
-            got = _corollary1_values(dagger(H_u) @ H_hat, params.eta)
-            ref = corollary1_reference(H_u, H_hat, params.eta)
+            got = _corollary1_values(dagger(H_u) @ H_hat, eta)
+            ref = corollary1_reference(H_u, H_hat, eta)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=kind)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_larger_n(self, n):
         rng = np.random.default_rng(31 + n)
         for eta_db in (-10.0, 0.0, 10.0, 20.0, 40.0):
-            params, eye = ChannelParams.from_eta_db(n, eta_db), np.eye(n)
-            draw, c = statistic_sampler(params, 2 * n)
+            eta, eye = 10.0 ** (eta_db / 10.0), np.eye(n)
+            draw, c = statistic_sampler(n, eta, 2 * n)
             A = draw(512, rng)
             estimates = {
                 "ls": estimate_ls(A, c),
@@ -182,8 +182,8 @@ class TestCorollary1Kernel:
             }
             for kind, H_hat in estimates.items():
                 np.testing.assert_allclose(
-                    _corollary1_values(H_hat, params.eta),
-                    corollary1_reference(eye, H_hat, params.eta),
+                    _corollary1_values(H_hat, eta),
+                    corollary1_reference(eye, H_hat, eta),
                     rtol=1e-12,
                     atol=1e-12,
                     err_msg=f"{kind} at {eta_db} dB",
@@ -211,13 +211,13 @@ class TestCorollary4Kernel:
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_corollary1_on_identity(self, n, eta_db):
-        params, eye = ChannelParams.from_eta_db(n, eta_db), np.eye(n)
-        draw, _ = statistic_sampler(params, 2 * n)
+        eta, eye = 10.0 ** (eta_db / 10.0), np.eye(n)
+        draw, _ = statistic_sampler(n, eta, 2 * n)
         kabsch = estimate_kabsch(draw(512, np.random.default_rng(700 + 10 * n + int(eta_db))))
         for H_hat in (kabsch, eye):
-            got = _corollary4_values(H_hat, params.eta)
-            assert np.abs(got - _corollary1_values(H_hat, params.eta)).max() <= 1e-12
-        assert _corollary4_values(eye, params.eta) == capacity_perfect(n, params.eta).value
+            got = _corollary4_values(H_hat, eta)
+            assert np.abs(got - _corollary1_values(H_hat, eta)).max() <= 1e-12
+        assert _corollary4_values(eye, eta) == capacity_perfect(n, eta).value
 
 
 class TestCorollary4:
@@ -288,17 +288,17 @@ class TestDiscreteMi:
     """The Monte Carlo MI oracle given a fixed channel, against known limits."""
 
     def test_saturates_at_high_snr(self):
-        params = ChannelParams.from_eta_db(2, 30.0)
-        c = make_constellation("dp_qpsk", 2, params.power)
+        eta = 1000.0
+        c = make_constellation("dp_qpsk", 2, eta)
         H = haar_unitary(2, np.random.default_rng(18))
-        est = mi_discrete_given_H(H, c, params.sigma2, 20_000, np.random.default_rng(19))
+        est = mi_discrete_given_H(H, c, 1.0, 20_000, np.random.default_rng(19))
         assert est.value == pytest.approx(4.0, abs=0.02)
 
     def test_vanishes_at_low_snr(self):
-        params = ChannelParams.from_eta_db(2, -30.0)
-        c = make_constellation("dp_qpsk", 2, params.power)
+        eta = 0.001
+        c = make_constellation("dp_qpsk", 2, eta)
         H = haar_unitary(2, np.random.default_rng(20))
-        est = mi_discrete_given_H(H, c, params.sigma2, 20_000, np.random.default_rng(21))
+        est = mi_discrete_given_H(H, c, 1.0, 20_000, np.random.default_rng(21))
         assert est.value == pytest.approx(0.0, abs=0.02)
 
     def test_matches_quadrature_oracle_for_binary_input(self):
@@ -309,27 +309,27 @@ class TestDiscreteMi:
         assert est.value == pytest.approx(oracle, abs=0.01)
 
     def test_bounded(self):
-        params = ChannelParams.from_eta_db(2, 5.0)
-        c = make_constellation("dp_16qam", 2, params.power)
+        eta = 10.0**0.5
+        c = make_constellation("dp_16qam", 2, eta)
         H = haar_unitary(2, np.random.default_rng(23))
-        est = mi_discrete_given_H(H, c, params.sigma2, 5000, np.random.default_rng(24))
+        est = mi_discrete_given_H(H, c, 1.0, 5000, np.random.default_rng(24))
         assert -3 * est.std_error <= est.value <= np.log2(256) + 3 * est.std_error
 
 
 class TestDiscreteAir:
     def test_perfect_stub_matches_mi(self):
-        params = ChannelParams.from_eta_db(2, 8.0)
-        c = make_constellation("dp_qpsk", 2, params.power)
-        air = air_discrete_paired_mc(c, params, 8, 30_000, np.random.default_rng(25), kinds=())["perfect"]
+        eta = 10.0**0.8
+        c = make_constellation("dp_qpsk", 2, eta)
+        air = air_discrete_paired_mc(c, eta, 8, 30_000, np.random.default_rng(25), kinds=())["perfect"]
         H = haar_unitary(2, np.random.default_rng(26))
-        mi = mi_discrete_given_H(H, c, params.sigma2, 30_000, np.random.default_rng(27))
+        mi = mi_discrete_given_H(H, c, 1.0, 30_000, np.random.default_rng(27))
         margin = 3 * np.hypot(air.std_error, mi.std_error)
         assert abs(air.value - mi.value) <= margin
 
     def test_estimators_bounded_by_perfect_and_ordered(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        c = make_constellation("dp_16qam", 2, params.power)
-        out = air_discrete_paired_mc(c, params, 8, 20_000, np.random.default_rng(28), kinds=("ls", "kabsch"))
+        eta = 10.0
+        c = make_constellation("dp_16qam", 2, eta)
+        out = air_discrete_paired_mc(c, eta, 8, 20_000, np.random.default_rng(28), kinds=("ls", "kabsch"))
         assert out["ls"].value <= out["perfect"].value
         assert out["kabsch"].value <= out["perfect"].value
         diff = out["kabsch-perfect"]
@@ -340,11 +340,11 @@ class TestDiscreteAir:
     @pytest.mark.parametrize("eta_db", [-2.0, 4.0, 14.0])
     @pytest.mark.parametrize("kind", ["dp_qpsk", "dp_16qam"])
     def test_perfect_matches_quadrature_oracle(self, kind, eta_db):
-        # The perfect-CSI reference is the MI of 2n independent real PAM channels of noise variance sigma2/2.
-        params = ChannelParams.from_eta_db(2, eta_db)
-        c = make_constellation(kind, 2, params.power)
-        perfect = air_discrete_paired_mc(c, params, 8, 20_000, np.random.default_rng(29), kinds=())["perfect"]
-        oracle = 2 * params.n * scalar_awgn_mi_quadrature(c.pam_levels, params.sigma2)
+        # The perfect-CSI reference is the MI of 2n independent real PAM channels of noise variance 1/2.
+        eta = 10.0 ** (eta_db / 10.0)
+        c = make_constellation(kind, 2, eta)
+        perfect = air_discrete_paired_mc(c, eta, 8, 20_000, np.random.default_rng(29), kinds=())["perfect"]
+        oracle = 2 * c.n * scalar_awgn_mi_quadrature(c.pam_levels, 1.0)
         bound = 4 * perfect.std_error + 1e-6
         if perfect.std_error < 1e-4:
             # Saturated (DP-QPSK at 14 dB): the loss below log2(M), 4.7e-6 bits, comes from noise tails of
@@ -358,41 +358,41 @@ def decode(H_dec, x):
     return np.einsum("...ji,...j->...i", H_dec.conj(), x)
 
 
-def density(kind, H_dec, x, idx, constellation, sigma2):
+def density(kind, H_dec, x, idx, constellation):
     """The per-trial density air_discrete_paired_mc takes for ``kind``.
 
     Separable for a unitary kind and for ``"perfect"``, the reference that
     decodes with the channel itself; the full metric otherwise.
     """
     if kind == "perfect" or kind in UNITARY_KINDS:
-        return _separable_values(decode(H_dec, x), constellation.points[idx], constellation.pam_levels, sigma2)
-    return _discrete_values(_decoding_metric(H_dec, x, _metric_weights(constellation.points, sigma2)), idx)
+        return _separable_values(decode(H_dec, x), constellation.points[idx], constellation.pam_levels)
+    return _discrete_values(_decoding_metric(H_dec, x, _metric_weights(constellation.points)), idx)
 
 
-def haar_draws(constellation, params, L, trials, rng):
+def haar_draws(constellation, L, trials, rng):
     """Haar channels H, pilot noise N, transmitted point indices and symbol noise w."""
-    n = params.n
+    n = constellation.n
     H = haar_unitary(n, rng, size=trials)
-    N = sample_cgauss((trials, n, L), params.sigma2, rng)
+    N = sample_cgauss((trials, n, L), 1.0, rng)
     idx = rng.integers(0, constellation.points.shape[0], size=trials)
-    return H, N, idx, sample_cgauss((trials, n), params.sigma2, rng)
+    return H, N, idx, sample_cgauss((trials, n), 1.0, rng)
 
 
-def paired_draws(constellation, params, L, trials, seed):
+def paired_draws(constellation, eta, L, trials, seed):
     """The draws of air_discrete_paired_mc: block k from the k-th of rng.spawn(n_blocks).
 
-    The pilot statistic is drawn directly, A = c I + sqrt(c) Z with c = P L / n;
+    The pilot statistic is drawn directly, A = c I + sqrt(c) Z with c = eta L;
     returns (A, c), the point indices and the received symbols.
     """
-    n, points = params.n, constellation.points
-    c = params.power * L / n
+    n, points = constellation.n, constellation.points
+    c = eta * L
     starts = range(0, trials, MC_BLOCK)
     parts = []
     for start, rng in zip(starts, np.random.default_rng(seed).spawn(len(starts))):
         b = min(MC_BLOCK, trials - start)
-        A = c * np.eye(n) + sample_cgauss((b, n, n), params.sigma2 * c, rng)
+        A = c * np.eye(n) + sample_cgauss((b, n, n), c, rng)
         idx = rng.integers(0, points.shape[0], size=b)
-        parts.append((A, idx, points[idx] + sample_cgauss((b, n), params.sigma2, rng)))
+        parts.append((A, idx, points[idx] + sample_cgauss((b, n), 1.0, rng)))
     A, idx, x = (np.concatenate(p) for p in zip(*parts))
     return A, c, idx, x
 
@@ -403,41 +403,41 @@ class TestDiscreteKernel:
     @pytest.mark.parametrize("input_kind", ["dp_qpsk", "dp_16qam"])  # M = 16, 256
     def test_matches_reference(self, input_kind):
         for eta_db in range(-10, 41, 5):
-            params = ChannelParams.from_eta_db(2, float(eta_db))
-            c = make_constellation(input_kind, 2, params.power)
-            points, sigma2 = c.points, params.sigma2
-            weights = _metric_weights(points, sigma2)
-            D = make_pilots(2, 8, params.power)
-            H, N, idx, w = haar_draws(c, params, 8, 512, np.random.default_rng(100 + eta_db))
+            eta = 10.0 ** (eta_db / 10.0)
+            c = make_constellation(input_kind, 2, eta)
+            points = c.points
+            weights = _metric_weights(points)
+            D = make_pilots(2, 8, 2 * eta)
+            H, N, idx, w = haar_draws(c, 8, 512, np.random.default_rng(100 + eta_db))
             X = H @ D + N
             x = np.einsum("bij,bj->bi", H, points[idx]) + w
-            A, c_scale = statistic(X, D, params.power * 8 / 2)
+            A, c_scale = statistic(X, D, eta * 8)
             decoders = {"ls": estimate_ls(A, c_scale), "kabsch": estimate_kabsch(A), "perfect": H}
             for name, H_dec in decoders.items():
-                got = density(name, H_dec, x, idx, c, sigma2)
-                want = reference_density(x, H_dec, idx, points, sigma2)
+                got = density(name, H_dec, x, idx, c)
+                want = reference_density(x, H_dec, idx, points, 1.0)
                 assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
             # one channel shared by every sample
             Hs = H[0]
-            xs = points[idx] @ Hs.T + sample_cgauss(x.shape, sigma2, np.random.default_rng(200 + eta_db))
+            xs = points[idx] @ Hs.T + sample_cgauss(x.shape, 1.0, np.random.default_rng(200 + eta_db))
             got = _discrete_values(_decoding_metric(np.broadcast_to(Hs, H.shape), xs, weights), idx)
-            want = reference_density(xs, Hs, idx, points, sigma2)
+            want = reference_density(xs, Hs, idx, points, 1.0)
             assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, "shared")
 
     @pytest.mark.parametrize("input_kind", ["dp_qpsk", "dp_16qam"])
     def test_separable_matches_full_metric(self, input_kind):
         # The unitary decoders of the Monte Carlo: Kabsch estimates per trial and the shared identity.
         for eta_db in range(-10, 41, 5):
-            params = ChannelParams.from_eta_db(2, float(eta_db))
-            c = make_constellation(input_kind, 2, params.power)
-            points, sigma2 = c.points, params.sigma2
-            A, _, idx, x = paired_draws(c, params, 8, 512, 700 + eta_db)
-            weights = _metric_weights(points, sigma2)
+            eta = 10.0 ** (eta_db / 10.0)
+            c = make_constellation(input_kind, 2, eta)
+            points = c.points
+            A, _, idx, x = paired_draws(c, eta, 8, 512, 700 + eta_db)
+            weights = _metric_weights(points)
             for name, H_dec in {"kabsch": estimate_kabsch(A), "perfect": np.eye(2)}.items():
-                got = _separable_values(decode(H_dec, x), points[idx], c.pam_levels, sigma2)
+                got = _separable_values(decode(H_dec, x), points[idx], c.pam_levels)
                 full = _discrete_values(_decoding_metric(np.broadcast_to(H_dec, (x.shape[0], 2, 2)), x, weights), idx)
                 assert np.abs(got - full).max() <= 1e-12, (input_kind, eta_db, name)
-                want = reference_density(x, H_dec, idx, points, sigma2)
+                want = reference_density(x, H_dec, idx, points, 1.0)
                 assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, name)
 
     @pytest.mark.parametrize("kind", ["ls", "kabsch", "perfect"])
@@ -452,32 +452,32 @@ class TestDiscreteKernel:
             return blocks
 
         monkeypatch.setattr(polair.air, "mc_blocks", recording)
-        params = ChannelParams.from_eta_db(2, 12.0)
-        c = make_constellation("dp_16qam", 2, params.power)
+        eta = 10.0**1.2
+        c = make_constellation("dp_16qam", 2, eta)
         kinds = () if kind == "perfect" else (kind,)
-        out = air_discrete_paired_mc(c, params, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=kinds)
-        A, c_scale, idx, x = paired_draws(c, params, 8, MC_BLOCK + 952, 31)
+        out = air_discrete_paired_mc(c, eta, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=kinds)
+        A, c_scale, idx, x = paired_draws(c, eta, 8, MC_BLOCK + 952, 31)
         H_dec = {"ls": estimate_ls(A, c_scale), "kabsch": estimate_kabsch(A), "perfect": np.eye(2)}[kind]
-        want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
+        want = reference_density(x, H_dec, idx, c.points, 1.0).mean()
         assert abs(out[kind].value - want) <= 1e-12
-        reference = reference_density(x, np.eye(2), idx, c.points, params.sigma2)
+        reference = reference_density(x, np.eye(2), idx, c.points, 1.0)
         assert np.abs(np.concatenate([block["perfect"] for block in blocks]) - reference).max() <= 1e-12
         assert abs(out["perfect"].value - reference.mean()) <= 1e-12
         if kinds:
-            per_trial = reference_density(x, H_dec, idx, c.points, params.sigma2) - reference
+            per_trial = reference_density(x, H_dec, idx, c.points, 1.0) - reference
             assert abs(out[f"{kind}-perfect"].value - per_trial.mean()) <= 1e-12
 
     def test_nonunitary_estimate_gets_gram_energy(self, monkeypatch):
         # A per-sample 1.1 U estimate is not unitary: LS must not use ||s||^2.
-        params = ChannelParams.from_eta_db(2, 12.0)
-        c = make_constellation("dp_16qam", 2, params.power)
+        eta = 10.0**1.2
+        c = make_constellation("dp_16qam", 2, eta)
         monkeypatch.setattr(polair.estimators, "estimate_ls", lambda A, c: 1.1 * estimate_kabsch(A))
-        out = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(32), kinds=("ls",))
-        A, _, idx, x = paired_draws(c, params, 8, 1000, 32)
+        out = air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(32), kinds=("ls",))
+        A, _, idx, x = paired_draws(c, eta, 8, 1000, 32)
         H_dec = 1.1 * estimate_kabsch(A)
-        want = reference_density(x, H_dec, idx, c.points, params.sigma2).mean()
+        want = reference_density(x, H_dec, idx, c.points, 1.0).mean()
         assert abs(out["ls"].value - want) <= 1e-12
-        shortcut = _separable_values(decode(H_dec, x), c.points[idx], c.pam_levels, params.sigma2).mean()
+        shortcut = _separable_values(decode(H_dec, x), c.points[idx], c.pam_levels).mean()
         assert abs(shortcut - want) > 1e-2
 
 
@@ -490,10 +490,10 @@ class TestIdentityChannelCoupling:
 
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
     def test_per_trial_values_match(self, eta_db):
-        params = ChannelParams.from_eta_db(2, eta_db)
-        c = make_constellation("dp_16qam", 2, params.power)
-        D, c_scale, eye = make_pilots(2, 8, params.power), params.power * 8 / 2, np.eye(2)
-        H, N, idx, w = haar_draws(c, params, 8, 1024, np.random.default_rng(300 + int(eta_db)))
+        eta = 10.0 ** (eta_db / 10.0)
+        c = make_constellation("dp_16qam", 2, eta)
+        D, c_scale, eye = make_pilots(2, 8, 2 * eta), eta * 8, np.eye(2)
+        H, N, idx, w = haar_draws(c, 8, 1024, np.random.default_rng(300 + int(eta_db)))
         s, Hd = c.points[idx], dagger(H)
         X, x = H @ D + N, np.einsum("bij,bj->bi", H, s) + w
         X0, x0 = D + Hd @ N, s + np.einsum("bij,bj->bi", Hd, w)
@@ -501,13 +501,13 @@ class TestIdentityChannelCoupling:
         for kind in ("ls", "kabsch"):
             H_hat, H_hat0 = ESTIMATORS[kind](*statistic(X, D, c_scale)), ESTIMATORS[kind](*statistic(X0, D, c_scale))
             decoders[kind] = (H_hat, H_hat0)
-            rates = corollary1_reference(H, H_hat, params.eta), _corollary1_values(H_hat0, params.eta)
+            rates = corollary1_reference(H, H_hat, eta), _corollary1_values(H_hat0, eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(H - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
             assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
         for kind, (H_dec, H_dec0) in decoders.items():
-            got = density(kind, H_dec, x, idx, c, params.sigma2)
-            want = density(kind, H_dec0, x0, idx, c, params.sigma2)
+            got = density(kind, H_dec, x, idx, c)
+            want = density(kind, H_dec0, x0, idx, c)
             assert np.abs(got - want).max() <= 1e-12, kind
 
 
@@ -516,68 +516,67 @@ class TestPilotStatisticCoupling:
 
     With c = P L / n, (D + N) D^dagger = c I + N D^dagger, the statistic every
     registry kind reads, and Z = N D^dagger / sqrt(c) is again i.i.d.
-    CN(0, sigma2). This is what lets every Monte Carlo step draw the n x n
+    CN(0, 1). This is what lets every Monte Carlo step draw the n x n
     statistic with no pilots.
     """
 
     @staticmethod
-    def coupled(n, L, params, trials, seed):
-        c = params.power * L / n
-        D = make_pilots(n, L, params.power)
-        N = sample_cgauss((trials, n, L), params.sigma2, np.random.default_rng(seed))
+    def coupled(n, L, eta, trials, seed):
+        c = eta * L
+        D = make_pilots(n, L, n * eta)
+        N = sample_cgauss((trials, n, L), 1.0, np.random.default_rng(seed))
         Z = N @ dagger(D) / np.sqrt(c)
         return D, D + N, c * np.eye(n) + np.sqrt(c) * Z
 
     @pytest.mark.parametrize("n, L", [(2, 2), (2, 8), (2, 64), (3, 6), (4, 4), (4, 64)])
     def test_every_kind_gives_the_same_estimate(self, n, L):
-        params = ChannelParams.from_eta_db(n, 4.0)
-        D, X, A0 = self.coupled(n, L, params, 512, 400 + 10 * n + L)
-        c = params.power * L / n
+        eta = 10.0**0.4
+        D, X, A0 = self.coupled(n, L, eta, 512, 400 + 10 * n + L)
+        c = eta * L
         for kind, estimate in ESTIMATORS.items():
             assert np.abs(estimate(*statistic(X, D, c)) - estimate(A0, c)).max() <= 1e-12, kind
 
     @pytest.mark.parametrize("L_per_n", [1, 4, 32])
     @pytest.mark.parametrize("n", [2, 4])
     def test_draw_is_scaled_standard_draw(self, n, L_per_n):
-        # The same normals in the same order: draw(b, rng) is c I + sqrt(c) times the CN(0, sigma2) draw.
-        params, L, b = ChannelParams.from_eta_db(n, 4.0), n * L_per_n, 1000
-        draw, c = statistic_sampler(params, L)
-        assert c == params.power * L / n
+        # The same normals in the same order: draw(b, rng) is c I + sqrt(c) times the CN(0, 1) draw.
+        eta, L, b = 10.0**0.4, n * L_per_n, 1000
+        draw, c = statistic_sampler(n, eta, L)
+        assert c == eta * L
         seed = 800 + 10 * n + L
-        Z = sample_cgauss((b, n, n), params.sigma2, np.random.default_rng(seed))
+        Z = sample_cgauss((b, n, n), 1.0, np.random.default_rng(seed))
         assert np.abs(draw(b, np.random.default_rng(seed)) - (c * np.eye(n) + np.sqrt(c) * Z)).max() <= 1e-12
 
     @pytest.mark.parametrize("L", [2, 8, 64])
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
     def test_rates_and_densities_match_at_n2(self, eta_db, L):
-        params, eye, b = ChannelParams.from_eta_db(2, eta_db), np.eye(2), 1024
-        c = make_constellation("dp_16qam", 2, params.power)
-        D, X, A0 = self.coupled(2, L, params, b, 500 + int(eta_db) + L)
-        c_scale = params.power * L / 2
+        eta, eye, b = 10.0 ** (eta_db / 10.0), np.eye(2), 1024
+        c = make_constellation("dp_16qam", 2, eta)
+        D, X, A0 = self.coupled(2, L, eta, b, 500 + int(eta_db) + L)
+        c_scale = eta * L
         rng = np.random.default_rng(600 + int(eta_db) + L)
         idx = rng.integers(0, c.points.shape[0], size=b)
-        x = c.points[idx] + sample_cgauss((b, 2), params.sigma2, rng)
+        x = c.points[idx] + sample_cgauss((b, 2), 1.0, rng)
         for kind, estimate in ESTIMATORS.items():
             H_hat, H_hat0 = estimate(*statistic(X, D, c_scale)), estimate(A0, c_scale)
-            rates = _corollary1_values(H_hat, params.eta), _corollary1_values(H_hat0, params.eta)
+            rates = _corollary1_values(H_hat, eta), _corollary1_values(H_hat0, eta)
             assert np.abs(rates[0] - rates[1]).max() <= 1e-12, kind
             sq = np.sum(np.abs(eye - H_hat) ** 2, axis=(1, 2)), np.sum(np.abs(eye - H_hat0) ** 2, axis=(1, 2))
             assert np.abs(sq[0] - sq[1]).max() <= 1e-12, kind
-            got = density(kind, H_hat, x, idx, c, params.sigma2)
-            want = density(kind, H_hat0, x, idx, c, params.sigma2)
+            got = density(kind, H_hat, x, idx, c)
+            want = density(kind, H_hat0, x, idx, c)
             assert np.abs(got - want).max() <= 1e-12, kind
 
     @pytest.mark.parametrize("n, L", [(2, 3), (4, 2)])
     @pytest.mark.parametrize("entry", ["gaussian", "discrete", "error_cov"])
     def test_invalid_L_rejected(self, entry, n, L):
         # The steps draw n x n blocks, so only the entry point can reject an L the n x L pilots do not admit.
-        params = ChannelParams.from_eta_db(n, 10.0)
         c = Constellation(n=n, pam_levels=[-1.0, 1.0])  # any discrete input of dimension n
         rng = np.random.default_rng(0)
         calls = {
-            "gaussian": lambda: air_gaussian_paired_mc(params, L, 100, rng),
-            "discrete": lambda: air_discrete_paired_mc(c, params, L, 1000, rng),
-            "error_cov": lambda: air_corollary4_paired_mc(params, L, 100, rng),
+            "gaussian": lambda: air_gaussian_paired_mc(n, 10.0, L, 100, rng),
+            "discrete": lambda: air_discrete_paired_mc(c, 10.0, L, 1000, rng),
+            "error_cov": lambda: air_corollary4_paired_mc(n, 10.0, L, 100, rng),
         }
         with pytest.raises(ValueError, match="L must be"):
             calls[entry]()
@@ -585,12 +584,12 @@ class TestPilotStatisticCoupling:
     @pytest.mark.parametrize("entry", ["gaussian", "discrete", "error_cov"])
     def test_large_L_builds_no_pilot_block(self, entry):
         # The n x L pilots would take 32 bytes per pilot at n = 2: 128 MB at L = 2**22.
-        params, L = ChannelParams.from_eta_db(2, 10.0), 2**22
-        c = make_constellation("dp_qpsk", 2, params.power)
+        eta, L = 10.0, 2**22
+        c = make_constellation("dp_qpsk", 2, eta)
         calls = {
-            "gaussian": lambda: air_gaussian_paired_mc(params, L, 100, np.random.default_rng(0)),
-            "discrete": lambda: air_discrete_paired_mc(c, params, L, 1000, np.random.default_rng(0)),
-            "error_cov": lambda: air_corollary4_paired_mc(params, L, 100, np.random.default_rng(0)),
+            "gaussian": lambda: air_gaussian_paired_mc(2, eta, L, 100, np.random.default_rng(0)),
+            "discrete": lambda: air_discrete_paired_mc(c, eta, L, 1000, np.random.default_rng(0)),
+            "error_cov": lambda: air_corollary4_paired_mc(2, eta, L, 100, np.random.default_rng(0)),
         }
         tracemalloc.start()
         try:
@@ -605,62 +604,63 @@ class TestSharedDraws:
     """Requesting more estimator kinds must not change the draws of the others."""
 
     def test_gaussian_ls_independent_of_other_kinds(self):
-        params = ChannelParams.from_eta_db(2, 8.0)
-        alone = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(40), kinds=("ls",))
+        eta = 10.0**0.8
+        alone = air_gaussian_paired_mc(2, eta, 8, 9000, np.random.default_rng(40), kinds=("ls",))
         for kinds in (("ls", "kabsch"), ("kabsch", "ls")):
-            out = air_gaussian_paired_mc(params, 8, 9000, np.random.default_rng(40), kinds=kinds)
+            out = air_gaussian_paired_mc(2, eta, 8, 9000, np.random.default_rng(40), kinds=kinds)
             assert out["ls"] == alone["ls"]
 
     def test_discrete_ls_independent_of_other_kinds(self):
-        params = ChannelParams.from_eta_db(2, 8.0)
-        c = make_constellation("dp_qpsk", 2, params.power)
-        alone = air_discrete_paired_mc(c, params, 8, 3000, np.random.default_rng(41), kinds=("ls",))
+        eta = 10.0**0.8
+        c = make_constellation("dp_qpsk", 2, eta)
+        alone = air_discrete_paired_mc(c, eta, 8, 3000, np.random.default_rng(41), kinds=("ls",))
         for kinds in (("ls", "kabsch"), ("kabsch", "ls")):
-            out = air_discrete_paired_mc(c, params, 8, 3000, np.random.default_rng(41), kinds=kinds)
+            out = air_discrete_paired_mc(c, eta, 8, 3000, np.random.default_rng(41), kinds=kinds)
             assert out["ls"] == alone["ls"]
 
     def test_perfect_is_not_an_estimator_kind(self):
-        # The Gaussian rate rejects it; the discrete rate returns the
-        # perfect-CSI reference for any kinds, named among them or not.
-        params = ChannelParams.from_eta_db(2, 6.0)
-        c = make_constellation("dp_qpsk", 2, params.power)
+        # Both rates reject it; the discrete rate returns the perfect-CSI
+        # reference for any kinds without its being named.
+        eta = 10.0**0.6
+        c = make_constellation("dp_qpsk", 2, eta)
         with pytest.raises(ValueError):
-            air_gaussian_paired_mc(params, 8, 200, np.random.default_rng(0), kinds=("perfect",))
-        plain = air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("ls",))
+            air_gaussian_paired_mc(2, eta, 8, 200, np.random.default_rng(0), kinds=("perfect",))
+        plain = air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(0), kinds=("ls",))
         assert list(plain) == ["ls", "perfect", "ls-perfect"]
-        assert air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("perfect", "ls")) == plain
+        with pytest.raises(ValueError):
+            air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(0), kinds=("perfect", "ls"))
 
     def test_unknown_kind_is_value_error(self):
-        params = ChannelParams.from_eta_db(2, 6.0)
-        c = make_constellation("dp_qpsk", 2, params.power)
+        eta = 10.0**0.6
+        c = make_constellation("dp_qpsk", 2, eta)
         with pytest.raises(ValueError):
-            air_gaussian_paired_mc(params, 8, 200, np.random.default_rng(0), kinds=("ls", "mmse"))
+            air_gaussian_paired_mc(2, eta, 8, 200, np.random.default_rng(0), kinds=("ls", "mmse"))
         with pytest.raises(ValueError):
-            air_discrete_paired_mc(c, params, 8, 1000, np.random.default_rng(0), kinds=("mmse",))
+            air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(0), kinds=("mmse",))
 
 
 class TestGaussianPaired:
     def test_kabsch_beats_ls(self):
         for eta_db in (0.0, 10.0, 20.0):
-            params = ChannelParams.from_eta_db(2, eta_db)
-            out = air_gaussian_paired_mc(params, 8, 5000, np.random.default_rng(29))
+            eta = 10.0 ** (eta_db / 10.0)
+            out = air_gaussian_paired_mc(2, eta, 8, 5000, np.random.default_rng(29))
             diff = out["ls-kabsch"]
             assert -diff.value > 0
 
     def test_all_below_capacity(self):
-        params = ChannelParams.from_eta_db(2, 12.0)
-        out = air_gaussian_paired_mc(params, 8, 5000, np.random.default_rng(30), kinds=("ls", "kabsch"))
-        cap = capacity_perfect(2, params.eta).value
+        eta = 10.0**1.2
+        out = air_gaussian_paired_mc(2, eta, 8, 5000, np.random.default_rng(30), kinds=("ls", "kabsch"))
+        cap = capacity_perfect(2, eta).value
         for kind in ("ls", "kabsch"):
             assert out[kind].value <= cap + 3 * out[kind].std_error
 
     def test_ls_below_capacity(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        est = air_gaussian_paired_mc(params, 8, 4000, np.random.default_rng(11), kinds=("ls",))["ls"]
-        cap = capacity_perfect(2, params.eta).value
+        eta = 10.0
+        est = air_gaussian_paired_mc(2, eta, 8, 4000, np.random.default_rng(11), kinds=("ls",))["ls"]
+        cap = capacity_perfect(2, eta).value
         assert est.value < cap
         # the dominant penalty is (eta/ln2) tr(R_E) with tr(R_E) = n^2/(eta L)
-        rough_gap = (params.eta / LN2) * (4 / (params.eta * 8))
+        rough_gap = (eta / LN2) * (4 / (eta * 8))
         assert cap - est.value == pytest.approx(rough_gap, rel=0.35)
 
 
@@ -671,45 +671,45 @@ class TestCorollary4Paired:
     def test_mean_is_bound_of_error_covariance(self, n):
         # The mean of the per-trial bounds is n log2(1+eta) - eta tr(R_E)/ln 2
         # of the R_E averaged over the same draws.
-        params = ChannelParams.from_eta_db(n, 4.0)
-        out = air_corollary4_paired_mc(params, 2 * n, MC_BLOCK + 500, np.random.default_rng(20 + n))
+        eta = 10.0**0.4
+        out = air_corollary4_paired_mc(n, eta, 2 * n, MC_BLOCK + 500, np.random.default_rng(20 + n))
         for kind in ("ls", "kabsch"):
-            R_E = error_covariance(kind, params, 2 * n, MC_BLOCK + 500, np.random.default_rng(20 + n))
-            bound = n * np.log2(1.0 + params.eta) - params.eta * np.trace(R_E).real / LN2
+            R_E = error_covariance(kind, n, eta, 2 * n, MC_BLOCK + 500, np.random.default_rng(20 + n))
+            bound = n * np.log2(1.0 + eta) - eta * np.trace(R_E).real / LN2
             assert out[kind].value == pytest.approx(bound, abs=1e-12)
             assert out[kind].std_error > 0
 
     def test_ls_independent_of_other_kinds(self):
         # One call for several kinds shares the draws without changing any kind's result.
-        params = ChannelParams.from_eta_db(2, 5.0)
-        alone = air_corollary4_paired_mc(params, 8, 9000, np.random.default_rng(15), kinds=("ls",))
-        both = air_corollary4_paired_mc(params, 8, 9000, np.random.default_rng(15), kinds=("kabsch", "ls"))
+        eta = 10.0**0.5
+        alone = air_corollary4_paired_mc(2, eta, 8, 9000, np.random.default_rng(15), kinds=("ls",))
+        both = air_corollary4_paired_mc(2, eta, 8, 9000, np.random.default_rng(15), kinds=("kabsch", "ls"))
         assert both["ls"] == alone["ls"]
 
     def test_unknown_kind(self):
-        params = ChannelParams.from_eta_db(2, 5.0)
+        eta = 10.0**0.5
         for kinds in (("mmse",), ("ls", "perfect")):
             with pytest.raises(ValueError):
-                air_corollary4_paired_mc(params, 8, 500, np.random.default_rng(0), kinds=kinds)
+                air_corollary4_paired_mc(2, eta, 8, 500, np.random.default_rng(0), kinds=kinds)
 
     def test_min_trials(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
+        eta = 10.0
         with pytest.raises(ValueError):
-            air_corollary4_paired_mc(params, 8, 50, np.random.default_rng(0), kinds=("ls",))
+            air_corollary4_paired_mc(2, eta, 8, 50, np.random.default_rng(0), kinds=("ls",))
 
 
 class TestAirEstimate:
     def test_mc_requires_trials(self):
         # Monte Carlo estimates are checked for enough trials where they are made.
-        params = ChannelParams.from_eta_db(2, 10.0)
-        c = make_constellation("dp_qpsk", 2, params.power)
+        eta = 10.0
+        c = make_constellation("dp_qpsk", 2, eta)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            air_gaussian_paired_mc(params, 8, 10, rng)
+            air_gaussian_paired_mc(2, eta, 8, 10, rng)
         with pytest.raises(ValueError):
             air_synthetic_mc(2, 1e-2, 10.0, 10, rng)
         with pytest.raises(ValueError):
-            air_discrete_paired_mc(c, params, 8, 999, rng)
+            air_discrete_paired_mc(c, eta, 8, 999, rng)
 
     def test_finite_value_required(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from polair.air import air_corollary4_paired_mc, air_discrete_paired_mc, air_gaussian_paired_mc
 from polair.channel import (
-    ChannelParams,
     Constellation,
     make_constellation,
     make_pilots,
@@ -13,38 +13,45 @@ from polair.channel import (
 from oracles import dagger, fro_norm
 
 
-class TestChannelParams:
-    def test_eta_consistency(self):
-        params = ChannelParams(n=2, power=20.0, sigma2=1.0)
-        assert params.eta == pytest.approx(10.0, rel=1e-12)
+# Every entry point that takes an SNR, as the per-channel eta or the pilot power P = n eta.
+SNR_ENTRIES = {
+    "make_pilots": lambda value: make_pilots(2, 8, value),
+    "make_constellation": lambda value: make_constellation("dp_qpsk", 2, value),
+    "air_gaussian_paired_mc": lambda value: air_gaussian_paired_mc(2, value, 8, 100, np.random.default_rng(0)),
+    "air_corollary4_paired_mc": lambda value: air_corollary4_paired_mc(2, value, 8, 100, np.random.default_rng(0)),
+    "air_discrete_paired_mc": lambda value: air_discrete_paired_mc(
+        make_constellation("dp_qpsk", 2, 1.0), value, 8, 1000, np.random.default_rng(0)
+    ),
+}
 
-    def test_from_eta_db(self):
-        params = ChannelParams.from_eta_db(2, 10.0)
-        assert params.eta == pytest.approx(10.0, rel=1e-12)
-        assert params.power == pytest.approx(20.0, rel=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [dict(n=1, power=1, sigma2=1), dict(n=2, power=0, sigma2=1), dict(n=2, power=1, sigma2=-1)])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ChannelParams(**kwargs)
+class TestSnrChecks:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("entry", SNR_ENTRIES)
+    def test_nonpositive_or_nonfinite_rejected(self, entry, value):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            SNR_ENTRIES[entry](value)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_nonfinite(self, value):
-        with pytest.raises(ValueError, match="finite"):
-            ChannelParams(n=2, power=value, sigma2=1.0)
-        with pytest.raises(ValueError, match="finite"):
-            ChannelParams(n=2, power=1.0, sigma2=value)
+    @pytest.mark.parametrize("entry", ["make_pilots", "air_gaussian_paired_mc", "air_corollary4_paired_mc"])
+    def test_single_dimension_rejected(self, entry):
+        calls = {
+            "make_pilots": lambda: make_pilots(1, 8, 1.0),
+            "air_gaussian_paired_mc": lambda: air_gaussian_paired_mc(1, 1.0, 8, 100, np.random.default_rng(0)),
+            "air_corollary4_paired_mc": lambda: air_corollary4_paired_mc(1, 1.0, 8, 100, np.random.default_rng(0)),
+        }
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            calls[entry]()
 
 
 class TestConstellation:
     def test_dp_qpsk_constant_modulus(self):
-        c = make_constellation("dp_qpsk", 2, 2.0)
+        c = make_constellation("dp_qpsk", 2, 1.0)  # total symbol power n eta = 2
         assert c.size == 16
         energies = np.sum(np.abs(c.points) ** 2, axis=1)
         assert np.allclose(energies, 2.0, atol=1e-12)
 
     def test_dp_16qam_energy_and_mean(self):
-        c = make_constellation("dp_16qam", 2, 2.0)
+        c = make_constellation("dp_16qam", 2, 1.0)
         assert c.size == 256
         assert np.mean(np.sum(np.abs(c.points) ** 2, axis=1)) == pytest.approx(2.0, abs=1e-12)
         assert np.abs(c.points.sum(axis=0)).max() < 1e-12
@@ -70,10 +77,10 @@ class TestConstellation:
             re, im = np.meshgrid(levels, levels, indexing="ij")
             qam = (re + 1j * im).ravel()
             for eta_db in np.linspace(-10.0, 40.0, 101):
-                power = 2 * 10.0 ** (eta_db / 10.0)
-                per_pol = qam * np.sqrt((power / 2) / np.mean(np.abs(qam) ** 2))
+                eta = 10.0 ** (eta_db / 10.0)
+                per_pol = qam * np.sqrt(eta / np.mean(np.abs(qam) ** 2))
                 want = np.array(list(itertools.product(per_pol, repeat=2)), dtype=complex)
-                assert np.array_equal(make_constellation(kind, 2, power).points, want), (kind, eta_db)
+                assert np.array_equal(make_constellation(kind, 2, eta).points, want), (kind, eta_db)
 
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):

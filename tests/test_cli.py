@@ -27,7 +27,7 @@ class TestCapacity:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_single_dimension_rejected(self, capsys):
-        # same rule as sweeps and ChannelParams: n >= 2
+        # same rule as sweeps and make_pilots: n >= 2
         assert main(["capacity", "--n", "1", "--eta-db", "10"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polair.air import air_corollary4_paired_mc
-from polair.channel import ChannelParams, make_pilots
+from polair.channel import make_pilots
 from polair.estimators import (
     ESTIMATOR_KINDS,
     ESTIMATORS,
@@ -24,13 +24,14 @@ def statistic(X, D, c):
     return X @ dagger(D), c
 
 
-def pilot_block(n=2, L=8, eta=10.0, sigma2=1.0, seed=0):
-    params = ChannelParams(n=n, power=n * sigma2 * eta, sigma2=sigma2)
+def pilot_block(n=2, L=8, eta=10.0, seed=0):
+    """A received n x L pilot block at SNR eta; returns the pilot power P = n eta, D, H, X and the rng."""
+    power = n * eta
     rng = np.random.default_rng(seed)
-    D = make_pilots(n, L, params.power)
+    D = make_pilots(n, L, power)
     H = haar_unitary(n, rng)
-    X = H @ D + sample_cgauss((n, L), sigma2, rng)
-    return params, D, H, X, rng
+    X = H @ D + sample_cgauss((n, L), 1.0, rng)
+    return power, D, H, X, rng
 
 
 class TestLeastSquares:
@@ -49,22 +50,22 @@ class TestLeastSquares:
         assert fro_norm(estimate_ls(*statistic(H @ D, D, 2.0 * L / 2)) - H) < 1e-10
 
     def test_matches_gram_shortcut(self):
-        params, D, H, X, _ = pilot_block(L=8)
-        shortcut = (params.n / (params.power * 8)) * X @ dagger(D)
-        assert fro_norm(estimate_ls(*statistic(X, D, params.power * 8 / params.n)) - shortcut) < 1e-12
+        power, D, H, X, _ = pilot_block(L=8)
+        shortcut = (2 / (power * 8)) * X @ dagger(D)
+        assert fro_norm(estimate_ls(*statistic(X, D, power * 8 / 2)) - shortcut) < 1e-12
 
     @pytest.mark.parametrize("n, L", [(2, 8), (2, 64), (4, 8)])
     def test_matches_two_matmul_form(self, n, L):
         # Reference: the two batched matmuls X D^dagger (D D^dagger)^-1, on a
         # single block and on stacks with one and two leading axes.
-        params = ChannelParams(n=n, power=n * 10.0, sigma2=1.0)
-        D = make_pilots(n, L, params.power)
+        power = n * 10.0
+        D = make_pilots(n, L, power)
         rng = np.random.default_rng(10 + n + L)
         H = haar_unitary(n, rng, size=96)
-        X = H @ D + sample_cgauss((96, n, L), params.sigma2, rng)
+        X = H @ D + sample_cgauss((96, n, L), 1.0, rng)
         for block in (X[0], X, X.reshape(8, 12, n, L)):
             ref = block @ dagger(D) @ np.linalg.inv(D @ dagger(D))
-            got = estimate_ls(*statistic(block, D, params.power * L / n))
+            got = estimate_ls(*statistic(block, D, power * L / n))
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
@@ -78,25 +79,23 @@ class TestLeastSquares:
         n, trials = 2, 10_000
         for eta in (1.0, 10.0, 100.0):
             for L in (8, 16):
-                params = ChannelParams(n=n, power=n * eta, sigma2=1.0)
-                R_E = error_covariance("ls", params, L, trials, np.random.default_rng(7))
+                R_E = error_covariance("ls", n, eta, L, trials, np.random.default_rng(7))
                 expected = (n / (eta * L)) * np.eye(n)
                 atol = 0.05 * n / (eta * L)
                 assert np.allclose(R_E, expected, atol=atol)
                 assert np.trace(R_E).real == pytest.approx(n * n / (eta * L), rel=0.05)
 
-                D = make_pilots(n, L, params.power)
+                D = make_pilots(n, L, n * eta)
                 g = np.random.default_rng(17).standard_normal((2, trials, n, L))
-                Z = np.sqrt(params.sigma2 / 2.0) * (g[0] + 1j * g[1])
+                Z = np.sqrt(0.5) * (g[0] + 1j * g[1])
                 E = Z @ dagger(D) @ np.linalg.inv(D @ dagger(D))
                 brute = np.mean(dagger(E) @ E, axis=0)
                 assert np.allclose(brute, expected, atol=atol)
                 assert np.allclose(brute, R_E, atol=atol)
 
     def test_trace_halves_with_double_pilots(self):
-        params = ChannelParams(n=2, power=4.0, sigma2=1.0)
-        t8 = np.trace(error_covariance("ls", params, 8, 10_000, np.random.default_rng(8))).real
-        t16 = np.trace(error_covariance("ls", params, 16, 10_000, np.random.default_rng(9))).real
+        t8 = np.trace(error_covariance("ls", 2, 2.0, 8, 10_000, np.random.default_rng(8))).real
+        t16 = np.trace(error_covariance("ls", 2, 2.0, 16, 10_000, np.random.default_rng(9))).real
         assert t16 == pytest.approx(t8 / 2, rel=0.10)
 
 
@@ -154,12 +153,12 @@ class TestKabsch:
         # Paired trials: both estimators see the same channel/noise draws.
         n, L, trials = 2, 8, 10_000
         for eta_db in (10.0, 20.0):
-            params = ChannelParams.from_eta_db(n, eta_db)
+            power = n * 10.0 ** (eta_db / 10.0)
             rng = np.random.default_rng(11)
-            D = make_pilots(n, L, params.power)
+            D = make_pilots(n, L, power)
             H = haar_unitary(n, rng, size=trials)
-            X = H @ D + sample_cgauss((trials, n, L), params.sigma2, rng)
-            A, c = statistic(X, D, params.power * L / n)
+            X = H @ D + sample_cgauss((trials, n, L), 1.0, rng)
+            A, c = statistic(X, D, power * L / n)
             e_ls = H - estimate_ls(A, c)
             e_k = H - estimate_kabsch(A)
             t_ls = np.sum(np.abs(e_ls) ** 2)
@@ -174,10 +173,9 @@ class TestKabschCrossCheck:
         n, L, per_snr = 2, 8, 512
         rng = np.random.default_rng(21)
         for eta_db in np.linspace(-10.0, 40.0, 9):  # 4608 blocks
-            params = ChannelParams.from_eta_db(n, eta_db)
-            D = make_pilots(n, L, params.power)
+            D = make_pilots(n, L, n * 10.0 ** (eta_db / 10.0))
             H = haar_unitary(n, rng, size=per_snr)
-            X = H @ D + sample_cgauss((per_snr, n, L), params.sigma2, rng)
+            X = H @ D + sample_cgauss((per_snr, n, L), 1.0, rng)
             U, _, Vh = np.linalg.svd(X @ dagger(D))
             assert np.max(np.abs(estimate_kabsch(X @ dagger(D)) - U @ Vh)) <= 1e-12
 
@@ -187,10 +185,9 @@ class TestKabschCrossCheck:
         rng = np.random.default_rng(22)
         for eta_db in np.linspace(-10.0, 40.0, 9):
             for L in (n, 4 * n):
-                params = ChannelParams.from_eta_db(n, eta_db)
-                D = make_pilots(n, L, params.power)
+                D = make_pilots(n, L, n * 10.0 ** (eta_db / 10.0))
                 H = haar_unitary(n, rng, size=per_snr)
-                X = H @ D + sample_cgauss((per_snr, n, L), params.sigma2, rng)
+                X = H @ D + sample_cgauss((per_snr, n, L), 1.0, rng)
                 U, _, Vh = np.linalg.svd(X @ dagger(D))
                 assert np.max(np.abs(estimate_kabsch(X @ dagger(D)) - U @ Vh)) <= 1e-12
 
@@ -201,7 +198,7 @@ def degenerate_stack(n=4, seed=23):
     Returns the stack and the indices of the normal ones.
     """
     rng = np.random.default_rng(seed)
-    draw, _ = statistic_sampler(ChannelParams.from_eta_db(n, 10.0), 2 * n)
+    draw, _ = statistic_sampler(n, 10.0, 2 * n)
     normal = draw(6, rng)
     equal_rows = normal[0].copy()
     equal_rows[1] = equal_rows[0]  # exactly singular
@@ -270,14 +267,13 @@ class TestRegistry:
         assert UNITARY_KINDS == {"kabsch"}
 
     def test_entries_match_functions(self):
-        params, D, _, X, _ = pilot_block(L=8, seed=22)
-        A, c = statistic(X, D, params.power * 8 / params.n)
+        power, D, _, X, _ = pilot_block(L=8, seed=22)
+        A, c = statistic(X, D, power * 8 / 2)
         assert np.array_equal(ESTIMATORS["ls"](A, c), estimate_ls(A, c))
         assert np.array_equal(ESTIMATORS["kabsch"](A, c), estimate_kabsch(A))
 
     def test_perfect_is_not_a_pilot_estimator(self):
         # The perfect-CSI reference belongs to the discrete rate, not to the registry.
         assert "perfect" not in ESTIMATORS
-        params = ChannelParams.from_eta_db(2, 5.0)
         with pytest.raises(ValueError):
-            air_corollary4_paired_mc(params, 8, 500, np.random.default_rng(0), kinds=("perfect",))
+            air_corollary4_paired_mc(2, 3.0, 8, 500, np.random.default_rng(0), kinds=("perfect",))

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import polair.air
-from polair.air import LN2, air_corollary4, air_corollary4_paired_mc, air_gaussian_paired_mc
-from polair.channel import ChannelParams
-from polair.estimators import estimate_kabsch, estimate_ls
+from polair.air import LN2, air_corollary4, air_corollary4_paired_mc, air_gaussian_paired_mc, capacity_perfect
+from polair.estimators import ESTIMATOR_KINDS, estimate_kabsch, estimate_ls
 from polair.experiments import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -112,6 +111,12 @@ class TestConfigValidation:
     def test_read_list_required(self, experiment, name):
         with pytest.raises(ConfigError, match=f"{experiment} requires a non-empty {name}"):
             small_config(experiment, **{name: ()}).validate()
+
+    def test_class_defaults_read_no_list(self):
+        # Every list field defaults to empty, so a directly built config names the lists its experiment reads.
+        ExperimentConfig(experiment="fig2", eta_db_grid=(10.0,), E2_grid=(0.01,)).validate()
+        with pytest.raises(ConfigError, match="fig3a requires a non-empty L_grid"):
+            ExperimentConfig(experiment="fig3a", eta_db_grid=(10.0,)).validate()
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_fig2_runs_at_any_n(self, n):
@@ -240,6 +245,30 @@ class TestRowContents:
             assert r.air.value <= r.reference_capacity
 
 
+class TestOneSnr:
+    """Every experiment forms eta = 10^(eta_db/10) once, as ``capacity_perfect``'s callers do."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_capacity_bits_bit_for_bit(self, n):
+        # At n = 3, n eta / n differs from eta by an ulp at some of these SNRs.
+        grid = (-4.0, -3.6, -1.5, 10.0)
+        configs = [
+            ExperimentConfig(experiment="fig2", eta_db_grid=grid, E2_grid=(1e-2,), trials=100, n=n),
+            *[
+                ExperimentConfig(
+                    experiment=experiment, eta_db_grid=grid, L_grid=(2 * n,), estimators=ESTIMATOR_KINDS, trials=100, n=n
+                )
+                for experiment in ("fig3a", "error_cov")
+            ],
+        ]
+        for config in configs:
+            rows = csv_rows(run_experiment(config))
+            assert len(rows) == 2 * len(grid)
+            for row in rows:
+                want = capacity_perfect(n, 10.0 ** (float(row["eta_db"]) / 10.0)).value
+                assert float(row["capacity_bits"]) == want, (config.experiment, row["eta_db"])
+
+
 class TestErrorCovRows:
     def test_rows_equal_error_covariance_on_substream(self):
         # The air column is the Corollary-4 driver's estimate on the grid point's
@@ -247,15 +276,15 @@ class TestErrorCovRows:
         config = small_config("error_cov", trials=5000, eta_db_grid=(0.0, 10.0))
         rows = iter(run_experiment(config).rows)
         for i_eta, eta_db in enumerate(config.eta_db_grid):
-            params = ChannelParams.from_eta_db(config.n, eta_db)
+            eta = 10.0 ** (eta_db / 10.0)
             for i_L, L in enumerate(config.L_grid):
-                estimates = air_corollary4_paired_mc(params, L, config.trials, _substream(config, i_eta, i_L))
+                estimates = air_corollary4_paired_mc(config.n, eta, L, config.trials, _substream(config, i_eta, i_L))
                 for kind in config.estimators:
                     row = next(rows)
                     assert (row.estimator, row.eta_db, row.L) == (kind, eta_db, L)
                     assert row.air == estimates[kind]
                     assert row.air.trials == config.trials
-                    R_E = error_covariance(kind, params, L, config.trials, _substream(config, i_eta, i_L))
+                    R_E = error_covariance(kind, config.n, eta, L, config.trials, _substream(config, i_eta, i_L))
                     dof = {"ls": 8, "kabsch": 4}[kind]
                     assert row.E2 == pytest.approx(np.trace(R_E).real / (config.n * dof), rel=1e-12)
         assert next(rows, None) is None
@@ -282,29 +311,28 @@ class TestErrorCovRows:
     def test_kabsch_row_equals_gaussian_driver(self):
         # Both compute Corollary 4 of the Kabsch error on the same draws.
         config = small_config("error_cov", trials=3000, eta_db_grid=(0.0,), L_grid=(8,), master_seed=4)
-        params = ChannelParams.from_eta_db(config.n, 0.0)
-        gaussian = air_gaussian_paired_mc(params, 8, config.trials, _substream(config, 0, 0), kinds=config.estimators)
+        gaussian = air_gaussian_paired_mc(config.n, 1.0, 8, config.trials, _substream(config, 0, 0), kinds=config.estimators)
         row = next(r for r in run_experiment(config).rows if r.estimator == "kabsch")
         assert row.air.value == gaussian["kabsch"].value
         assert row.air.std_error == gaussian["kabsch"].std_error
 
     def test_air_stderr_of_per_trial_bounds(self):
         # Redo the draws of one grid point by hand, on the identity channel and
-        # the pilot statistic A = c I + sqrt(c) Z of L = 8 pilots, c = P L / n,
+        # the pilot statistic A = c I + sqrt(c) Z of L = 8 pilots, c = eta L,
         # block k from the k-th generator of rng.spawn(n_blocks); the per-trial
         # Corollary-4 values n log2(1+eta) - eta ||E_t||_F^2 / ln 2 average to
         # air_bits and give air_stderr. The trials span two blocks.
         config = small_config("error_cov", trials=MC_BLOCK + 904, eta_db_grid=(10.0,), L_grid=(8,))
         n, L = config.n, 8
-        params = ChannelParams.from_eta_db(n, 10.0)
-        c = params.power * L / n
+        eta = 10.0
+        c = eta * L
         sq = {"ls": [], "kabsch": []}
         for b, rng in zip((MC_BLOCK, config.trials - MC_BLOCK), _substream(config, 0, 0).spawn(2)):
-            A = c * np.eye(n) + sample_cgauss((b, n, n), params.sigma2 * c, rng)
+            A = c * np.eye(n) + sample_cgauss((b, n, n), c, rng)
             sq["ls"].append(np.sum(np.abs(np.eye(n) - estimate_ls(A, c)) ** 2, axis=(1, 2)))
             sq["kabsch"].append(np.sum(np.abs(np.eye(n) - estimate_kabsch(A)) ** 2, axis=(1, 2)))
         for row in run_experiment(config).rows:
-            values = n * np.log2(1.0 + params.eta) - params.eta * np.concatenate(sq[row.estimator]) / np.log(2.0)
+            values = n * np.log2(1.0 + eta) - eta * np.concatenate(sq[row.estimator]) / np.log(2.0)
             stderr = np.sqrt(np.sum((values - values.mean()) ** 2) / (values.size - 1) / values.size)
             assert row.air.value == pytest.approx(values.mean(), abs=1e-12)
             assert row.air.std_error == pytest.approx(stderr, rel=1e-9)

@@ -21,7 +21,7 @@ import pytest
 
 import polair.estimators
 from polair.air import air_corollary4_paired_mc, air_discrete_paired_mc, air_gaussian_paired_mc
-from polair.channel import ChannelParams, make_constellation
+from polair.channel import make_constellation
 from polair.linalg import MC_BLOCK
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -61,13 +61,13 @@ def test_steps_estimate_through_the_traced_names(entry, n, monkeypatch):
 
     for name in ("estimate_ls", "estimate_kabsch"):
         monkeypatch.setattr(polair.estimators, name, counting(name, getattr(polair.estimators, name)))
-    params, trials = ChannelParams.from_eta_db(n, 10.0), MC_BLOCK + 952
+    eta, trials = 10.0, MC_BLOCK + 952
     rng = np.random.default_rng(0)
     if entry == "gaussian":
-        air_gaussian_paired_mc(params, 2 * n, trials, rng)
+        air_gaussian_paired_mc(n, eta, 2 * n, trials, rng)
     elif entry == "discrete":
-        air_discrete_paired_mc(make_constellation("dp_qpsk", n, params.power), params, 2 * n, trials, rng)
+        air_discrete_paired_mc(make_constellation("dp_qpsk", n, eta), eta, 2 * n, trials, rng)
     else:
-        air_corollary4_paired_mc(params, 2 * n, trials, rng)
+        air_corollary4_paired_mc(n, eta, 2 * n, trials, rng)
     blocks = [(MC_BLOCK, n, n), (952, n, n)]  # one call per kind and Monte Carlo block
     assert calls == [(name, shape) for shape in blocks for name in ("estimate_ls", "estimate_kabsch")]
