@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import Constellation
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
-from .linalg import dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
+from .linalg import check_positive, dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
 
 __all__ = [
     "AirEstimate",
@@ -90,8 +90,7 @@ def capacity_perfect(n: int, eta: float) -> AirEstimate:
     """Perfect-CSI capacity n * log2(1 + eta) of the unitary channel."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    check_positive("eta", eta)
     return AirEstimate(value=n * np.log2(1.0 + eta))
 
 
@@ -151,14 +150,13 @@ def _corollary4_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
 def air_corollary4(n: int, eta: float, tr_R_E: float) -> AirEstimate:
     """Average AIR with a unitary estimate: n log2(1+eta) - eta tr_R_E/ln 2.
 
-    The bound depends on the error covariance R_E = E[E^dagger E] only
-    through its trace ``tr_R_E``, which must be finite and >= 0.
+    The bound depends on R_E = E[E^dagger E] only through its trace
+    ``tr_R_E``, finite and >= 0; its first term is :func:`capacity_perfect`.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    capacity = capacity_perfect(n, eta).value
     if not (np.isfinite(tr_R_E) and tr_R_E >= 0):
         raise ValueError(f"tr_R_E must be finite and >= 0, got {tr_R_E}")
-    return AirEstimate(n * np.log2(1.0 + eta) - eta * tr_R_E / LN2)
+    return AirEstimate(capacity - eta * tr_R_E / LN2)
 
 
 def synthetic_estimates(n: int, error_per_dof: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,6 +182,7 @@ def air_synthetic_mc(n: int, error_per_dof: float, eta: float, trials: int, rng:
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
+    check_positive("eta", eta)
 
     def step(b, rng):
         return {"general": _corollary1_values(synthetic_estimates(n, error_per_dof, b, rng), eta)}

@@ -7,7 +7,7 @@ from a constellation (or a circular Gaussian codebook).
 
 Power convention: the noise has unit variance per complex dimension, so the
 per-channel SNR eta is the power of each symbol component and the total
-symbol power is P = n * eta.
+symbol power is P = n * eta. Either must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .linalg import check_positive
 
 __all__ = [
     "CONSTELLATION_KINDS",
@@ -64,8 +66,7 @@ def make_constellation(kind: str, n: int, eta: float) -> Constellation:
     """
     if kind not in CONSTELLATION_KINDS:
         raise ValueError(f"unsupported constellation kind {kind!r}")
-    if not (0 < eta < np.inf):
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
+    check_positive("eta", eta)
     if n != 2:
         raise ValueError(f"{kind} requires n = 2, got n = {n}")
     side = 2 if kind == "dp_qpsk" else 4
@@ -75,16 +76,14 @@ def make_constellation(kind: str, n: int, eta: float) -> Constellation:
     return Constellation(n, levels * np.sqrt(eta / np.mean(np.abs(qam) ** 2)))
 
 
-def check_pilot_args(n: int, L: int, power: float) -> None:
-    """Raise ``ValueError`` unless ``make_pilots(n, L, power)`` admits its arguments; builds no pilots."""
+def check_pilot_args(n: int, L: int) -> None:
+    """Raise ``ValueError`` unless ``make_pilots`` admits the dimension ``n`` and pilot length ``L``; builds no pilots."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if L < n:
         raise ValueError(f"L must be >= n, got L={L}, n={n}")
     if L % n != 0:
         raise ValueError(f"L must be a multiple of n, got L={L}, n={n}")
-    if not (0 < power < np.inf):
-        raise ValueError(f"power must be finite and > 0, got {power}")
 
 
 def make_pilots(n: int, L: int, power: float) -> np.ndarray:
@@ -97,7 +96,8 @@ def make_pilots(n: int, L: int, power: float) -> np.ndarray:
 
     Requires L >= n and L a multiple of n.
     """
-    check_pilot_args(n, L, power)
+    check_pilot_args(n, L)
+    check_positive("power", power)
     if n & (n - 1) == 0:
         base = np.array([[1.0]])
         while base.shape[0] < n:

@@ -3,11 +3,11 @@
 Subcommands:
 
 * ``capacity``  -- print the perfect-CSI capacity for given n and SNR.
-* ``error-cov`` -- the error-statistics sweep, written as CSV: each estimator's
-                   Corollary-4 bound and per-DOF error E2 = tr(R_E) / (n * dof);
-                   one grid point and one ``--estimator`` give one setting.
-* ``sweep``     -- a named figure experiment (fig2, fig3a, fig3b, fig4),
+* ``sweep``     -- a named experiment (fig2, fig3a, fig3b, fig4, error_cov),
                    written as CSV.
+* ``error-cov`` -- ``sweep --experiment error_cov``: each estimator's Corollary-4
+                   bound and per-DOF error E2 = tr(R_E) / (n * dof) as CSV; one
+                   grid point and one ``--estimator`` give one setting.
 
 Each sweep flag's ``dest`` is the config field it sets, and its value is
 parsed as that field's config-file entry is
@@ -45,9 +45,9 @@ from .experiments import (
     INPUT_KINDS,
     ConfigError,
     ExperimentConfig,
-    check_eta_db,
     config_from_text,
     default_config,
+    eta_from_db,
     parse_config_value,
     run_experiment,
 )
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         if name == "sweep":
-            p.add_argument("--experiment", choices=[e for e in EXPERIMENTS if e != "error_cov"])
+            p.add_argument("--experiment", choices=EXPERIMENTS)
         p.add_argument("--config", help="key=value config file; flags override its entries")
         p.add_argument("--eta-db", dest="eta_db_grid", help="comma-separated SNR grid in dB; write --eta-db=-2,4 when it starts below 0")
         p.add_argument("--L", dest="L_grid", help="comma-separated pilot-length grid")
@@ -130,8 +130,7 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
 def _cmd_capacity(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
-    check_eta_db(args.eta_db)
-    est = capacity_perfect(args.n, 10.0 ** (args.eta_db / 10.0))
+    est = capacity_perfect(args.n, eta_from_db(args.eta_db))
     print(f"{est.value:.4f} bits/symbol")
     return EXIT_OK
 

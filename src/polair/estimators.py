@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import check_pilot_args
-from .linalg import dagger_last, matmul_last, sample_cgauss, sq_fro_last
+from .linalg import check_positive, dagger_last, matmul_last, sample_cgauss, sq_fro_last
 
 __all__ = [
     "ESTIMATORS",
@@ -57,10 +57,11 @@ def statistic_sampler(n: int, eta: float, L: int):
     """``(draw, c)``: ``draw(b, rng)`` is a (b, n, n) stack of pilot statistics from ``L`` pilots, c = eta L.
 
     Each is A = c I + sqrt(c) Z, Z i.i.d. CN(0, 1), drawn as one CN(0, c)
-    array plus c on the diagonal. Arguments that ``make_pilots(n, L, n * eta)``
-    rejects raise the same ``ValueError``; the n x L pilots are not built.
+    array plus c on the diagonal, with no n x L pilots. ``make_pilots``'s
+    rules on n and L hold, and ``eta`` must be finite and > 0.
     """
-    check_pilot_args(n, L, n * eta)
+    check_pilot_args(n, L)
+    check_positive("eta", eta)
     c = eta * L
     diagonal = c * np.eye(n)
 

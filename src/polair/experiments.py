@@ -56,8 +56,7 @@ __all__ = [
     "INPUT_KINDS",
     "CSV_SCHEMA_VERSION",
     "CSV_COLUMNS",
-    "ETA_DB_RANGE",
-    "check_eta_db",
+    "eta_from_db",
     "default_config",
     "run_experiment",
     "config_to_text",
@@ -88,14 +87,11 @@ class ConfigError(ValueError):
     """An experiment configuration violates its constraints."""
 
 
-ETA_DB_RANGE = (-10.0, 40.0)  # the SNRs, in dB, that sweeps and `capacity` accept
-
-
-def check_eta_db(eta_db: float) -> None:
-    """Apply the one SNR range rule; a non-finite value fails it too."""
-    lo, hi = ETA_DB_RANGE
-    if not lo <= eta_db <= hi:
-        raise ConfigError(f"eta_db values must lie in [{lo:g}, {hi:g}], got {eta_db!r}")
+def eta_from_db(eta_db: float) -> float:
+    """The per-channel SNR 10^(eta_db/10) of an SNR in dB; one outside [-10, 40], or NaN, is a :class:`ConfigError`."""
+    if not -10.0 <= eta_db <= 40.0:
+        raise ConfigError(f"eta_db values must lie in [-10, 40], got {eta_db!r}")
+    return 10.0 ** (eta_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ class ExperimentConfig:
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be finite")
         for eta_db in self.eta_db_grid:
-            check_eta_db(eta_db)
+            eta_from_db(eta_db)
         if self.trials < 100:
             raise ConfigError(f"trials must be >= 100, got {self.trials}")
         if not (0 <= self.master_seed < 2**64):
@@ -207,7 +203,7 @@ def _substream(config: ExperimentConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=spawn_key))
 
 
-def _fig2_rows(config: ExperimentConfig, eta_db: float, e2: float, rng: np.random.Generator) -> list[SweepRow]:
+def _fig2_rows(config: ExperimentConfig, eta_db: float, eta: float, e2: float, rng: np.random.Generator) -> list[SweepRow]:
     """Gaussian-input AIR at one SNR under one synthetic per-DOF error level.
 
     The general error model is averaged by Monte Carlo over random error
@@ -215,21 +211,19 @@ def _fig2_rows(config: ExperimentConfig, eta_db: float, e2: float, rng: np.rando
     closed form with tr(R_E) = n^3 * E2.
     """
     n = config.n
-    eta = 10.0 ** (eta_db / 10.0)
     cap = capacity_perfect(n, eta).value
     general = air_synthetic_mc(n, e2, eta, config.trials, rng)
     unitary = air_corollary4(n, eta, n**3 * e2)
     return [SweepRow(name, eta_db, 0, e2, est, cap) for name, est in (("general", general), ("unitary", unitary))]
 
 
-def _rate_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.Generator) -> list[SweepRow]:
+def _rate_rows(config: ExperimentConfig, eta_db: float, eta: float, L: int, rng: np.random.Generator) -> list[SweepRow]:
     """AIR and information gap of the pilot-based estimators at one (SNR, pilot length).
 
     Serves fig3a and fig3b (AIR vs SNR at a fixed pilot length) and fig4
     (gap vs pilot length at a few SNRs); all estimators share the draws.
     """
     n = config.n
-    eta = 10.0 ** (eta_db / 10.0)
     if config.input == "gaussian":
         estimates = air_gaussian_paired_mc(n, eta, L, config.trials, rng, kinds=config.estimators)
         reference = capacity_perfect(n, eta).value
@@ -240,7 +234,7 @@ def _rate_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.G
     return [SweepRow(kind, eta_db, L, 0.0, estimates[kind], reference) for kind in config.estimators]
 
 
-def _error_cov_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.random.Generator) -> list[SweepRow]:
+def _error_cov_rows(config: ExperimentConfig, eta_db: float, eta: float, L: int, rng: np.random.Generator) -> list[SweepRow]:
     """Estimation-error statistics per estimator at one (SNR, pilot length).
 
     Both estimators see the same noise draws. The air column is the mean of
@@ -250,7 +244,6 @@ def _error_cov_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.ran
     The E2 column is the per-DOF error tr(R_E)/(n * dof) that follows from it.
     """
     n = config.n
-    eta = 10.0 ** (eta_db / 10.0)
     cap = capacity_perfect(n, eta).value
     estimates = air_corollary4_paired_mc(n, eta, L, config.trials, rng, kinds=config.estimators)
     rows = []
@@ -264,7 +257,7 @@ def _error_cov_rows(config: ExperimentConfig, eta_db: float, L: int, rng: np.ran
 @dataclass(frozen=True)
 class _Experiment:
     reads: tuple[str, ...]  # the list fields the rows read, grid axis first
-    rows: Callable[[ExperimentConfig, float, float, np.random.Generator], list[SweepRow]]
+    rows: Callable[[ExperimentConfig, float, float, float, np.random.Generator], list[SweepRow]]  # (config, eta_db, eta, value, rng)
     inputs: tuple[str, ...]
     defaults: dict  # the ExperimentConfig fields the experiment sets, every list it reads among them
 
@@ -316,8 +309,9 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     spec = _EXPERIMENTS[config.experiment]
     rows = []
     for i_eta, eta_db in enumerate(config.eta_db_grid):
+        eta = eta_from_db(eta_db)
         for j, value in enumerate(getattr(config, spec.reads[0])):
-            rows.extend(spec.rows(config, eta_db, value, _substream(config, i_eta, j)))
+            rows.extend(spec.rows(config, eta_db, eta, value, _substream(config, i_eta, j)))
     return SweepResult(config=config, rows=tuple(rows))
 
 

@@ -44,14 +44,20 @@ def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> n
     return q * phases[..., None, :]
 
 
+# Not in __all__, like mc_blocks: sample_cgauss calls it once per block, and the tracer would book that time to it.
+def check_positive(name: str, value: float) -> None:
+    """The package's one rule on a power, variance or SNR: raise ``ValueError`` unless ``value`` is finite and > 0."""
+    if not (0 < value < np.inf):  # NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def sample_cgauss(shape, variance_per_entry: float, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. circularly symmetric complex Gaussian array, C-contiguous complex128.
 
     Each entry has total variance ``variance_per_entry`` split equally
     between the real and imaginary parts, drawn interleaved into one buffer.
     """
-    if variance_per_entry <= 0:
-        raise ValueError(f"variance_per_entry must be > 0, got {variance_per_entry}")
+    check_positive("variance_per_entry", variance_per_entry)
     z = rng.standard_normal((*np.atleast_1d(shape), 2))
     z *= np.sqrt(variance_per_entry / 2.0)
     return z.view(complex)[..., 0]

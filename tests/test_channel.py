@@ -3,20 +3,32 @@ import itertools
 import numpy as np
 import pytest
 
-from polair.air import air_corollary4_paired_mc, air_discrete_paired_mc, air_gaussian_paired_mc
+from polair.air import (
+    air_corollary4,
+    air_corollary4_paired_mc,
+    air_discrete_paired_mc,
+    air_gaussian_paired_mc,
+    air_synthetic_mc,
+    capacity_perfect,
+)
 from polair.channel import (
     Constellation,
     make_constellation,
     make_pilots,
 )
+from polair.estimators import statistic_sampler
 
 from oracles import dagger, fro_norm
 
 
-# Every entry point that takes an SNR, as the per-channel eta or the pilot power P = n eta.
+# Every entry point that takes an SNR, as the per-channel eta or (make_pilots only) the pilot power P = n eta.
 SNR_ENTRIES = {
     "make_pilots": lambda value: make_pilots(2, 8, value),
     "make_constellation": lambda value: make_constellation("dp_qpsk", 2, value),
+    "capacity_perfect": lambda value: capacity_perfect(2, value),
+    "air_corollary4": lambda value: air_corollary4(2, value, 0.1),
+    "air_synthetic_mc": lambda value: air_synthetic_mc(2, 0.01, value, 200, np.random.default_rng(0)),
+    "statistic_sampler": lambda value: statistic_sampler(2, value, 8),
     "air_gaussian_paired_mc": lambda value: air_gaussian_paired_mc(2, value, 8, 100, np.random.default_rng(0)),
     "air_corollary4_paired_mc": lambda value: air_corollary4_paired_mc(2, value, 8, 100, np.random.default_rng(0)),
     "air_discrete_paired_mc": lambda value: air_discrete_paired_mc(
@@ -29,7 +41,9 @@ class TestSnrChecks:
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"])
     @pytest.mark.parametrize("entry", SNR_ENTRIES)
     def test_nonpositive_or_nonfinite_rejected(self, entry, value):
-        with pytest.raises(ValueError, match="must be finite and > 0"):
+        # One rule and one message everywhere, naming the argument the caller passed; no RuntimeWarning first.
+        name = "power" if entry == "make_pilots" else "eta"
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
             SNR_ENTRIES[entry](value)
 
     @pytest.mark.parametrize("entry", ["make_pilots", "air_gaussian_paired_mc", "air_corollary4_paired_mc"])

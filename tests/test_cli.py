@@ -374,6 +374,17 @@ class TestErrorCov:
             assert row["trials"] == "500"
             assert float(row["air_stderr"]) > 0
 
+    def test_same_csv_as_sweep(self, tmp_path, capsys):
+        # `error-cov` is `sweep --experiment error_cov`; both stay, and give the same bytes.
+        flags = ["--eta-db", "10", "--L", "8", "--trials", "1000"]
+        csvs = []
+        for i, command in enumerate([["error-cov"], ["sweep", "--experiment", "error_cov"]]):
+            out = tmp_path / f"{i}.csv"
+            assert main([*command, *flags, "--out", str(out)]) == EXIT_OK
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].startswith(",".join(CSV_COLUMNS).encode())
+
 
 class TestTopLevel:
     def test_version(self, capsys):

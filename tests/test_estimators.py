@@ -14,7 +14,7 @@ from polair.estimators import (
     estimate_ls,
     statistic_sampler,
 )
-from polair.linalg import haar_unitary, sample_cgauss
+from polair.linalg import MC_BLOCK, haar_unitary, sample_cgauss
 
 from oracles import dagger, error_covariance, fro_norm
 
@@ -258,6 +258,23 @@ class TestKabschLargerN:
         U, _, Vh = np.linalg.svd(X @ dagger(D))
         for scale in (1e-160, 1e160):
             assert np.max(np.abs(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh)) <= 1e-12
+
+
+class TestPilotEnergy:
+    """eta and L reach the statistic, and so every estimate, only through the pilot energy c = eta L."""
+
+    @pytest.mark.parametrize("n, L", [(2, 8), (2, 64), (4, 16)])
+    def test_halved_pilots_at_doubled_snr_draw_the_same_bits(self, n, L):
+        eta = 10.0**0.4
+        draws = []
+        for eta_k, L_k in ((eta, L), (2.0 * eta, L // 2)):
+            draw, c = statistic_sampler(n, eta_k, L_k)
+            A = draw(MC_BLOCK + 7, np.random.default_rng(31))
+            draws.append((A, c, {kind: estimate(A, c) for kind, estimate in ESTIMATORS.items()}))
+        (A0, c0, H0), (A1, c1, H1) = draws
+        assert c0 == c1 and np.array_equal(A0, A1)
+        for kind in ESTIMATORS:
+            assert np.array_equal(H0[kind], H1[kind]), kind
 
 
 class TestRegistry:

@@ -17,6 +17,7 @@ from polair.experiments import (
     config_from_text,
     config_to_text,
     default_config,
+    eta_from_db,
     run_experiment,
     _substream,
 )
@@ -247,6 +248,15 @@ class TestRowContents:
 
 class TestOneSnr:
     """Every experiment forms eta = 10^(eta_db/10) once, as ``capacity_perfect``'s callers do."""
+
+    @pytest.mark.parametrize("eta_db", [-10.0, 0.0, 14.0, 40.0])
+    def test_eta_from_db_bit_for_bit(self, eta_db):
+        assert eta_from_db(eta_db) == 10.0 ** (eta_db / 10.0)
+
+    @pytest.mark.parametrize("eta_db", [float("nan"), float("inf"), -float("inf"), -10.5, 40.5])
+    def test_eta_from_db_range(self, eta_db):
+        with pytest.raises(ConfigError, match=r"\[-10, 40\]"):
+            eta_from_db(eta_db)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_capacity_bits_bit_for_bit(self, n):

@@ -174,8 +174,9 @@ class TestComplexGaussian:
         assert abs((z * z).mean()) < 3 * se
 
     def test_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            sample_cgauss((2,), 0.0, np.random.default_rng(0))
+        for variance in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^variance_per_entry must be finite and > 0"):
+                sample_cgauss((2,), variance, np.random.default_rng(0))
 
     @pytest.mark.parametrize("shape", [(7,), (1, 1), (3, 2, 8)])
     def test_output_layout(self, shape):
