@@ -94,24 +94,36 @@ def capacity_perfect(n: int, eta: float) -> AirEstimate:
     return AirEstimate(value=n * np.log2(1.0 + eta))
 
 
+def _sq_error(H_hat: np.ndarray) -> np.ndarray:
+    """Squared error ||I - H_hat||_F^2 of each matrix of a (..., n, n) stack.
+
+    The 2 n^2 squared real parts of each E = I - H_hat are summed as a
+    product with ones: numpy's sum over short trailing axes is slower.
+    """
+    n = H_hat.shape[-1]
+    E = np.subtract(np.eye(n), H_hat, order="C", dtype=complex).reshape(-1, n * n).view(float)
+    np.square(E, out=E)
+    return (E @ np.ones(2 * n * n)).reshape(H_hat.shape[:-2])
+
+
 def _corollary1_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
     """Vectorized three-term unitary-channel AIR over stacked estimates of the identity channel.
 
     The estimation error is E = I - H_hat. The terms need log det A and
     tr A^-1 of A = I + eta H_hat H_hat^dagger. For n = 2,
-    A = [[a, b], [b*, d]] is formed from the rows r_0, r_1 of H_hat:
-    a = 1 + eta ||r_0||^2, d = 1 + eta ||r_1||^2, b = eta <r_0, r_1>, so
-    det A = a d - |b|^2 and tr A^-1 = (a + d) / det A. For n > 2 they come
+    A = [[a, b], [b*, d]] is formed entry by entry from the rows r_0, r_1 of
+    H_hat: a = 1 + eta ||r_0||^2, d = 1 + eta ||r_1||^2, b = eta <r_0, r_1>,
+    so det A = a d - |b|^2 and tr A^-1 = (a + d) / det A. For n > 2 they come
     from a batch-last Cholesky factor, A = L L^dagger (A >= I, so it exists):
     log det A = 2 sum_i log L_ii and tr A^-1 = ||L^-1||_F^2, with L^-1 by
     forward substitution.
     """
     n = H_hat.shape[-1]
-    if n == 2:
-        r0, r1 = H_hat[..., 0, :], H_hat[..., 1, :]
-        a = 1.0 + eta * np.sum(r0.real**2 + r0.imag**2, axis=-1)
-        d = 1.0 + eta * np.sum(r1.real**2 + r1.imag**2, axis=-1)
-        b = eta * np.sum(r0 * np.conj(r1), axis=-1)
+    if n == 2:  # entry by entry: numpy's sum over a 2-long last axis costs more than the sums themselves
+        h00, h01, h10, h11 = H_hat[..., 0, 0], H_hat[..., 0, 1], H_hat[..., 1, 0], H_hat[..., 1, 1]
+        a = 1.0 + eta * ((h00.real**2 + h00.imag**2) + (h01.real**2 + h01.imag**2))
+        d = 1.0 + eta * ((h10.real**2 + h10.imag**2) + (h11.real**2 + h11.imag**2))
+        b = eta * (h00 * np.conj(h10) + h01 * np.conj(h11))
         det = a * d - (b.real**2 + b.imag**2)
         logdet = np.log(det)
         tr_inv = (a + d) / det
@@ -131,8 +143,7 @@ def _corollary1_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
         logdet = 2.0 * np.sum(np.log(d), axis=0)
         tr_inv = sq_fro_last(L_inv)
     term1 = logdet / LN2
-    E = np.eye(n) - H_hat
-    term2 = eta * np.sum(E.real**2 + E.imag**2, axis=(-2, -1)) / LN2
+    term2 = eta * _sq_error(H_hat) / LN2
     term3 = (n - (1.0 + eta) * tr_inv) / LN2
     return term1 - term2 - term3
 
@@ -142,9 +153,7 @@ def _corollary4_values(H_hat: np.ndarray, eta: float) -> np.ndarray:
 
     This is Corollary 4 per estimate; H_hat = I gives exactly the capacity.
     """
-    n = H_hat.shape[-1]
-    E = np.eye(n) - H_hat
-    return n * np.log2(1.0 + eta) - eta * np.sum(E.real**2 + E.imag**2, axis=(-2, -1)) / LN2
+    return H_hat.shape[-1] * np.log2(1.0 + eta) - eta * _sq_error(H_hat) / LN2
 
 
 def air_corollary4(n: int, eta: float, tr_R_E: float) -> AirEstimate:
@@ -167,8 +176,8 @@ def synthetic_estimates(n: int, error_per_dof: float, size: int, rng: np.random.
     error model of fig2. fig2's unitary curve needs no draws; it is the
     closed form :func:`air_corollary4` of tr(R_E) = n^3 * error_per_dof.
     """
-    if error_per_dof < 0:
-        raise ValueError("error_per_dof must be >= 0")
+    if not (0 <= error_per_dof < np.inf):  # NaN fails both comparisons
+        raise ValueError(f"error_per_dof must be finite and >= 0, got {error_per_dof}")
     if error_per_dof == 0.0:
         return np.tile(np.eye(n, dtype=complex), (size, 1, 1))
     return np.eye(n) - sample_cgauss((size, n, n), 2.0 * n * error_per_dof, rng)
@@ -209,12 +218,15 @@ def _decoding_metric(H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray) -> n
     """Decoding metric ||x||^2 - ||x - H_dec s||^2 of every point s, shape (B, M).
 
     ``H_dec`` is a (B, n, n) stack, one decoder per sample; ``weights`` come
-    from :func:`_metric_weights`. The per-sample Gram term joins the cross
-    term in one matrix product.
+    from :func:`_metric_weights`. The Gram matrices G = H_dec^dagger H_dec
+    come from one batch-last copy of the stack
+    (:func:`~polair.linalg.matmul_last`), and the per-sample Gram term joins
+    the cross term in one matrix product.
     """
     n = x.shape[-1]
     y = np.einsum("...ji,...j->...i", H_dec.conj(), x)
-    G = np.einsum("bki,bkj->bij", H_dec.conj(), H_dec).reshape(x.shape[0], n * n)
+    H = np.ascontiguousarray(np.moveaxis(H_dec, 0, -1))
+    G = matmul_last(dagger_last(H), H).reshape(n * n, -1).T
     return np.concatenate([y.real, y.imag, G.real, G.imag], axis=1) @ weights
 
 

@@ -87,12 +87,13 @@ def estimate_kabsch(A) -> np.ndarray:
     Returns the unitary polar factor U V^dagger of A = U S V^dagger, an SVD;
     ``A`` may be one n x n statistic or a stack (..., n, n). For n = 2 it is
     the closed form (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|),
-    d = det A, whose denominator is s_1 + s_2 (Higham 1986); A is first
-    scaled by its largest entry modulus so that no square overflows or
-    underflows. For n > 2 it is the Newton-Schulz iteration of
-    :func:`_polar_newton_schulz`, which agrees with U V^dagger to round-off,
-    gives each matrix of a stack the bits it gets alone, and hands a
-    singular or ill-conditioned A to the SVD. The output is unitary for
+    d = det A, whose denominator is s_1 + s_2 (Higham 1986), computed entry
+    by entry; A is first multiplied by the reciprocal of its largest entry
+    modulus so that no square overflows or underflows. For n > 2 it is the
+    Newton-Schulz iteration of :func:`_polar_newton_schulz`, which agrees
+    with U V^dagger to round-off and hands a singular or ill-conditioned A
+    to the SVD. Either way each matrix of a stack gets the bits it gets
+    alone, whatever the stack's memory layout. The output is unitary for
     every finite input: a singular A (d = 0) takes the phase 1, one of the
     equally valid minimizers on the degenerate subspace, and A = 0 gives the
     identity, as the SVD does.
@@ -100,20 +101,30 @@ def estimate_kabsch(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape[-1] != 2:
         return _polar_newton_schulz(A)
-    scale = np.abs(A).max(axis=(-2, -1), keepdims=True)
-    # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry of modulus 1.
-    A = np.divide(A, scale, out=np.broadcast_to(np.eye(2, dtype=complex), A.shape).copy(), where=scale > 0)
-    a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    # Entry by entry, on the four strided entry views of a stack: numpy pays
+    # far more per call to reduce a 2-long trailing axis. A single matrix is a
+    # stack of one, so that its entries are arrays, not numpy scalars, whose
+    # complex product can round differently from the array loop's.
+    flat = A.reshape(-1, 2, 2)
+    a, b, c, e = flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 0], flat[:, 1, 1]
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(e)))
+    # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry of modulus about 1.
+    # The floor keeps the reciprocal of a subnormal scale finite.
+    zero = scale == 0
+    inv_scale = 1.0 / np.maximum(scale, np.finfo(float).tiny)
+    a, b, c, e = a * inv_scale + zero, b * inv_scale, c * inv_scale, e * inv_scale + zero
     d = a * e - b * c
     abs_d = np.abs(d)
     phase = np.divide(d, abs_d, out=np.ones_like(d), where=d != 0)
-    norm = np.sqrt(np.sum(A.real**2 + A.imag**2, axis=(-2, -1)) + 2.0 * abs_d)
-    polar = np.stack([np.conj(e), -np.conj(c), -np.conj(b), np.conj(a)], axis=-1).reshape(A.shape)  # adj(A)^dagger
-    # In place: every (..., 2, 2) temporary is as large as a whole Monte Carlo block.
-    polar *= phase[..., None, None]
-    polar += A
-    polar /= norm[..., None, None]
-    return polar
+    inv_norm = 1.0 / np.sqrt(
+        a.real**2 + a.imag**2 + b.real**2 + b.imag**2 + c.real**2 + c.imag**2 + e.real**2 + e.imag**2 + 2.0 * abs_d
+    )
+    polar = np.empty_like(flat)  # (A + phase adj(A)^dagger) / norm, adj(A)^dagger = [[e*, -c*], [-b*, a*]]
+    polar[:, 0, 0] = (a + phase * np.conj(e)) * inv_norm
+    polar[:, 0, 1] = (b - phase * np.conj(c)) * inv_norm
+    polar[:, 1, 0] = (c - phase * np.conj(b)) * inv_norm
+    polar[:, 1, 1] = (e + phase * np.conj(a)) * inv_norm
+    return polar.reshape(A.shape)
 
 
 NS_TOL = 1e-5  # ||I - X^dagger X||_F below which one more third-order step reaches round-off
@@ -141,9 +152,11 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
     flat = A.reshape(-1, n, n)
     polar = np.empty_like(flat)
     svd = np.ones(len(flat), dtype=bool)
-    scale = np.abs(flat).max(axis=(1, 2))
+    X = np.ascontiguousarray(flat.transpose(1, 2, 0))
+    scale = np.abs(X).max(axis=(0, 1))  # over the leading axes: numpy reduces short trailing axes slowly
     idx = np.flatnonzero(np.isfinite(scale) & (scale > 0))
-    X = np.ascontiguousarray(flat[idx].transpose(1, 2, 0))
+    # take and compress keep X batch-last contiguous; X[..., idx] would return a strided copy.
+    X = np.take(X, idx, axis=-1)
     X /= scale[idx]
     R = matmul_last(dagger_last(X), X)
     alpha = 2.0 / np.sqrt(sq_fro_last(R))
@@ -163,7 +176,7 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
         if last.any():
             polar[idx[last]] = X[..., last].transpose(2, 0, 1)
             svd[idx[last]] = False
-            X, idx = X[..., ~last], idx[~last]
+            X, idx = np.compress(~last, X, axis=-1), idx[~last]
         if not idx.size:
             break
         R = matmul_last(dagger_last(X), X)

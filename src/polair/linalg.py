@@ -2,8 +2,9 @@
 
 Products, inverses and factorizations are numpy's, called directly where
 they are needed. Three helpers (:func:`matmul_last`, :func:`dagger_last`,
-:func:`sq_fro_last`) work on batch-last stacks, which the n > 2 kernels use
-in place of one LAPACK call per small matrix. The samplers draw
+:func:`sq_fro_last`) work on batch-last stacks, which the n > 2 kernels and
+the LS decoder's Gram matrices use in place of one LAPACK call or stacked
+product per small matrix. The samplers draw
 Haar-distributed unitary matrices and circularly symmetric complex Gaussian
 arrays, both vectorized over a stack of draws; :func:`mc_blocks` is the
 package's one Monte Carlo block loop.

@@ -220,6 +220,55 @@ class TestCorollary4Kernel:
         assert _corollary4_values(eye, eta) == capacity_perfect(n, eta).value
 
 
+def non_contiguous(stack):
+    """The same matrices as a strided view of a batch-last copy."""
+    view = np.ascontiguousarray(np.moveaxis(stack, 0, -1)).transpose(2, 0, 1)
+    assert not view.flags.c_contiguous
+    return view
+
+
+class TestTwoByTwoKernelLayout:
+    """A matrix's n = 2 rate or metric does not depend on the stack around it or on its memory layout.
+
+    The entry-by-entry arithmetic is elementwise, so a strided view of the
+    same matrices gives the same bits. The sums over 2 n^2 squared parts and
+    over the metric's features are BLAS products, whose rounding can differ
+    between a stack and a matrix alone, so those agree to 1e-12.
+    """
+
+    @staticmethod
+    def estimates():
+        eta = 10.0
+        draw, c = statistic_sampler(2, eta, 8)
+        A = draw(MC_BLOCK + 7, np.random.default_rng(43))
+        return eta, {"ls": estimate_ls(A, c), "kabsch": estimate_kabsch(A)}
+
+    @pytest.mark.parametrize("rate", [_corollary1_values, _corollary4_values])
+    def test_rates(self, rate):
+        eta, estimates = self.estimates()
+        for kind, H_hat in estimates.items():
+            values = rate(H_hat, eta)
+            assert np.array_equal(rate(non_contiguous(H_hat), eta), values), kind
+            alone = np.array([rate(H, eta) for H in H_hat])
+            assert np.abs(alone - values).max() <= 1e-12, kind
+            shared = rate(np.broadcast_to(H_hat[5], (4, 2, 2)), eta)
+            assert np.abs(shared - values[5]).max() <= 1e-12, kind
+
+    def test_decoding_metric(self):
+        eta, estimates = self.estimates()
+        c = make_constellation("dp_16qam", 2, eta)
+        rng = np.random.default_rng(44)
+        x = c.points[rng.integers(0, 256, MC_BLOCK + 7)] + sample_cgauss((MC_BLOCK + 7, 2), 1.0, rng)
+        weights = _metric_weights(c.points)
+        for kind, H_hat in estimates.items():
+            metric = _decoding_metric(H_hat, x, weights)
+            assert np.array_equal(_decoding_metric(non_contiguous(H_hat), x, weights), metric), kind
+            for k in range(0, MC_BLOCK + 7, 97):
+                assert np.abs(_decoding_metric(H_hat[k : k + 1], x[k : k + 1], weights) - metric[k]).max() <= 1e-12
+            shared = _decoding_metric(np.broadcast_to(H_hat[5], (4, 2, 2)), np.broadcast_to(x[5], (4, 2)), weights)
+            assert np.abs(shared - metric[5]).max() <= 1e-12, kind
+
+
 class TestCorollary4:
     def test_zero_error(self):
         assert air_corollary4(2, 10.0, 0.0).value == pytest.approx(
@@ -282,6 +331,14 @@ class TestSyntheticModels:
         H_hat = synthetic_estimates(2, 0.0, 3, np.random.default_rng(17))
         assert H_hat.shape == (3, 2, 2) and H_hat.dtype == complex
         assert np.array_equal(H_hat, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+    @pytest.mark.parametrize("error_per_dof", [np.nan, np.inf, -1.0])
+    def test_invalid_error_rejected(self, error_per_dof):
+        match = "^error_per_dof must be finite and >= 0"
+        with pytest.raises(ValueError, match=match):
+            synthetic_estimates(2, error_per_dof, 3, np.random.default_rng(18))
+        with pytest.raises(ValueError, match=match):
+            air_synthetic_mc(2, error_per_dof, 10.0, 200, np.random.default_rng(18))
 
 
 class TestDiscreteMi:

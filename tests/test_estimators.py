@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import polair.estimators
 from polair.air import air_corollary4_paired_mc
 from polair.channel import make_pilots
 from polair.estimators import (
@@ -14,7 +15,7 @@ from polair.estimators import (
     estimate_ls,
     statistic_sampler,
 )
-from polair.linalg import MC_BLOCK, haar_unitary, sample_cgauss
+from polair.linalg import MC_BLOCK, haar_unitary, matmul_last, sample_cgauss
 
 from oracles import dagger, error_covariance, fro_norm
 
@@ -132,6 +133,28 @@ class TestKabsch:
         assert fro_norm(H_hat[0] - estimate_kabsch(normal @ dagger(D))) <= 1e-12
         assert np.array_equal(H_hat[2], np.eye(2))
 
+    def test_each_matrix_is_independent_of_the_layout(self):
+        # Alone, in a contiguous stack, in a strided view and broadcast, every
+        # matrix, A = 0 and singular ones too, gets the same bits and no warning.
+        draw, _ = statistic_sampler(2, 10.0, 8)
+        stack = draw(MC_BLOCK + 7, np.random.default_rng(41))
+        stack[3] = 0.0
+        stack[5, 1] = stack[5, 0]  # equal rows: det A is exactly 0
+        stack[8, :, 1] = 0.0  # a zero column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H_hat = estimate_kabsch(stack)
+            view = np.ascontiguousarray(np.moveaxis(stack, 0, -1)).transpose(2, 0, 1)
+            assert not view.flags.c_contiguous
+            assert np.array_equal(estimate_kabsch(view), H_hat)
+            assert np.array_equal(np.stack([estimate_kabsch(A) for A in stack]), H_hat)
+            for k in (0, 3, 5, 8):
+                shared = estimate_kabsch(np.broadcast_to(stack[k], (3, 2, 2)))
+                assert np.array_equal(shared, np.broadcast_to(H_hat[k], (3, 2, 2)))
+        assert np.array_equal(H_hat[3], np.eye(2))
+        for k in (5, 8):
+            assert fro_norm(H_hat[k] @ dagger(H_hat[k]) - np.eye(2)) <= 1e-12
+
     def test_rank_deficient_input_still_unitary(self):
         D = make_pilots(2, 8, 2.0)
         X = np.zeros((2, 8), dtype=complex)
@@ -242,6 +265,23 @@ class TestKabschLargerN:
         assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], stack[degenerate])
         U, _, Vh = np.linalg.svd(stack[degenerate])
         assert np.array_equal(H_hat[degenerate], U @ Vh)
+
+    def test_iteration_starts_from_the_largest_entry_modulus(self, monkeypatch):
+        # The first product is X^dagger X of each nonzero A divided by its largest
+        # entry modulus; a maximum is exact wherever it is taken, so these are
+        # the bits of np.abs(A).max(axis=(-2, -1)).
+        stack, _ = degenerate_stack()
+        starts = []
+
+        def recording(X, Y):
+            starts.append(np.array(Y))
+            return matmul_last(X, Y)
+
+        monkeypatch.setattr(polair.estimators, "matmul_last", recording)
+        estimate_kabsch(stack)
+        scale = np.abs(stack).max(axis=(-2, -1))
+        nonzero = scale > 0
+        assert np.array_equal(starts[0], np.moveaxis(stack[nonzero] / scale[nonzero, None, None], 0, -1))
 
     def test_each_matrix_is_independent_of_the_stack(self):
         stack, normal = degenerate_stack()
