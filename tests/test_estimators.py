@@ -163,13 +163,14 @@ class TestKabsch:
         assert fro_norm(H_hat @ dagger(H_hat) - np.eye(2)) <= 1e-12
 
     def test_extreme_scales_match_svd(self):
-        # Squares of entries near 1e160 overflow and near 1e-160 underflow;
+        # Squares of entries near 1e160 overflow and near 1e-160 underflow, and
+        # the reciprocal of a subnormal largest entry (1e-310) would overflow;
         # the polar factor does not depend on the scale of X.
         rng = np.random.default_rng(8)
         D = make_pilots(2, 8, 2.0)
         X = haar_unitary(2, rng) @ D + sample_cgauss((2, 8), 1.0, rng)
         U, _, Vh = np.linalg.svd(X @ dagger(D))
-        for scale in (1e-160, 1e160):
+        for scale in (1e-310, 1e-160, 1e160):
             assert fro_norm(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh) <= 1e-12
 
     def test_half_error_of_ls_at_high_snr(self):
