@@ -157,7 +157,8 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(np.isfinite(scale) & (scale > 0))
     # take and compress keep X batch-last contiguous; X[..., idx] would return a strided copy.
     X = np.take(X, idx, axis=-1)
-    X /= scale[idx]
+    # numpy divides by a complex through its reciprocal, which a subnormal scale would overflow.
+    X /= np.maximum(scale[idx], np.finfo(float).tiny)
     R = matmul_last(dagger_last(X), X)
     alpha = 2.0 / np.sqrt(sq_fro_last(R))
     X *= np.sqrt(alpha)

@@ -297,7 +297,7 @@ class TestKabschLargerN:
         D = make_pilots(n, 2 * n, 2.0)
         X = haar_unitary(n, rng, size=16) @ D + sample_cgauss((16, n, 2 * n), 1.0, rng)
         U, _, Vh = np.linalg.svd(X @ dagger(D))
-        for scale in (1e-160, 1e160):
+        for scale in (1e-310, 1e-160, 1e160):
             assert np.max(np.abs(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh)) <= 1e-12
 
 
