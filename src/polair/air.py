@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import Constellation
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
-from .linalg import check_positive, dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
+from .linalg import check_positive, check_trials, dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
 
 __all__ = [
     "AirEstimate",
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 LN2 = float(np.log(2.0))
+# The fewest trials a Monte Carlo rate takes; a discrete input's density needs more to sample its tails.
+MIN_TRIALS = 100
+MIN_DISCRETE_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ def _mc_estimate(values: np.ndarray) -> AirEstimate:
         # A constant sample (a zero synthetic error) is exact: its summed mean
         # could be off by round-off, its spread is zero.
         return AirEstimate(value=float(values[0]), trials=n)
-    std_error = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    std_error = float(values.std(ddof=1) / np.sqrt(n))
     return AirEstimate(value=float(values.mean()), std_error=std_error, trials=n)
 
 
@@ -189,8 +192,7 @@ def air_synthetic_mc(n: int, error_per_dof: float, eta: float, trials: int, rng:
     The error is spherically symmetric, so the identity channel gives the
     average of every unitary channel.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+    check_trials(trials, MIN_TRIALS)
     check_positive("eta", eta)
 
     def step(b, rng):
@@ -214,6 +216,11 @@ def _metric_weights(points: np.ndarray) -> np.ndarray:
     return np.concatenate(rows, axis=1).T
 
 
+def _decoded(H_dec: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Decoded vectors y = H_dec^dagger x of a (B, n, n) decoder stack and (B, n) received vectors."""
+    return np.einsum("...ji,...j->...i", H_dec.conj(), x)
+
+
 def _decoding_metric(H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Decoding metric ||x||^2 - ||x - H_dec s||^2 of every point s, shape (B, M).
 
@@ -224,7 +231,7 @@ def _decoding_metric(H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray) -> n
     the cross term in one matrix product.
     """
     n = x.shape[-1]
-    y = np.einsum("...ji,...j->...i", H_dec.conj(), x)
+    y = _decoded(H_dec, x)
     H = np.ascontiguousarray(np.moveaxis(H_dec, 0, -1))
     G = matmul_last(dagger_last(H), H).reshape(n * n, -1).T
     return np.concatenate([y.real, y.imag, G.real, G.imag], axis=1) @ weights
@@ -299,8 +306,7 @@ def air_discrete_paired_mc(
     metric. Paired differences are reported under keys ``"a-b"``, among
     them ``"<kind>-perfect"``.
     """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    check_trials(trials, MIN_DISCRETE_TRIALS)
     estimators = {kind: get_estimator(kind) for kind in kinds}
     n, points, levels = constellation.n, constellation.points, constellation.pam_levels
     draw, c = statistic_sampler(n, eta, L)
@@ -315,8 +321,7 @@ def air_discrete_paired_mc(
         for kind, estimate in estimators.items():
             H_hat = estimate(A, c)
             if kind in UNITARY_KINDS:
-                y = np.einsum("...ji,...j->...i", H_hat.conj(), x)
-                out[kind] = _separable_values(y, s, levels)
+                out[kind] = _separable_values(_decoded(H_hat, x), s, levels)
             else:  # the Gram term of a nonunitary H_hat couples the components
                 out[kind] = _discrete_values(_decoding_metric(H_hat, x, weights), idx)
         out["perfect"] = _separable_values(x, s, levels)
@@ -332,8 +337,7 @@ def _statistic_paired_mc(n: int, eta: float, L: int, trials: int, rng, kinds, ra
     (:func:`~polair.estimators.statistic_sampler`; ``L`` must be a multiple
     of n and at least n).
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+    check_trials(trials, MIN_TRIALS)
     estimators = {kind: get_estimator(kind) for kind in kinds}
     draw, c = statistic_sampler(n, eta, L)
 

@@ -64,11 +64,8 @@ def make_constellation(kind: str, n: int, eta: float) -> Constellation:
     the real dimensions of n = 2 polarizations: each polarization is a
     square QAM of average power ``eta``.
     """
-    if kind not in CONSTELLATION_KINDS:
-        raise ValueError(f"unsupported constellation kind {kind!r}")
+    check_constellation_args(kind, n)
     check_positive("eta", eta)
-    if n != 2:
-        raise ValueError(f"{kind} requires n = 2, got n = {n}")
     side = 2 if kind == "dp_qpsk" else 4
     levels = np.arange(-(side - 1), side, 2, dtype=float)  # [-1, 1] or [-3, -1, 1, 3]
     # Normalize by the mean power of one polarization's square QAM, a + jb over levels x levels.
@@ -76,10 +73,23 @@ def make_constellation(kind: str, n: int, eta: float) -> Constellation:
     return Constellation(n, levels * np.sqrt(eta / np.mean(np.abs(qam) ** 2)))
 
 
-def check_pilot_args(n: int, L: int) -> None:
-    """Raise ``ValueError`` unless ``make_pilots`` admits the dimension ``n`` and pilot length ``L``; builds no pilots."""
+def check_constellation_args(kind: str, n: int) -> None:
+    """Raise ``ValueError`` unless ``make_constellation`` admits ``kind`` at dimension ``n``; builds no points."""
+    if kind not in CONSTELLATION_KINDS:
+        raise ValueError(f"unsupported constellation kind {kind!r}")
+    if n != 2:
+        raise ValueError(f"{kind} requires n = 2, got n = {n}")
+
+
+def check_dimension(n: int) -> None:
+    """Raise ``ValueError`` unless ``n >= 2``: the channel dimension of pilots, sweeps and ``polair capacity``."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+
+
+def check_pilot_args(n: int, L: int) -> None:
+    """Raise ``ValueError`` unless ``make_pilots`` admits the dimension ``n`` and pilot length ``L``; builds no pilots."""
+    check_dimension(n)
     if L < n:
         raise ValueError(f"L must be >= n, got L={L}, n={n}")
     if L % n != 0:

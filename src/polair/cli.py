@@ -25,6 +25,10 @@ empty L grid or estimator list elsewhere, a discrete input for fig2 or
 error_cov or with n != 2 or fewer than 1000 trials, and n < 2), 4 numerical
 failure (including any value the numeric core rejects that the
 configuration checks let through, and an array too large to allocate).
+The rules on n, the pilot lengths, a discrete input, the trials and the
+estimator kinds are the numeric core's own checks: the configuration check
+(:meth:`~polair.experiments.ExperimentConfig.validate`) and ``capacity`` run
+them and report their messages with exit 3.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 
 from . import __version__
 from .air import capacity_perfect
+from .channel import check_dimension
 from .estimators import ESTIMATOR_KINDS
 from .experiments import (
     CSV_SCHEMA_VERSION,
@@ -128,8 +133,10 @@ def _build_sweep_config(args: argparse.Namespace, experiment: str):
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise ConfigError(f"--n must be >= 2, got {args.n}")
+    try:
+        check_dimension(args.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     est = capacity_perfect(args.n, eta_from_db(args.eta_db))
     print(f"{est.value:.4f} bits/symbol")
     return EXIT_OK

@@ -36,6 +36,8 @@ import numpy as np
 
 from .air import (
     LN2,
+    MIN_DISCRETE_TRIALS,
+    MIN_TRIALS,
     AirEstimate,
     air_corollary4,
     air_corollary4_paired_mc,
@@ -44,8 +46,9 @@ from .air import (
     air_synthetic_mc,
     capacity_perfect,
 )
-from .channel import CONSTELLATION_KINDS, make_constellation
-from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS
+from .channel import CONSTELLATION_KINDS, check_constellation_args, check_dimension, check_pilot_args, make_constellation
+from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator
+from .linalg import check_trials
 
 __all__ = [
     "ConfigError",
@@ -110,9 +113,13 @@ class ExperimentConfig:
     n: int = 2
 
     def validate(self) -> None:
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        spec = _EXPERIMENTS[self.experiment]
+        """Raise :class:`ConfigError` unless the sweep can run.
+
+        The rules on n, the pilot lengths, a discrete input, the trials and
+        the estimator kinds are the numeric core's own checks, run here with
+        their messages. The rest are the configuration's policies.
+        """
+        spec = _experiment(self.experiment)
         if len(self.eta_db_grid) == 0:
             raise ConfigError("eta_db_grid must be non-empty")
         for name in ("L_grid", "E2_grid", "estimators"):
@@ -125,28 +132,27 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} values must be finite")
         for eta_db in self.eta_db_grid:
             eta_from_db(eta_db)
-        if self.trials < 100:
-            raise ConfigError(f"trials must be >= 100, got {self.trials}")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.input not in spec.inputs:
             raise ConfigError(f"{self.experiment} takes input {', '.join(spec.inputs)}; got {self.input!r}")
-        if self.input != "gaussian" and self.n != 2:
-            raise ConfigError(f"{self.input} is a dual-polarization input and requires n = 2, got n = {self.n}")
-        if any(L < self.n or L % self.n != 0 for L in self.L_grid):
-            raise ConfigError("every L must be >= n and a multiple of n")
-        if any(k not in ESTIMATOR_KINDS for k in self.estimators):
-            raise ConfigError(f"estimators must be a subset of {ESTIMATOR_KINDS}")
+        try:
+            check_trials(self.trials, MIN_TRIALS if self.input == "gaussian" else MIN_DISCRETE_TRIALS)
+            check_dimension(self.n)  # fig2 has no L grid
+            if self.input != "gaussian":
+                check_constellation_args(self.input, self.n)
+            for L in self.L_grid:
+                check_pilot_args(self.n, L)
+            for kind in self.estimators:
+                get_estimator(kind)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for name in ("eta_db_grid", "L_grid", "E2_grid", "estimators"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {','.join(map(str, values))}")
         if any(not (0.0 <= e <= 1.0) for e in self.E2_grid):
             raise ConfigError("E2 values must lie in [0, 1]")
-        if self.input != "gaussian" and self.trials < 1000:
-            raise ConfigError(f"a discrete input requires trials >= 1000, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -291,11 +297,16 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
+def _experiment(name: str) -> _Experiment:
+    """The table entry of experiment ``name``; an unknown name is a :class:`ConfigError`."""
+    if name not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    return _EXPERIMENTS[name]
+
+
 def default_config(experiment: str, master_seed: int = 0) -> ExperimentConfig:
     """Engineering-default grids giving desk-scale runtimes."""
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    return ExperimentConfig(experiment=experiment, master_seed=master_seed, **_EXPERIMENTS[experiment].defaults)
+    return ExperimentConfig(experiment=experiment, master_seed=master_seed, **_experiment(experiment).defaults)
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
@@ -306,7 +317,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     substream, so rows do not depend on which other points the grid holds.
     """
     config.validate()
-    spec = _EXPERIMENTS[config.experiment]
+    spec = _experiment(config.experiment)
     rows = []
     for i_eta, eta_db in enumerate(config.eta_db_grid):
         eta = eta_from_db(eta_db)

@@ -52,6 +52,13 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+# Not in __all__, like check_positive: the per-layer tracer wraps exported functions, and each call would add a span.
+def check_trials(trials: int, minimum: int) -> None:
+    """The package's one rule on a Monte Carlo sample size: raise ``ValueError`` unless ``trials >= minimum``."""
+    if trials < minimum:
+        raise ValueError(f"trials must be >= {minimum}, got {trials}")
+
+
 def sample_cgauss(shape, variance_per_entry: float, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. circularly symmetric complex Gaussian array, C-contiguous complex128.
 

@@ -768,10 +768,11 @@ class TestCorollary4Paired:
 
 
 class TestStderrCalibration:
-    """The seed-to-seed spread of each discrete-input estimate matches its reported standard error.
+    """The seed-to-seed spread of each Monte Carlo estimate matches its reported standard error.
 
-    Each row runs ``air_discrete_paired_mc`` at L = 8 over seeds 0-19; the spread of ``ls``, ``kabsch`` and
-    ``perfect`` must lie within [1/3, 3] times its median reported stderr. A row that fails is a known
+    Each row runs a paired driver at L = 8 over seeds 0-19; the spread of each reported estimate
+    (``ls``, ``kabsch``, and ``perfect`` for a discrete input or the paired ``ls-kabsch`` for a Gaussian
+    one) must lie within [1/3, 3] times its median reported stderr. A row that fails is a known
     defect, marked as such: the change that mends it flips its mark.
     """
 
@@ -795,6 +796,17 @@ class TestStderrCalibration:
         constellation = make_constellation(kind, 2, eta)
         runs = [air_discrete_paired_mc(constellation, eta, 8, trials, np.random.default_rng(seed)) for seed in range(20)]
         for estimate in ("ls", "kabsch", "perfect"):
+            spread = np.std([run[estimate].value for run in runs], ddof=1)
+            ratio = spread / np.median([run[estimate].std_error for run in runs])
+            assert 1 / 3 <= ratio <= 3, (estimate, ratio)
+
+    @pytest.mark.parametrize("driver", [air_gaussian_paired_mc, air_corollary4_paired_mc])
+    @pytest.mark.parametrize("eta_db", [4.0, 20.0])
+    def test_gaussian_spread_matches_stderr(self, driver, eta_db):
+        # The Gaussian drivers at n = 2, L = 8 and 10,000 trials: each kind and the paired ls-kabsch gap.
+        eta = 10.0 ** (eta_db / 10.0)
+        runs = [driver(2, eta, 8, 10_000, np.random.default_rng(seed)) for seed in range(20)]
+        for estimate in ("ls", "kabsch", "ls-kabsch"):
             spread = np.std([run[estimate].value for run in runs], ddof=1)
             ratio = spread / np.median([run[estimate].std_error for run in runs])
             assert 1 / 3 <= ratio <= 3, (estimate, ratio)

@@ -4,12 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polair import __version__
 import polair.cli
 from polair.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from polair.experiments import CSV_COLUMNS, config_from_text, config_to_text, default_config, run_experiment
+from polair.air import air_discrete_paired_mc, air_gaussian_paired_mc
+from polair.channel import make_constellation, make_pilots
+from polair.estimators import get_estimator
+from polair.experiments import CSV_COLUMNS, ConfigError, config_from_text, config_to_text, default_config, run_experiment
 from dataclasses import replace
 
 
@@ -384,6 +388,64 @@ class TestErrorCov:
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
         assert csvs[0].startswith(",".join(CSV_COLUMNS).encode())
+
+
+def _discrete_rate(trials):
+    return air_discrete_paired_mc(make_constellation("dp_16qam", 2, 10.0), 10.0, 8, trials, np.random.default_rng(0))
+
+
+class TestOneMessagePerRule:
+    """Each argument rule has one owner in the numeric core, and the configuration check runs it.
+
+    The same bad value gives the owner's ``ValueError`` from the library and, with the same text, a
+    ``ConfigError`` from ``validate`` and exit 3 from the CLI.
+    """
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, library_call",
+        [
+            ("fig3a", dict(n=1, L_grid=(2,)), lambda: make_pilots(1, 2, 1.0)),
+            ("fig2", dict(n=1), lambda: make_pilots(1, 2, 1.0)),
+            ("fig3a", dict(L_grid=(3,)), lambda: make_pilots(2, 3, 1.0)),
+            ("fig4", dict(L_grid=(8, 1)), lambda: make_pilots(2, 1, 1.0)),
+            ("fig3b", dict(input="dp_qpsk", n=3, L_grid=(3,), trials=1000), lambda: make_constellation("dp_qpsk", 3, 10.0)),
+            ("fig3a", dict(trials=50), lambda: air_gaussian_paired_mc(2, 10.0, 8, 50, np.random.default_rng(0))),
+            ("fig3b", dict(trials=500), lambda: _discrete_rate(500)),
+            ("fig4", dict(input="dp_qpsk", trials=50), lambda: _discrete_rate(50)),
+            ("error_cov", dict(estimators=("ls", "mmse")), lambda: get_estimator("mmse")),
+        ],
+        ids=["n", "fig2-n", "L-multiple", "L-below-n", "discrete-n", "trials", "discrete-trials",
+             "discrete-trials-below-100", "estimator-kind"],
+    )
+    def test_config_reports_the_library_message(self, tmp_path, capsys, experiment, overrides, library_call):
+        with pytest.raises(ValueError) as library:
+            library_call()
+        assert type(library.value) is ValueError
+        config = replace(default_config(experiment), eta_db_grid=(10.0,), **overrides)
+        with pytest.raises(ConfigError) as checked:
+            config.validate()
+        assert str(checked.value) == str(library.value)
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(config_to_text(config))
+        assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {library.value}\n")
+
+    def test_capacity_dimension(self, capsys):
+        with pytest.raises(ValueError) as library:
+            make_pilots(1, 2, 1.0)
+        assert main(["capacity", "--n", "1", "--eta-db", "10"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {library.value}\n")
+
+    def test_experiment_name(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as library:
+            default_config("fig9")
+        with pytest.raises(ConfigError) as checked:
+            replace(default_config("fig3a"), experiment="fig9").validate()
+        assert str(checked.value) == str(library.value) == "unknown experiment 'fig9'"
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text("experiment = fig9\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {library.value}\n")
 
 
 class TestTopLevel:
