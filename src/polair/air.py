@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Constellation
+from .channel import Constellation, check_dimension
 from .estimators import ESTIMATOR_KINDS, UNITARY_KINDS, get_estimator, statistic_sampler
 from .linalg import check_positive, check_trials, dagger_last, matmul_last, mc_blocks, sample_cgauss, sq_fro_last
 
@@ -192,6 +192,7 @@ def air_synthetic_mc(n: int, error_per_dof: float, eta: float, trials: int, rng:
     The error is spherically symmetric, so the identity channel gives the
     average of every unitary channel.
     """
+    check_dimension(n)
     check_trials(trials, MIN_TRIALS)
     check_positive("eta", eta)
 

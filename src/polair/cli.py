@@ -18,13 +18,14 @@ with ``=``, as in ``--eta-db=-2,4``: argparse takes a separate ``-2,4``
 for a flag.
 
 Exit codes: 0 success, 2 bad flags, 3 configuration violations (including
-unparsable values, empty list items, non-finite grid values, SNRs outside
-[-10, 40] dB, E2 values outside [0, 1], repeated grid values or estimator
-kinds, an E2 grid outside fig2, an L grid or estimator list for fig2, an
-empty L grid or estimator list elsewhere, a discrete input for fig2 or
-error_cov or with n != 2 or fewer than 1000 trials, and n < 2), 4 numerical
-failure (including any value the numeric core rejects that the
-configuration checks let through, and an array too large to allocate).
+a ``--config`` file that is missing or not UTF-8 text, unparsable values,
+empty list items, SNRs outside [-10, 40] dB or E2 values outside [0, 1],
+NaN and inf among them, repeated grid values or estimator kinds, an E2
+grid outside fig2, an L grid or estimator list for fig2, an empty L grid or
+estimator list elsewhere, a discrete input for fig2 or error_cov or with
+n != 2 or fewer than 1000 trials, and n < 2), 4 numerical failure
+(including any value the numeric core rejects that the configuration
+checks let through, and an array too large to allocate).
 The rules on n, the pilot lengths, a discrete input, the trials and the
 estimator kinds are the numeric core's own checks: the configuration check
 (:meth:`~polair.experiments.ExperimentConfig.validate`) and ``capacity`` run
@@ -60,7 +61,6 @@ from .experiments import (
 __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
@@ -80,12 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = sub.add_parser("capacity", help="perfect-CSI capacity in bits/symbol")
     p_cap.add_argument("--n", type=int, default=2, help="channel dimension (default 2)")
     p_cap.add_argument("--eta-db", type=float, required=True, help="per-channel SNR in dB")
+    p_cap.set_defaults(handler=_cmd_capacity)
 
-    for name, help_text in (
-        ("error-cov", "error-covariance sweep (CSV)"),
-        ("sweep", "run a named experiment sweep (CSV)"),
+    for name, help_text, experiment in (
+        ("error-cov", "error-covariance sweep (CSV)", "error_cov"),
+        ("sweep", "run a named experiment sweep (CSV)", None),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_sweep, experiment=experiment)
         if name == "sweep":
             p.add_argument("--experiment", choices=EXPERIMENTS)
         p.add_argument("--config", help="key=value config file; flags override its entries")
@@ -115,23 +117,6 @@ def _write_text(out: str | None, default_path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _build_sweep_config(args: argparse.Namespace, experiment: str):
-    if args.config:
-        config = config_from_text(Path(args.config).read_text())
-        if experiment and config.experiment != experiment:
-            raise ConfigError(
-                f"config file experiment {config.experiment!r} does not match {experiment!r}"
-            )
-    else:
-        config = default_config(experiment)
-    overrides = {
-        f.name: parse_config_value(f.name, getattr(args, f.name))
-        for f in fields(ExperimentConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    return replace(config, **overrides)
-
-
 def _cmd_capacity(args: argparse.Namespace) -> int:
     try:
         check_dimension(args.n)
@@ -142,10 +127,25 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace, experiment: str) -> int:
-    if not experiment and not args.config:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.config:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8 text: {exc}") from exc
+        config = config_from_text(text)
+        if args.experiment and config.experiment != args.experiment:
+            raise ConfigError(f"config file experiment {config.experiment!r} does not match {args.experiment!r}")
+    elif args.experiment:
+        config = default_config(args.experiment)
+    else:
         raise ConfigError("sweep requires --experiment or --config")
-    config = _build_sweep_config(args, experiment)
+    overrides = {
+        f.name: parse_config_value(f.name, getattr(args, f.name))
+        for f in fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    config = replace(config, **overrides)
     result = run_experiment(config)
     default_path = Path("out") / f"{config.experiment}-{config.master_seed}.csv"
     _write_text(args.out, default_path, result.to_csv_string())
@@ -153,16 +153,9 @@ def _cmd_sweep(args: argparse.Namespace, experiment: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "capacity":
-            return _cmd_capacity(args)
-        if args.subcommand == "error-cov":
-            return _cmd_sweep(args, "error_cov")
-        if args.subcommand == "sweep":
-            return _cmd_sweep(args, args.experiment or "")
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+        return args.handler(args)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     except (np.linalg.LinAlgError, ArithmeticError, ValueError, MemoryError) as exc:

@@ -15,8 +15,8 @@ statistics:
   unitary group, with n^2 degrees of freedom. For n = 2 it is the exact
   closed form ``(A + (det A/|det A|) adj(A)^dagger) / (s_1 + s_2)``; for
   n > 2 it comes from an inverse-free Newton-Schulz iteration run on the
-  whole stack at once, with the SVD only for the singular or
-  ill-conditioned matrices it does not converge on.
+  whole stack at once, with the SVD only for the zero, singular or
+  ill-conditioned matrices it does not converge on. A non-finite A raises.
 
 :data:`ESTIMATORS` is the one registry of estimator kinds,
 ``{kind: (A, c) -> H_hat}``, holding ``ls`` and ``kabsch``. The kinds in
@@ -96,7 +96,8 @@ def estimate_kabsch(A) -> np.ndarray:
     alone, whatever the stack's memory layout. The output is unitary for
     every finite input: a singular A (d = 0) takes the phase 1, one of the
     equally valid minimizers on the degenerate subspace, and A = 0 gives the
-    identity, as the SVD does.
+    identity, as the SVD does. A non-finite A, alone or in a stack, raises
+    ``ValueError`` at every n.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape[-1] != 2:
@@ -108,6 +109,7 @@ def estimate_kabsch(A) -> np.ndarray:
     flat = A.reshape(-1, 2, 2)
     a, b, c, e = flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 0], flat[:, 1, 1]
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(e)))
+    _check_finite(scale)
     # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry of modulus about 1.
     # The floor keeps the reciprocal of a subnormal scale finite.
     zero = scale == 0
@@ -125,6 +127,12 @@ def estimate_kabsch(A) -> np.ndarray:
     polar[:, 1, 0] = (c - phase * np.conj(b)) * inv_norm
     polar[:, 1, 1] = (e + phase * np.conj(a)) * inv_norm
     return polar.reshape(A.shape)
+
+
+def _check_finite(scale: np.ndarray) -> None:
+    """Raise ``ValueError`` unless A is finite, read from the largest entry moduli ``scale``, not from A."""
+    if not np.isfinite(scale).all():
+        raise ValueError("A must be finite")
 
 
 NS_TOL = 1e-5  # ||I - X^dagger X||_F below which one more third-order step reaches round-off
@@ -145,8 +153,8 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
     A matrix takes its last step once ||R||_F < :data:`NS_TOL` and then
     leaves the active set. Those still active after :data:`NS_MAX_STEPS`
     steps (a singular A keeps s = 0; an ill-conditioned one grows its small
-    s only about 3.5-fold per step), and A = 0 or a non-finite A, take
-    ``np.linalg.svd`` and U V^dagger.
+    s only about 3.5-fold per step), and A = 0, take ``np.linalg.svd`` and
+    U V^dagger. A non-finite A raises ``ValueError`` before any step.
     """
     n = A.shape[-1]
     flat = A.reshape(-1, n, n)
@@ -154,7 +162,8 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
     svd = np.ones(len(flat), dtype=bool)
     X = np.ascontiguousarray(flat.transpose(1, 2, 0))
     scale = np.abs(X).max(axis=(0, 1))  # over the leading axes: numpy reduces short trailing axes slowly
-    idx = np.flatnonzero(np.isfinite(scale) & (scale > 0))
+    _check_finite(scale)
+    idx = np.flatnonzero(scale > 0)
     # take and compress keep X batch-last contiguous; X[..., idx] would return a strided copy.
     X = np.take(X, idx, axis=-1)
     # numpy divides by a complex through its reciprocal, which a subnormal scale would overflow.

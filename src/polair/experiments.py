@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
@@ -127,9 +126,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.experiment} requires a non-empty {name}")
             if name not in spec.reads and getattr(self, name):
                 raise ConfigError(f"{self.experiment} does not read {name}; leave it empty")
-        for name in ("eta_db_grid", "E2_grid"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
-                raise ConfigError(f"{name} values must be finite")
         for eta_db in self.eta_db_grid:
             eta_from_db(eta_db)
         if not (0 <= self.master_seed < 2**64):

@@ -771,9 +771,10 @@ class TestStderrCalibration:
     """The seed-to-seed spread of each Monte Carlo estimate matches its reported standard error.
 
     Each row runs a paired driver at L = 8 over seeds 0-19; the spread of each reported estimate
-    (``ls``, ``kabsch``, and ``perfect`` for a discrete input or the paired ``ls-kabsch`` for a Gaussian
-    one) must lie within [1/3, 3] times its median reported stderr. A row that fails is a known
-    defect, marked as such: the change that mends it flips its mark.
+    (``ls``, ``kabsch`` and the paired ``ls-kabsch``, and for a discrete input also ``perfect`` and
+    the pairs ``ls-perfect`` and ``kabsch-perfect``) must lie within [1/3, 3] times its median
+    reported stderr. A discrete input's ``perfect`` runs are also z-scored against the exact MI.
+    A row that fails is a known defect, marked as such: the change that mends it flips its mark.
     """
 
     @pytest.mark.parametrize(
@@ -795,10 +796,16 @@ class TestStderrCalibration:
         eta = 10.0 ** (eta_db / 10.0)
         constellation = make_constellation(kind, 2, eta)
         runs = [air_discrete_paired_mc(constellation, eta, 8, trials, np.random.default_rng(seed)) for seed in range(20)]
-        for estimate in ("ls", "kabsch", "perfect"):
+        for estimate in ("ls", "kabsch", "perfect", "ls-kabsch", "ls-perfect", "kabsch-perfect"):
             spread = np.std([run[estimate].value for run in runs], ddof=1)
             ratio = spread / np.median([run[estimate].std_error for run in runs])
             assert 1 / 3 <= ratio <= 3, (estimate, ratio)
+        # Each run's own stderr against the exact MI: the z-scores have mean 0 and sd 1.
+        exact = 2 * constellation.n * scalar_awgn_mi_quadrature(constellation.pam_levels, 1.0)
+        z = np.array([(run["perfect"].value - exact) / run["perfect"].std_error for run in runs])
+        assert abs(z.mean()) <= 3 / np.sqrt(len(z)), z.mean()
+        assert 1 / 3 <= np.std(z, ddof=1) <= 3, np.std(z, ddof=1)
+        assert np.abs(z).max() <= 4, z
 
     @pytest.mark.parametrize("driver", [air_gaussian_paired_mc, air_corollary4_paired_mc])
     @pytest.mark.parametrize("eta_db", [4.0, 20.0])

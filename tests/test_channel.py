@@ -46,15 +46,22 @@ class TestSnrChecks:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
             SNR_ENTRIES[entry](value)
 
-    @pytest.mark.parametrize("entry", ["make_pilots", "air_gaussian_paired_mc", "air_corollary4_paired_mc"])
+    @pytest.mark.parametrize("entry", ["make_pilots", "air_gaussian_paired_mc", "air_corollary4_paired_mc", "air_synthetic_mc"])
     def test_single_dimension_rejected(self, entry):
         calls = {
             "make_pilots": lambda: make_pilots(1, 8, 1.0),
             "air_gaussian_paired_mc": lambda: air_gaussian_paired_mc(1, 1.0, 8, 100, np.random.default_rng(0)),
             "air_corollary4_paired_mc": lambda: air_corollary4_paired_mc(1, 1.0, 8, 100, np.random.default_rng(0)),
+            "air_synthetic_mc": lambda: air_synthetic_mc(1, 0.01, 10.0, 200, np.random.default_rng(0)),
         }
-        with pytest.raises(ValueError, match="n must be >= 2"):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             calls[entry]()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_synthetic_dimension_message(self, n):
+        # The dimension rule's message, not one about an argument the caller never passed or numpy's own.
+        with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+            air_synthetic_mc(n, 0.01, 10.0, 200, np.random.default_rng(0))
 
 
 class TestConstellation:

@@ -157,11 +157,15 @@ class TestSweep:
         ],
     )
     def test_nonfinite_grid_value(self, capsys, args, value):
+        # The range rule that owns the grid rejects NaN and inf with its own message.
         code = main([*args, f"0.01,{value}", "--trials", "200", "--out", "-"])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be finite" in captured.err
+        if "--E2" in args:
+            assert captured.err == "error: E2 values must lie in [0, 1]\n"
+        else:
+            assert captured.err == f"error: eta_db values must lie in [-10, 40], got {value}\n"
 
     def test_e2_above_one_rejected(self, capsys):
         code = main(["sweep", "--experiment", "fig2", "--E2", "1e300", "--eta-db", "10", "--out", "-"])
@@ -212,6 +216,15 @@ class TestSweep:
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/sweep.cfg"]) == EXIT_CONFIG
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        # A decode error is a ValueError; it is the configuration's fault, not a numerical failure.
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_bytes(b"experiment = fig3a\n\xff\xfe = 1\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config file {cfg_path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize(
         "args",

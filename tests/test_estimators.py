@@ -301,6 +301,25 @@ class TestKabschLargerN:
             assert np.max(np.abs(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh)) <= 1e-12
 
 
+class TestKabschNonFinite:
+    """A non-finite A raises one ValueError at every n, alone or in an otherwise finite stack."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.inf], ids=["nan", "inf", "-inf", "imag-inf"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nonfinite_entry_raises(self, monkeypatch, n, value):
+        # No SVD call: LAPACK's SVD of an infinite 3 x 3 matrix does not return.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a non-finite A reached the SVD")
+
+        draw, _ = statistic_sampler(n, 10.0, 2 * n)
+        stack = draw(5, np.random.default_rng(12))
+        stack[3, n - 1, 0] = value
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for A in (stack, stack[3]):
+            with pytest.raises(ValueError, match="^A must be finite$"):
+                estimate_kabsch(A)
+
+
 class TestPilotEnergy:
     """eta and L reach the statistic, and so every estimate, only through the pilot energy c = eta L."""
 

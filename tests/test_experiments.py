@@ -68,14 +68,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_grid_values(self, value):
-        with pytest.raises(ConfigError, match="finite"):
+        # The SNR range and the E2 range own NaN and inf: no separate finiteness rule.
+        with pytest.raises(ConfigError, match=r"^E2 values must lie in \[0, 1\]$"):
             small_config("fig2", E2_grid=(1e-2, value)).validate()
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match=rf"^eta_db values must lie in \[-10, 40\], got {value}$"):
             small_config("fig3a", eta_db_grid=(value,)).validate()
 
     def test_nonfinite_value_in_config_file(self):
         text = config_to_text(small_config("fig2")).replace("E2_grid = 0.01,", "E2_grid = nan,")
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match=r"^E2 values must lie in \[0, 1\]$"):
             config_from_text(text).validate()
 
     def test_e2_upper_bound(self):
