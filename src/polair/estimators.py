@@ -96,8 +96,9 @@ def estimate_kabsch(A) -> np.ndarray:
     alone, whatever the stack's memory layout. The output is unitary for
     every finite input: a singular A (d = 0) takes the phase 1, one of the
     equally valid minimizers on the degenerate subspace, and A = 0 gives the
-    identity, as the SVD does. A non-finite A, alone or in a stack, raises
-    ``ValueError`` at every n.
+    identity, as the SVD does. A finite A whose entry modulus overflows a
+    double gets the polar factor of A/4 (:func:`_estimate_overflowing`). A
+    non-finite A, alone or in a stack, raises ``ValueError`` at every n.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape[-1] != 2:
@@ -109,7 +110,8 @@ def estimate_kabsch(A) -> np.ndarray:
     flat = A.reshape(-1, 2, 2)
     a, b, c, e = flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 0], flat[:, 1, 1]
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(e)))
-    _check_finite(scale)
+    if not np.isfinite(scale).all():
+        return _estimate_overflowing(flat, scale).reshape(A.shape)
     # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry of modulus about 1.
     # The floor keeps the reciprocal of a subnormal scale finite.
     zero = scale == 0
@@ -117,7 +119,12 @@ def estimate_kabsch(A) -> np.ndarray:
     a, b, c, e = a * inv_scale + zero, b * inv_scale, c * inv_scale, e * inv_scale + zero
     d = a * e - b * c
     abs_d = np.abs(d)
-    phase = np.divide(d, abs_d, out=np.ones_like(d), where=d != 0)
+    # numpy divides by a complex through its reciprocal, which a subnormal |d| would overflow.
+    normal = abs_d >= np.finfo(float).tiny
+    phase = np.divide(d, abs_d, out=np.ones_like(d), where=normal)
+    if not normal.all():
+        lifted = d[~normal] * 2.0**600  # exact, and normal unless d = 0
+        phase[~normal] = np.divide(lifted, np.abs(lifted), out=np.ones_like(lifted), where=lifted != 0)
     inv_norm = 1.0 / np.sqrt(
         a.real**2 + a.imag**2 + b.real**2 + b.imag**2 + c.real**2 + c.imag**2 + e.real**2 + e.imag**2 + 2.0 * abs_d
     )
@@ -129,10 +136,22 @@ def estimate_kabsch(A) -> np.ndarray:
     return polar.reshape(A.shape)
 
 
-def _check_finite(scale: np.ndarray) -> None:
-    """Raise ``ValueError`` unless A is finite, read from the largest entry moduli ``scale``, not from A."""
-    if not np.isfinite(scale).all():
+def _estimate_overflowing(flat: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Polar factors of a stack (B, n, n) some of whose largest entry moduli ``scale`` are not finite.
+
+    A matrix with a NaN or infinite entry raises ``ValueError``. Any other such
+    matrix has a finite entry whose modulus overflows a double; it is estimated
+    as A/4, whose moduli cannot, since the polar factor does not change under
+    scaling. Every other matrix is estimated as it is, with the bits it gets alone.
+    """
+    big = ~np.isfinite(scale)
+    A = flat[big]
+    if not (np.isfinite(A.real).all() and np.isfinite(A.imag).all()):
         raise ValueError("A must be finite")
+    polar = np.empty_like(flat)
+    polar[big] = estimate_kabsch(A / 4)
+    polar[~big] = estimate_kabsch(flat[~big])
+    return polar
 
 
 NS_TOL = 1e-5  # ||I - X^dagger X||_F below which one more third-order step reaches round-off
@@ -154,7 +173,8 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
     leaves the active set. Those still active after :data:`NS_MAX_STEPS`
     steps (a singular A keeps s = 0; an ill-conditioned one grows its small
     s only about 3.5-fold per step), and A = 0, take ``np.linalg.svd`` and
-    U V^dagger. A non-finite A raises ``ValueError`` before any step.
+    U V^dagger. A stack with an infinite or NaN scale goes to
+    :func:`_estimate_overflowing` before any step.
     """
     n = A.shape[-1]
     flat = A.reshape(-1, n, n)
@@ -162,7 +182,8 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
     svd = np.ones(len(flat), dtype=bool)
     X = np.ascontiguousarray(flat.transpose(1, 2, 0))
     scale = np.abs(X).max(axis=(0, 1))  # over the leading axes: numpy reduces short trailing axes slowly
-    _check_finite(scale)
+    if not np.isfinite(scale).all():
+        return _estimate_overflowing(flat, scale).reshape(A.shape)
     idx = np.flatnonzero(scale > 0)
     # take and compress keep X batch-last contiguous; X[..., idx] would return a strided copy.
     X = np.take(X, idx, axis=-1)

@@ -139,7 +139,7 @@ class TestPilots:
         assert fro_norm(D @ dagger(D) - (P * L / n) * np.eye(n)) <= 1e-10
 
     def test_not_multiple_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^L must be a multiple of n, got L=3, n=2$"):
             make_pilots(2, 3, 2.0)
 
     def test_too_short_rejected(self):

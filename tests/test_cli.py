@@ -54,25 +54,39 @@ class TestCapacity:
             main(["capacity"])
         assert exc.value.code == 2
 
-    def test_process_exit_status(self, tmp_path):
-        # `python -m polair.cli` hands main's return value to sys.exit; the other tests only call main.
+
+class TestProcess:
+    """``python -m polair.cli`` as a process: the other tests only call ``main``."""
+
+    @staticmethod
+    def run(*args, **env):
         src = str(Path(polair.cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "polair.cli", *args]
+        return subprocess.run(command, capture_output=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=60)
 
-        def run(*args):
-            return subprocess.run([sys.executable, "-m", "polair.cli", *args], capture_output=True, text=True, env=env, timeout=60)
-
-        ok = run("capacity", "--n", "2", "--eta-db", "10")
-        assert (ok.returncode, ok.stdout) == (EXIT_OK, "6.9189 bits/symbol\n")
-        assert run("capacity", "--n", "1", "--eta-db", "10").returncode == EXIT_CONFIG
-        assert run("capacity").returncode == 2
+    def test_process_exit_status(self, tmp_path):
+        # The module hands main's return value to sys.exit.
+        ok = self.run("capacity", "--n", "2", "--eta-db", "10")
+        assert (ok.returncode, ok.stdout) == (EXIT_OK, b"6.9189 bits/symbol\n")
+        assert self.run("capacity", "--n", "1", "--eta-db", "10").returncode == EXIT_CONFIG
+        assert self.run("capacity").returncode == 2
         # An accepted config whose arrays cannot be allocated: np.eye(n) alone asks for 512 TiB, beyond the
         # 47-bit address space, so the request fails before any memory is taken.
         huge = tmp_path / "huge.cfg"
         huge.write_text("experiment = fig3a\nn = 8388608\nL_grid = 8388608\ntrials = 100\n")
-        out_of_memory = run("sweep", "--config", str(huge), "--out", "-")
+        out_of_memory = self.run("sweep", "--config", str(huge), "--out", "-")
         assert out_of_memory.returncode == EXIT_NUMERICAL, out_of_memory.stderr
-        assert out_of_memory.stderr.startswith("error: numerical failure")
+        assert out_of_memory.stderr.startswith(b"error: numerical failure")
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # A Gaussian and a discrete-input sweep, whose LS density is a BLAS product.
+        for experiment in ("fig3a", "fig3b"):
+            args = ["sweep", "--experiment", experiment, "--eta-db", "4,14", "--trials", "3000", "--seed", "7", "--out", "-"]
+            one, two = (self.run(*args, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+            assert one.returncode == two.returncode == EXIT_OK, (one.stderr, two.stderr)
+            assert one.stdout.startswith(",".join(CSV_COLUMNS).encode())
+            assert one.stdout == two.stdout
 
 
 class TestEstimate:

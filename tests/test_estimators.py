@@ -141,6 +141,7 @@ class TestKabsch:
         stack[3] = 0.0
         stack[5, 1] = stack[5, 0]  # equal rows: det A is exactly 0
         stack[8, :, 1] = 0.0  # a zero column
+        stack[9] = np.diag([1.0, 1e-310j])  # a subnormal det A, whose reciprocal would overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             H_hat = estimate_kabsch(stack)
@@ -148,12 +149,13 @@ class TestKabsch:
             assert not view.flags.c_contiguous
             assert np.array_equal(estimate_kabsch(view), H_hat)
             assert np.array_equal(np.stack([estimate_kabsch(A) for A in stack]), H_hat)
-            for k in (0, 3, 5, 8):
+            for k in (0, 3, 5, 8, 9):
                 shared = estimate_kabsch(np.broadcast_to(stack[k], (3, 2, 2)))
                 assert np.array_equal(shared, np.broadcast_to(H_hat[k], (3, 2, 2)))
         assert np.array_equal(H_hat[3], np.eye(2))
         for k in (5, 8):
             assert fro_norm(H_hat[k] @ dagger(H_hat[k]) - np.eye(2)) <= 1e-12
+        assert fro_norm(H_hat[9] - np.diag([1.0, 1j])) <= 1e-12
 
     def test_rank_deficient_input_still_unitary(self):
         D = make_pilots(2, 8, 2.0)
@@ -301,8 +303,18 @@ class TestKabschLargerN:
             assert np.max(np.abs(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh)) <= 1e-12
 
 
+def overflowing(n):
+    """A finite n x n matrix whose largest entry modulus overflows a double: |1.5e308 (1 + 1j)| = 2.1e308."""
+    A = np.eye(n, dtype=complex)
+    A[0, 0] = 1.5e308 * (1 + 1j)
+    return A
+
+
 class TestKabschNonFinite:
-    """A non-finite A raises one ValueError at every n, alone or in an otherwise finite stack."""
+    """A non-finite A raises one ValueError at every n, alone or in an otherwise finite stack.
+
+    A finite A whose entry modulus overflows a double is not non-finite: it gets the polar factor of A/4.
+    """
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.inf], ids=["nan", "inf", "-inf", "imag-inf"])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -314,10 +326,26 @@ class TestKabschNonFinite:
         draw, _ = statistic_sampler(n, 10.0, 2 * n)
         stack = draw(5, np.random.default_rng(12))
         stack[3, n - 1, 0] = value
+        # Beside or in the same matrix as an entry whose modulus overflows, it still raises.
+        overflow = stack.copy()
+        overflow[1] = overflowing(n)
+        overflow[3, 0, 0] = overflowing(n)[0, 0]
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        for A in (stack, stack[3]):
+        for A in (stack, stack[3], overflow, overflow[3]):
             with pytest.raises(ValueError, match="^A must be finite$"):
                 estimate_kabsch(A)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_overflowing_modulus(self, n):
+        big = overflowing(n)
+        U, _, Vh = np.linalg.svd(big / 4)
+        draw, _ = statistic_sampler(n, 10.0, 2 * n)
+        others = draw(5, np.random.default_rng(12))
+        stacked = estimate_kabsch(np.concatenate([others[:3], big[None], others[3:]]))
+        for H_hat in (estimate_kabsch(big), stacked[3]):
+            assert fro_norm(dagger(H_hat) @ H_hat - np.eye(n)) <= 1e-12
+            assert fro_norm(H_hat - U @ Vh) <= 1e-12
+        assert np.array_equal(np.delete(stacked, 3, axis=0), estimate_kabsch(others))
 
 
 class TestPilotEnergy:

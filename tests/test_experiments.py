@@ -200,7 +200,7 @@ class TestRowContents:
             assert abs(float(row["air_bits"]) - float(row["capacity_bits"])) <= 1e-12, row
             assert float(row["air_stderr"]) == 0.0, row
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fig2_unitary_rows_are_corollary4_of_the_trace(self, n):
         config = small_config("fig2", n=n, trials=200)
         rows = [row for row in csv_rows(run_experiment(config)) if row["estimator"] == "unitary"]
