@@ -58,8 +58,9 @@ class AirEstimate:
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise ValueError("value must be finite")
-        if self.std_error < 0:
-            raise ValueError("std_error must be >= 0")
+        if not (np.isfinite(self.std_error) and self.std_error >= 0):
+            raise ValueError("std_error must be finite and >= 0")
+        check_trials(self.trials, 1)
 
 
 def _mc_estimate(values: np.ndarray) -> AirEstimate:

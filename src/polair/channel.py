@@ -45,6 +45,8 @@ class Constellation:
     points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         levels = np.asarray(self.pam_levels, dtype=float)
         # isfinite first: the difference of two infinities warns.
         if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all() or not (np.diff(levels) > 0).all():

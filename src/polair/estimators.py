@@ -16,7 +16,8 @@ statistics:
   closed form ``(A + (det A/|det A|) adj(A)^dagger) / (s_1 + s_2)``; for
   n > 2 it comes from an inverse-free Newton-Schulz iteration run on the
   whole stack at once, with the SVD only for the zero, singular or
-  ill-conditioned matrices it does not converge on. A non-finite A raises.
+  ill-conditioned matrices it does not converge on. Each A is first divided
+  by its largest |Re| or |Im| entry part; a non-finite A raises.
 
 :data:`ESTIMATORS` is the one registry of estimator kinds,
 ``{kind: (A, c) -> H_hat}``, holding ``ls`` and ``kabsch``. The kinds in
@@ -85,19 +86,19 @@ def estimate_kabsch(A) -> np.ndarray:
     """Unitary (orthogonal Procrustes) channel estimate from the pilot statistic A = X D^dagger.
 
     Returns the unitary polar factor U V^dagger of A = U S V^dagger, an SVD;
-    ``A`` may be one n x n statistic or a stack (..., n, n). For n = 2 it is
-    the closed form (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|),
+    ``A`` may be one n x n statistic or a stack (..., n, n). Each A is first
+    divided by its largest entry part (:func:`_largest_part`), which is
+    finite for every finite A, so that no square overflows or underflows;
+    the polar factor does not change under scaling. For n = 2 it is the
+    closed form (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|),
     d = det A, whose denominator is s_1 + s_2 (Higham 1986), computed entry
-    by entry; A is first multiplied by the reciprocal of its largest entry
-    modulus so that no square overflows or underflows. For n > 2 it is the
-    Newton-Schulz iteration of :func:`_polar_newton_schulz`, which agrees
-    with U V^dagger to round-off and hands a singular or ill-conditioned A
-    to the SVD. Either way each matrix of a stack gets the bits it gets
-    alone, whatever the stack's memory layout. The output is unitary for
-    every finite input: a singular A (d = 0) takes the phase 1, one of the
-    equally valid minimizers on the degenerate subspace, and A = 0 gives the
-    identity, as the SVD does. A finite A whose entry modulus overflows a
-    double gets the polar factor of A/4 (:func:`_estimate_overflowing`). A
+    by entry. For n > 2 it is the Newton-Schulz iteration of
+    :func:`_polar_newton_schulz`, which agrees with U V^dagger to round-off
+    and hands a singular or ill-conditioned A to the SVD. Either way each
+    matrix of a stack gets the bits it gets alone, whatever the stack's
+    memory layout. The output is unitary for every finite input: a singular
+    A (d = 0) takes the phase 1, one of the equally valid minimizers on the
+    degenerate subspace, and A = 0 gives the identity, as the SVD does. A
     non-finite A, alone or in a stack, raises ``ValueError`` at every n.
     """
     A = np.asarray(A, dtype=complex)
@@ -106,13 +107,12 @@ def estimate_kabsch(A) -> np.ndarray:
     # Entry by entry, on the four strided entry views of a stack: numpy pays
     # far more per call to reduce a 2-long trailing axis. A single matrix is a
     # stack of one, so that its entries are arrays, not numpy scalars, whose
-    # complex product can round differently from the array loop's.
-    flat = A.reshape(-1, 2, 2)
+    # complex product can round differently from the array loop's. With a
+    # broadcast (stride-0) operand it can warn of a false overflow: copy first.
+    flat = np.ascontiguousarray(A.reshape(-1, 2, 2))
     a, b, c, e = flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 0], flat[:, 1, 1]
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(e)))
-    if not np.isfinite(scale).all():
-        return _estimate_overflowing(flat, scale).reshape(A.shape)
-    # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry of modulus about 1.
+    scale = _largest_part(np.ascontiguousarray(flat.transpose(1, 2, 0)))
+    # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry part of at most 1.
     # The floor keeps the reciprocal of a subnormal scale finite.
     zero = scale == 0
     inv_scale = 1.0 / np.maximum(scale, np.finfo(float).tiny)
@@ -136,22 +136,18 @@ def estimate_kabsch(A) -> np.ndarray:
     return polar.reshape(A.shape)
 
 
-def _estimate_overflowing(flat: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Polar factors of a stack (B, n, n) some of whose largest entry moduli ``scale`` are not finite.
+def _largest_part(X: np.ndarray) -> np.ndarray:
+    """The largest |Re| or |Im| entry part of each matrix of a C-contiguous batch-last stack (n, n, B).
 
-    A matrix with a NaN or infinite entry raises ``ValueError``. Any other such
-    matrix has a finite entry whose modulus overflows a double; it is estimated
-    as A/4, whose moduli cannot, since the polar factor does not change under
-    scaling. Every other matrix is estimated as it is, with the bits it gets alone.
+    Unlike the largest entry modulus, it is finite for every finite matrix.
+    A NaN or infinite part, in any matrix, raises ``ValueError``.
     """
-    big = ~np.isfinite(scale)
-    A = flat[big]
-    if not (np.isfinite(A.real).all() and np.isfinite(A.imag).all()):
+    # Re and Im interleaved along the stack axis; numpy reduces short trailing axes slowly.
+    parts = np.abs(X.view(float)).max(axis=(0, 1))
+    scale = np.maximum(parts[0::2], parts[1::2])
+    if not np.isfinite(scale).all():
         raise ValueError("A must be finite")
-    polar = np.empty_like(flat)
-    polar[big] = estimate_kabsch(A / 4)
-    polar[~big] = estimate_kabsch(flat[~big])
-    return polar
+    return scale
 
 
 NS_TOL = 1e-5  # ||I - X^dagger X||_F below which one more third-order step reaches round-off
@@ -163,32 +159,31 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
 
     The stack is worked on batch-last (see :func:`~polair.linalg.matmul_last`),
     one whole-stack array operation per step in place of one LAPACK call per
-    matrix. Each A is scaled by its largest entry modulus, so that no square
-    overflows, and then by (2/||A^dagger A||_F)^(1/2), so that every singular
-    value s has s^2 <= 2. The step X <- X (I + R/2 + 3 R^2/8),
-    R = I - X^dagger X, keeps the singular vectors of A and maps each s to
-    s (1 + r/2 + 3 r^2/8), r = 1 - s^2: |r| never grows on s^2 in (0, 2] and
-    shrinks as 5 r^3/8 near 0, so every s tends to 1 and X to U V^dagger.
+    matrix. Each A is divided by its largest entry part
+    (:func:`_largest_part`), so that no square overflows, and then scaled by
+    (2/||A^dagger A||_F)^(1/2), so that every singular value s has s^2 <= 2.
+    The step X <- X (I + R/2 + 3 R^2/8), R = I - X^dagger X, keeps the
+    singular vectors of A and maps each s to s (1 + r/2 + 3 r^2/8),
+    r = 1 - s^2: |r| never grows on s^2 in (0, 2] and shrinks as 5 r^3/8
+    near 0, so every s tends to 1 and X to U V^dagger.
     A matrix takes its last step once ||R||_F < :data:`NS_TOL` and then
     leaves the active set. Those still active after :data:`NS_MAX_STEPS`
     steps (a singular A keeps s = 0; an ill-conditioned one grows its small
-    s only about 3.5-fold per step), and A = 0, take ``np.linalg.svd`` and
-    U V^dagger. A stack with an infinite or NaN scale goes to
-    :func:`_estimate_overflowing` before any step.
+    s only about 3.5-fold per step), and A = 0, take ``np.linalg.svd`` of
+    the scaled A and U V^dagger, so that LAPACK never sees an unscaled A.
     """
     n = A.shape[-1]
     flat = A.reshape(-1, n, n)
     polar = np.empty_like(flat)
     svd = np.ones(len(flat), dtype=bool)
     X = np.ascontiguousarray(flat.transpose(1, 2, 0))
-    scale = np.abs(X).max(axis=(0, 1))  # over the leading axes: numpy reduces short trailing axes slowly
-    if not np.isfinite(scale).all():
-        return _estimate_overflowing(flat, scale).reshape(A.shape)
+    scale = _largest_part(X)
     idx = np.flatnonzero(scale > 0)
     # take and compress keep X batch-last contiguous; X[..., idx] would return a strided copy.
     X = np.take(X, idx, axis=-1)
     # numpy divides by a complex through its reciprocal, which a subnormal scale would overflow.
-    X /= np.maximum(scale[idx], np.finfo(float).tiny)
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    X /= scale[idx]
     R = matmul_last(dagger_last(X), X)
     alpha = 2.0 / np.sqrt(sq_fro_last(R))
     X *= np.sqrt(alpha)
@@ -214,7 +209,7 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
         R *= -1.0
         R[diagonal] += 1.0
     if svd.any():
-        U, _, Vh = np.linalg.svd(flat[svd])
+        U, _, Vh = np.linalg.svd(flat[svd] / scale[svd, None, None])
         polar[svd] = U @ Vh
     return polar.reshape(A.shape)
 

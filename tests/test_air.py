@@ -837,6 +837,16 @@ class TestAirEstimate:
         with pytest.raises(ValueError):
             AirEstimate(value=float("nan"))
 
+    @pytest.mark.parametrize("std_error", [-1.0, float("nan"), float("inf")])
+    def test_finite_nonnegative_std_error_required(self, std_error):
+        with pytest.raises(ValueError, match="^std_error must be finite and >= 0$"):
+            AirEstimate(value=1.0, std_error=std_error)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_positive_trials_required(self, trials):
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+            AirEstimate(value=1.0, trials=trials)
+
 
 class TestFig2Shape:
     def test_interior_maximum_at_mid_error(self):

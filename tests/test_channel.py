@@ -91,6 +91,11 @@ class TestConstellation:
         with pytest.raises(ValueError, match="strictly increasing 1-D"):
             Constellation(n=2, pam_levels=levels)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            Constellation(n=n, pam_levels=[1.0])
+
     def test_points_match_square_qam_product(self):
         # Reference: normalize one polarization's complex square QAM, then take its product over the two; bit for bit.
         for kind, side in [("dp_qpsk", 2), ("dp_16qam", 4)]:

@@ -135,13 +135,16 @@ class TestKabsch:
 
     def test_each_matrix_is_independent_of_the_layout(self):
         # Alone, in a contiguous stack, in a strided view and broadcast, every
-        # matrix, A = 0 and singular ones too, gets the same bits and no warning.
+        # matrix, A = 0 and singular ones too, gets the same bits and no warning,
+        # and no input is written to.
         draw, _ = statistic_sampler(2, 10.0, 8)
         stack = draw(MC_BLOCK + 7, np.random.default_rng(41))
         stack[3] = 0.0
         stack[5, 1] = stack[5, 0]  # equal rows: det A is exactly 0
         stack[8, :, 1] = 0.0  # a zero column
         stack[9] = np.diag([1.0, 1e-310j])  # a subnormal det A, whose reciprocal would overflow
+        stack[10] = overflowing(2)
+        before = stack.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             H_hat = estimate_kabsch(stack)
@@ -149,11 +152,12 @@ class TestKabsch:
             assert not view.flags.c_contiguous
             assert np.array_equal(estimate_kabsch(view), H_hat)
             assert np.array_equal(np.stack([estimate_kabsch(A) for A in stack]), H_hat)
-            for k in (0, 3, 5, 8, 9):
+            for k in (0, 3, 5, 8, 9, 10):
                 shared = estimate_kabsch(np.broadcast_to(stack[k], (3, 2, 2)))
                 assert np.array_equal(shared, np.broadcast_to(H_hat[k], (3, 2, 2)))
+        assert np.array_equal(stack, before)
         assert np.array_equal(H_hat[3], np.eye(2))
-        for k in (5, 8):
+        for k in (5, 8, 10):
             assert fro_norm(H_hat[k] @ dagger(H_hat[k]) - np.eye(2)) <= 1e-12
         assert fro_norm(H_hat[9] - np.diag([1.0, 1j])) <= 1e-12
 
@@ -219,7 +223,7 @@ class TestKabschCrossCheck:
 
 
 def degenerate_stack(n=4, seed=23):
-    """Normal pilot statistics at 10 dB interleaved with exactly singular, rank-deficient and zero n x n matrices.
+    """Normal pilot statistics at 10 dB interleaved with singular, rank-deficient, zero and overflowing matrices.
 
     Returns the stack and the indices of the normal ones.
     """
@@ -233,8 +237,8 @@ def degenerate_stack(n=4, seed=23):
     u, v = sample_cgauss((2, n, 2), 1.0, rng)
     rank2 = u @ dagger(v)  # rank deficient up to round-off
     rank1 = 1e3 * np.outer(u[:, 0], np.conj(v[:, 0]))
-    degenerate = [equal_rows, zero_column, rank2, rank1, np.zeros((n, n), dtype=complex)]
-    stack = np.stack([m for pair in zip(normal, degenerate) for m in pair] + [normal[-1]])
+    degenerate = [equal_rows, zero_column, rank2, rank1, np.zeros((n, n), dtype=complex), overflowing(n)]
+    stack = np.stack([m for pair in zip(normal, degenerate) for m in pair])
     return stack, np.arange(0, len(stack), 2)
 
 
@@ -263,16 +267,19 @@ class TestKabschLargerN:
         assert np.all(np.isfinite(H_hat))
         for U in H_hat:
             assert fro_norm(U @ dagger(U) - np.eye(4)) <= 1e-12
-        # Only the degenerate matrices reach the fallback, and each keeps its SVD polar factor.
+        # Only the degenerate matrices reach the fallback, divided by their largest
+        # entry parts (the zero one by the smallest normal double), and each keeps
+        # the SVD polar factor of that scaled matrix.
         degenerate = np.setdiff1d(np.arange(len(stack)), normal)
-        assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], stack[degenerate])
-        U, _, Vh = np.linalg.svd(stack[degenerate])
+        scaled = stack[degenerate] / np.maximum(largest_part(stack[degenerate]), np.finfo(float).tiny)[:, None, None]
+        assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], scaled)
+        U, _, Vh = np.linalg.svd(scaled)
         assert np.array_equal(H_hat[degenerate], U @ Vh)
 
-    def test_iteration_starts_from_the_largest_entry_modulus(self, monkeypatch):
+    def test_iteration_starts_from_the_largest_entry_part(self, monkeypatch):
         # The first product is X^dagger X of each nonzero A divided by its largest
-        # entry modulus; a maximum is exact wherever it is taken, so these are
-        # the bits of np.abs(A).max(axis=(-2, -1)).
+        # |Re| or |Im| entry part; a maximum is exact wherever it is taken, so
+        # these are the bits of largest_part(A).
         stack, _ = degenerate_stack()
         starts = []
 
@@ -282,7 +289,7 @@ class TestKabschLargerN:
 
         monkeypatch.setattr(polair.estimators, "matmul_last", recording)
         estimate_kabsch(stack)
-        scale = np.abs(stack).max(axis=(-2, -1))
+        scale = largest_part(stack)
         nonzero = scale > 0
         assert np.array_equal(starts[0], np.moveaxis(stack[nonzero] / scale[nonzero, None, None], 0, -1))
 
@@ -303,6 +310,11 @@ class TestKabschLargerN:
             assert np.max(np.abs(estimate_kabsch((scale * X) @ dagger(D)) - U @ Vh)) <= 1e-12
 
 
+def largest_part(stack):
+    """The largest |Re| or |Im| entry part of each matrix of a stack (B, n, n)."""
+    return np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(-2, -1))
+
+
 def overflowing(n):
     """A finite n x n matrix whose largest entry modulus overflows a double: |1.5e308 (1 + 1j)| = 2.1e308."""
     A = np.eye(n, dtype=complex)
@@ -313,7 +325,7 @@ def overflowing(n):
 class TestKabschNonFinite:
     """A non-finite A raises one ValueError at every n, alone or in an otherwise finite stack.
 
-    A finite A whose entry modulus overflows a double is not non-finite: it gets the polar factor of A/4.
+    A finite A whose entry modulus overflows a double is not non-finite: it gets its polar factor, that of A/4.
     """
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.inf], ids=["nan", "inf", "-inf", "imag-inf"])
