@@ -80,7 +80,10 @@ def _paired_mc(step, kinds: tuple[str, ...], trials: int, rng: np.random.Generat
     ``step(b, block_rng)`` returns ``{kind: (b,) per-trial values}`` for every
     kind in ``kinds``. Returns each kind's estimate and, under keys ``"a-b"``,
     the paired differences, whose standard errors reflect the shared draws.
+    An empty ``kinds``, or one that names a kind twice, raises ``ValueError``.
     """
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise ValueError(f"kinds must be nonempty and distinct, got {kinds}")
     blocks = mc_blocks(step, trials, rng)
     values = {k: np.concatenate([block[k] for block in blocks]) for k in kinds}
     out = {k: _mc_estimate(v) for k, v in values.items()}

@@ -15,9 +15,10 @@ statistics:
   unitary group, with n^2 degrees of freedom. For n = 2 it is the exact
   closed form ``(A + (det A/|det A|) adj(A)^dagger) / (s_1 + s_2)``; for
   n > 2 it comes from an inverse-free Newton-Schulz iteration run on the
-  whole stack at once, with the SVD only for the zero, singular or
-  ill-conditioned matrices it does not converge on. Each A is first divided
-  by its largest |Re| or |Im| entry part; a non-finite A raises.
+  whole stack at once, with the SVD only for the singular or
+  ill-conditioned matrices it does not converge on. Before either kernel,
+  each A is divided by its largest |Re| or |Im| entry part and A = 0
+  becomes I; a non-finite A raises.
 
 :data:`ESTIMATORS` is the one registry of estimator kinds,
 ``{kind: (A, c) -> H_hat}``, holding ``ls`` and ``kabsch``. The kinds in
@@ -77,8 +78,9 @@ def statistic_sampler(n: int, eta: float, L: int):
 def estimate_ls(A, c: float) -> np.ndarray:
     """Least-squares channel estimate A / c from the pilot statistic A = X D^dagger, D D^dagger = c I.
 
-    ``A`` may be one n x n statistic or a stack (..., n, n).
+    ``A`` may be one n x n statistic or a stack (..., n, n); ``c`` must be finite and > 0.
     """
+    check_positive("c", c)
     return np.asarray(A, dtype=complex) / c
 
 
@@ -86,37 +88,46 @@ def estimate_kabsch(A) -> np.ndarray:
     """Unitary (orthogonal Procrustes) channel estimate from the pilot statistic A = X D^dagger.
 
     Returns the unitary polar factor U V^dagger of A = U S V^dagger, an SVD;
-    ``A`` may be one n x n statistic or a stack (..., n, n). Each A is first
-    divided by its largest entry part (:func:`_largest_part`), which is
-    finite for every finite A, so that no square overflows or underflows;
-    the polar factor does not change under scaling. For n = 2 it is the
-    closed form (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|),
-    d = det A, whose denominator is s_1 + s_2 (Higham 1986), computed entry
-    by entry. For n > 2 it is the Newton-Schulz iteration of
+    ``A`` may be one n x n statistic or a stack (..., n, n). Before either
+    kernel, on a batch-last copy of the stack, each A is divided by its
+    largest |Re| or |Im| entry part, which is finite for every finite A, so
+    that no square overflows or underflows (the polar factor does not
+    change under scaling), and A = 0 becomes I, whose polar factor is I, as
+    the SVD gives. A non-finite A, alone or in a stack, raises
+    ``ValueError``. For n = 2 the polar factor is the closed form of
+    :func:`_polar_2x2`; for n > 2 the Newton-Schulz iteration of
     :func:`_polar_newton_schulz`, which agrees with U V^dagger to round-off
     and hands a singular or ill-conditioned A to the SVD. Either way each
     matrix of a stack gets the bits it gets alone, whatever the stack's
-    memory layout. The output is unitary for every finite input: a singular
-    A (d = 0) takes the phase 1, one of the equally valid minimizers on the
-    degenerate subspace, and A = 0 gives the identity, as the SVD does. A
-    non-finite A, alone or in a stack, raises ``ValueError`` at every n.
+    memory layout, and the output is unitary.
     """
     A = np.asarray(A, dtype=complex)
-    if A.shape[-1] != 2:
-        return _polar_newton_schulz(A)
-    # Entry by entry, on the four strided entry views of a stack: numpy pays
-    # far more per call to reduce a 2-long trailing axis. A single matrix is a
-    # stack of one, so that its entries are arrays, not numpy scalars, whose
-    # complex product can round differently from the array loop's. With a
-    # broadcast (stride-0) operand it can warn of a false overflow: copy first.
-    flat = np.ascontiguousarray(A.reshape(-1, 2, 2))
-    a, b, c, e = flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 0], flat[:, 1, 1]
-    scale = _largest_part(np.ascontiguousarray(flat.transpose(1, 2, 0)))
-    # A = 0 becomes I, whose polar factor is I; every other A gets a largest entry part of at most 1.
-    # The floor keeps the reciprocal of a subnormal scale finite.
-    zero = scale == 0
-    inv_scale = 1.0 / np.maximum(scale, np.finfo(float).tiny)
-    a, b, c, e = a * inv_scale + zero, b * inv_scale, c * inv_scale, e * inv_scale + zero
+    n = A.shape[-1]
+    # A copy, scaled in place below: for a batch-last view of contiguous (n, n, B) memory the
+    # transpose is itself contiguous, and np.ascontiguousarray would return the caller's memory.
+    X = A.reshape(-1, n, n).transpose(1, 2, 0).copy()
+    parts = X.view(float)  # Re and Im interleaved along the stack axis; numpy reduces short trailing axes slowly
+    largest = np.abs(parts).max(axis=(0, 1))
+    scale = np.maximum(largest[0::2], largest[1::2])
+    if not np.isfinite(scale).all():
+        raise ValueError("A must be finite")
+    # Each part is rounded alone, whatever the layout; the floor spares A = 0 a 0 / 0.
+    parts /= np.repeat(np.maximum(scale, np.finfo(float).tiny), 2)
+    X[..., scale == 0] = np.eye(n)[..., None]
+    polar = _polar_2x2(X) if n == 2 else _polar_newton_schulz(X)
+    return polar.transpose(2, 0, 1).reshape(A.shape)
+
+
+def _polar_2x2(X: np.ndarray) -> np.ndarray:
+    """Unitary polar factors of a nonzero batch-last stack (2, 2, B), by a closed form.
+
+    Each is (A + (d/|d|) adj(A)^dagger) / sqrt(||A||_F^2 + 2|d|), d = det A,
+    whose denominator is s_1 + s_2 (Higham 1986). A singular A (d = 0) takes
+    the phase 1, one of the equally valid minimizers on the degenerate
+    subspace. It is computed entry by entry, on the contiguous entry rows:
+    numpy pays far more per call to reduce a 2-long axis.
+    """
+    a, b, c, e = X[0, 0], X[0, 1], X[1, 0], X[1, 1]
     d = a * e - b * c
     abs_d = np.abs(d)
     # numpy divides by a complex through its reciprocal, which a subnormal |d| would overflow.
@@ -128,26 +139,12 @@ def estimate_kabsch(A) -> np.ndarray:
     inv_norm = 1.0 / np.sqrt(
         a.real**2 + a.imag**2 + b.real**2 + b.imag**2 + c.real**2 + c.imag**2 + e.real**2 + e.imag**2 + 2.0 * abs_d
     )
-    polar = np.empty_like(flat)  # (A + phase adj(A)^dagger) / norm, adj(A)^dagger = [[e*, -c*], [-b*, a*]]
-    polar[:, 0, 0] = (a + phase * np.conj(e)) * inv_norm
-    polar[:, 0, 1] = (b - phase * np.conj(c)) * inv_norm
-    polar[:, 1, 0] = (c - phase * np.conj(b)) * inv_norm
-    polar[:, 1, 1] = (e + phase * np.conj(a)) * inv_norm
-    return polar.reshape(A.shape)
-
-
-def _largest_part(X: np.ndarray) -> np.ndarray:
-    """The largest |Re| or |Im| entry part of each matrix of a C-contiguous batch-last stack (n, n, B).
-
-    Unlike the largest entry modulus, it is finite for every finite matrix.
-    A NaN or infinite part, in any matrix, raises ``ValueError``.
-    """
-    # Re and Im interleaved along the stack axis; numpy reduces short trailing axes slowly.
-    parts = np.abs(X.view(float)).max(axis=(0, 1))
-    scale = np.maximum(parts[0::2], parts[1::2])
-    if not np.isfinite(scale).all():
-        raise ValueError("A must be finite")
-    return scale
+    polar = np.empty_like(X)  # (A + phase adj(A)^dagger) / norm, adj(A)^dagger = [[e*, -c*], [-b*, a*]]
+    polar[0, 0] = (a + phase * np.conj(e)) * inv_norm
+    polar[0, 1] = (b - phase * np.conj(c)) * inv_norm
+    polar[1, 0] = (c - phase * np.conj(b)) * inv_norm
+    polar[1, 1] = (e + phase * np.conj(a)) * inv_norm
+    return polar
 
 
 NS_TOL = 1e-5  # ||I - X^dagger X||_F below which one more third-order step reaches round-off
@@ -155,12 +152,11 @@ NS_MAX_STEPS = 10  # a matrix not converged by then takes the SVD
 
 
 def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
-    """Unitary polar factors of a stack (..., n, n) by an inverse-free Newton-Schulz iteration.
+    """Unitary polar factors of a nonzero batch-last stack (n, n, B), by an inverse-free Newton-Schulz iteration.
 
-    The stack is worked on batch-last (see :func:`~polair.linalg.matmul_last`),
-    one whole-stack array operation per step in place of one LAPACK call per
-    matrix. Each A is divided by its largest entry part
-    (:func:`_largest_part`), so that no square overflows, and then scaled by
+    One whole-stack array operation per step (see
+    :func:`~polair.linalg.matmul_last`) in place of one LAPACK call per
+    matrix. Each A, whose largest entry part is at most 1, is scaled by
     (2/||A^dagger A||_F)^(1/2), so that every singular value s has s^2 <= 2.
     The step X <- X (I + R/2 + 3 R^2/8), R = I - X^dagger X, keeps the
     singular vectors of A and maps each s to s (1 + r/2 + 3 r^2/8),
@@ -169,24 +165,16 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
     A matrix takes its last step once ||R||_F < :data:`NS_TOL` and then
     leaves the active set. Those still active after :data:`NS_MAX_STEPS`
     steps (a singular A keeps s = 0; an ill-conditioned one grows its small
-    s only about 3.5-fold per step), and A = 0, take ``np.linalg.svd`` of
-    the scaled A and U V^dagger, so that LAPACK never sees an unscaled A.
+    s only about 3.5-fold per step) take ``np.linalg.svd`` of A and
+    U V^dagger. The polar factors are returned in A's memory, so that no
+    further stack stays alive: a matrix's factor overwrites it only once it
+    leaves the active set, so the SVD reads the unconverged matrices as given.
     """
-    n = A.shape[-1]
-    flat = A.reshape(-1, n, n)
-    polar = np.empty_like(flat)
-    svd = np.ones(len(flat), dtype=bool)
-    X = np.ascontiguousarray(flat.transpose(1, 2, 0))
-    scale = _largest_part(X)
-    idx = np.flatnonzero(scale > 0)
-    # take and compress keep X batch-last contiguous; X[..., idx] would return a strided copy.
-    X = np.take(X, idx, axis=-1)
-    # numpy divides by a complex through its reciprocal, which a subnormal scale would overflow.
-    scale = np.maximum(scale, np.finfo(float).tiny)
-    X /= scale[idx]
-    R = matmul_last(dagger_last(X), X)
+    n = A.shape[0]
+    idx = np.arange(A.shape[-1])
+    R = matmul_last(dagger_last(A), A)
     alpha = 2.0 / np.sqrt(sq_fro_last(R))
-    X *= np.sqrt(alpha)
+    X = A * np.sqrt(alpha)
     R *= -alpha  # I - X^dagger X of the scaled X, once 1 is on the diagonal
     diagonal = np.diag_indices(n)
     R[diagonal] += 1.0
@@ -195,23 +183,23 @@ def _polar_newton_schulz(A: np.ndarray) -> np.ndarray:
         T = 0.375 * R
         T[diagonal] += 0.5
         P = matmul_last(R, T)  # R/2 + 3 R^2/8
-        del R, T  # at most five stack-sized arrays are alive at once
+        del R, T  # at most five stack-sized arrays, A included, are alive at once
         P[diagonal] += 1.0
         X = matmul_last(X, P)
         del P
         if last.any():
-            polar[idx[last]] = X[..., last].transpose(2, 0, 1)
-            svd[idx[last]] = False
+            # compress keeps X batch-last contiguous; X[..., ~last] would return a strided copy.
+            A[..., idx[last]] = X[..., last]
             X, idx = np.compress(~last, X, axis=-1), idx[~last]
         if not idx.size:
             break
         R = matmul_last(dagger_last(X), X)
         R *= -1.0
         R[diagonal] += 1.0
-    if svd.any():
-        U, _, Vh = np.linalg.svd(flat[svd] / scale[svd, None, None])
-        polar[svd] = U @ Vh
-    return polar.reshape(A.shape)
+    if idx.size:
+        U, _, Vh = np.linalg.svd(np.moveaxis(A[..., idx], -1, 0))
+        A[..., idx] = np.moveaxis(U @ Vh, 0, -1)
+    return A
 
 
 # The entries look estimate_ls and estimate_kabsch up as module globals at

@@ -687,6 +687,18 @@ class TestSharedDraws:
         with pytest.raises(ValueError):
             air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(0), kinds=("perfect", "ls"))
 
+    @pytest.mark.parametrize("kinds", [(), ("ls", "ls"), ("ls", "kabsch", "ls")], ids=["empty", "ls-ls", "ls-kabsch-ls"])
+    def test_empty_or_repeated_kinds_rejected(self, kinds):
+        eta = 10.0**0.6
+        c = make_constellation("dp_qpsk", 2, eta)
+        with pytest.raises(ValueError, match="^kinds must be nonempty and distinct"):
+            air_gaussian_paired_mc(2, eta, 8, 100, np.random.default_rng(0), kinds=kinds)
+        with pytest.raises(ValueError, match="^kinds must be nonempty and distinct"):
+            air_corollary4_paired_mc(2, eta, 8, 100, np.random.default_rng(0), kinds=kinds)
+        if kinds:  # the discrete rate adds the perfect-CSI reference to any kinds, none among them
+            with pytest.raises(ValueError, match="^kinds must be nonempty and distinct"):
+                air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(0), kinds=kinds)
+
     def test_unknown_kind_is_value_error(self):
         eta = 10.0**0.6
         c = make_constellation("dp_qpsk", 2, eta)
@@ -778,7 +790,6 @@ class TestStderrCalibration:
     """
 
     saturated = pytest.mark.xfail(
-        strict=True,
         reason="FOUND in CHANGES.md: air_discrete_paired_mc understates a saturated rate's stderr, "
         "whose loss comes from noise tails the trials rarely sample",
     )

@@ -99,6 +99,11 @@ class TestLeastSquares:
         t16 = np.trace(error_covariance("ls", 2, 2.0, 16, 10_000, np.random.default_rng(9))).real
         assert t16 == pytest.approx(t8 / 2, rel=0.10)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_must_be_positive(self, c):
+        with pytest.raises(ValueError, match="^c must be finite and > 0"):
+            estimate_ls(np.eye(2), c)
+
 
 class TestKabsch:
     def test_noiseless_recovery(self):
@@ -133,17 +138,18 @@ class TestKabsch:
         assert fro_norm(H_hat[0] - estimate_kabsch(normal @ dagger(D))) <= 1e-12
         assert np.array_equal(H_hat[2], np.eye(2))
 
-    def test_each_matrix_is_independent_of_the_layout(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_matrix_is_independent_of_the_layout(self, n):
         # Alone, in a contiguous stack, in a strided view and broadcast, every
         # matrix, A = 0 and singular ones too, gets the same bits and no warning,
         # and no input is written to.
-        draw, _ = statistic_sampler(2, 10.0, 8)
+        draw, _ = statistic_sampler(n, 10.0, 4 * n)
         stack = draw(MC_BLOCK + 7, np.random.default_rng(41))
         stack[3] = 0.0
         stack[5, 1] = stack[5, 0]  # equal rows: det A is exactly 0
         stack[8, :, 1] = 0.0  # a zero column
-        stack[9] = np.diag([1.0, 1e-310j])  # a subnormal det A, whose reciprocal would overflow
-        stack[10] = overflowing(2)
+        stack[9] = np.diag([1.0] * (n - 1) + [1e-310j])  # a subnormal det A, whose reciprocal would overflow
+        stack[10] = overflowing(n)
         before = stack.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -153,13 +159,13 @@ class TestKabsch:
             assert np.array_equal(estimate_kabsch(view), H_hat)
             assert np.array_equal(np.stack([estimate_kabsch(A) for A in stack]), H_hat)
             for k in (0, 3, 5, 8, 9, 10):
-                shared = estimate_kabsch(np.broadcast_to(stack[k], (3, 2, 2)))
-                assert np.array_equal(shared, np.broadcast_to(H_hat[k], (3, 2, 2)))
+                shared = estimate_kabsch(np.broadcast_to(stack[k], (3, n, n)))
+                assert np.array_equal(shared, np.broadcast_to(H_hat[k], (3, n, n)))
         assert np.array_equal(stack, before)
-        assert np.array_equal(H_hat[3], np.eye(2))
+        assert np.array_equal(H_hat[3], np.eye(n))
         for k in (5, 8, 10):
-            assert fro_norm(H_hat[k] @ dagger(H_hat[k]) - np.eye(2)) <= 1e-12
-        assert fro_norm(H_hat[9] - np.diag([1.0, 1j])) <= 1e-12
+            assert fro_norm(H_hat[k] @ dagger(H_hat[k]) - np.eye(n)) <= 1e-12
+        assert fro_norm(H_hat[9] - np.diag([1.0] * (n - 1) + [1j])) <= 1e-12
 
     def test_rank_deficient_input_still_unitary(self):
         D = make_pilots(2, 8, 2.0)
@@ -267,19 +273,23 @@ class TestKabschLargerN:
         assert np.all(np.isfinite(H_hat))
         for U in H_hat:
             assert fro_norm(U @ dagger(U) - np.eye(4)) <= 1e-12
-        # Only the degenerate matrices reach the fallback, divided by their largest
-        # entry parts (the zero one by the smallest normal double), and each keeps
-        # the SVD polar factor of that scaled matrix.
+        # Only the nonzero degenerate matrices reach the fallback, divided by their
+        # largest entry parts, and each keeps the SVD polar factor of that scaled
+        # matrix. A = 0 is I before the iteration, which takes it in one step.
         degenerate = np.setdiff1d(np.arange(len(stack)), normal)
-        scaled = stack[degenerate] / np.maximum(largest_part(stack[degenerate]), np.finfo(float).tiny)[:, None, None]
-        assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], scaled)
+        nonzero = degenerate[largest_part(stack[degenerate]) > 0]
+        assert len(nonzero) == len(degenerate) - 1
+        assert len(svd_inputs) == 1 and not np.any(np.all(svd_inputs[0] == 0, axis=(-2, -1)))
+        scaled = prologue(stack[nonzero])
+        assert np.array_equal(svd_inputs[0], scaled)
         U, _, Vh = np.linalg.svd(scaled)
-        assert np.array_equal(H_hat[degenerate], U @ Vh)
+        assert np.array_equal(H_hat[nonzero], U @ Vh)
 
     def test_iteration_starts_from_the_largest_entry_part(self, monkeypatch):
-        # The first product is X^dagger X of each nonzero A divided by its largest
-        # |Re| or |Im| entry part; a maximum is exact wherever it is taken, so
-        # these are the bits of largest_part(A).
+        # The first product is X^dagger X of the prologue's scaled stack: each A
+        # divided by its largest |Re| or |Im| entry part, part by part, and A = 0
+        # as I. A maximum is exact wherever it is taken, so these are the bits of
+        # largest_part(A).
         stack, _ = degenerate_stack()
         starts = []
 
@@ -289,9 +299,7 @@ class TestKabschLargerN:
 
         monkeypatch.setattr(polair.estimators, "matmul_last", recording)
         estimate_kabsch(stack)
-        scale = largest_part(stack)
-        nonzero = scale > 0
-        assert np.array_equal(starts[0], np.moveaxis(stack[nonzero] / scale[nonzero, None, None], 0, -1))
+        assert np.array_equal(starts[0], np.moveaxis(prologue(stack), 0, -1))
 
     def test_each_matrix_is_independent_of_the_stack(self):
         stack, normal = degenerate_stack()
@@ -313,6 +321,14 @@ class TestKabschLargerN:
 def largest_part(stack):
     """The largest |Re| or |Im| entry part of each matrix of a stack (B, n, n)."""
     return np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(-2, -1))
+
+
+def prologue(stack):
+    """Each matrix of a C-contiguous stack (B, n, n) divided by its largest entry part, Re and Im parts alone; A = 0 as I."""
+    scale = largest_part(stack)
+    scaled = (stack.view(float) / np.maximum(scale, np.finfo(float).tiny)[:, None, None]).view(complex)
+    scaled[scale == 0] = np.eye(stack.shape[-1])
+    return scaled
 
 
 def overflowing(n):
