@@ -66,10 +66,6 @@ class AirEstimate:
 def _mc_estimate(values: np.ndarray) -> AirEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
-    if np.all(values == values[0]):
-        # A constant sample (a zero synthetic error) is exact: its summed mean
-        # could be off by round-off, its spread is zero.
-        return AirEstimate(value=float(values[0]), trials=n)
     std_error = float(values.std(ddof=1) / np.sqrt(n))
     return AirEstimate(value=float(values.mean()), std_error=std_error, trials=n)
 
@@ -194,11 +190,14 @@ def air_synthetic_mc(n: int, error_per_dof: float, eta: float, trials: int, rng:
     """Average AIR of the n x n unitary channel under the synthetic general-model estimation error.
 
     The error is spherically symmetric, so the identity channel gives the
-    average of every unitary channel.
+    average of every unitary channel. A zero error gives exactly the
+    capacity, with no draws.
     """
     check_dimension(n)
     check_trials(trials, MIN_TRIALS)
     check_positive("eta", eta)
+    if error_per_dof == 0:
+        return AirEstimate(capacity_perfect(n, eta).value, trials=trials)
 
     def step(b, rng):
         return {"general": _corollary1_values(synthetic_estimates(n, error_per_dof, b, rng), eta)}
@@ -222,8 +221,19 @@ def _metric_weights(points: np.ndarray) -> np.ndarray:
 
 
 def _decoded(H_dec: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Decoded vectors y = H_dec^dagger x of a (B, n, n) decoder stack and (B, n) received vectors."""
-    return np.einsum("...ji,...j->...i", H_dec.conj(), x)
+    """Decoded vectors y = H_dec^dagger x of a (B, n, n) decoder stack and (B, n) received vectors.
+
+    Entry by entry, y_i = sum_j conj(H_ji) x_j: numpy's einsum over the
+    short j axis takes longer.
+    """
+    n = x.shape[-1]
+    y = np.empty(x.shape, dtype=complex)
+    for i in range(n):
+        acc = np.conj(H_dec[:, 0, i]) * x[:, 0]
+        for j in range(1, n):
+            acc += np.conj(H_dec[:, j, i]) * x[:, j]
+        y[:, i] = acc
+    return y
 
 
 def _decoding_metric(H_dec: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -297,10 +307,13 @@ def air_discrete_paired_mc(
 ) -> dict[str, AirEstimate]:
     """Average discrete-input AIR for several estimators on shared draws, with the perfect-CSI reference.
 
-    ``constellation`` gives the dimension n and must have been built at the
-    per-channel SNR ``eta``. Each trial draws one pilot statistic from
-    ``L`` pilots (:func:`~polair.estimators.statistic_sampler`; ``L`` must
-    be a multiple of n and at least n), one data symbol and its noise on the identity
+    ``constellation`` gives the dimension n and a scale-free alphabet, which
+    is scaled here, and only here, to the per-channel SNR ``eta``: its
+    levels l by sqrt(eta / (2 mean(l^2))), so that each complex component,
+    a PAM product over Re and Im, has mean power eta. Each trial draws one
+    pilot statistic from ``L`` pilots at the same ``eta``
+    (:func:`~polair.estimators.statistic_sampler`; ``L`` must be a multiple
+    of n and at least n), one data symbol and its noise on the identity
     channel, which by rotation invariance gives the rates of every unitary
     channel. Every requested estimator (``"ls"``, ``"kabsch"``) decodes the
     same realization, and so does the perfect-CSI reference, returned under
@@ -313,8 +326,10 @@ def air_discrete_paired_mc(
     """
     check_trials(trials, MIN_DISCRETE_TRIALS)
     estimators = {kind: get_estimator(kind) for kind in kinds}
-    n, points, levels = constellation.n, constellation.points, constellation.pam_levels
-    draw, c = statistic_sampler(n, eta, L)
+    n, levels = constellation.n, constellation.pam_levels
+    draw, c = statistic_sampler(n, eta, L)  # rejects a bad eta before it scales anything
+    scale = np.sqrt(eta / (2.0 * np.mean(levels**2)))
+    points, levels = constellation.points * scale, levels * scale
     weights = _metric_weights(points)
 
     def step(b, rng):

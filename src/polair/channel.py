@@ -6,8 +6,9 @@ pilot symbols known to both ends; the remaining symbols carry data drawn
 from a constellation (or a circular Gaussian codebook).
 
 Power convention: the noise has unit variance per complex dimension, so the
-per-channel SNR eta is the power of each symbol component and the total
-symbol power is P = n * eta. Either must be finite and > 0.
+per-channel SNR eta is the power of each symbol component and of each
+pilot entry; it must be finite and > 0. A constellation is a scale-free
+alphabet: :func:`~polair.air.air_discrete_paired_mc` scales it to eta.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ CONSTELLATION_KINDS = ("dp_qpsk", "dp_16qam")
 class Constellation:
     """A uniform discrete input: the full product of a real PAM alphabet over 2n real dimensions.
 
-    ``pam_levels`` is the sorted real alphabet. ``points`` is the (M, n)
-    complex array of all M = side^(2n) symbols, built once at construction;
-    the real dimensions are Re and Im of each component, in the order of
-    ``points.view(float)``. A circular Gaussian input has no constellation:
+    ``pam_levels`` is the sorted real alphabet, not all zero, at any scale
+    whose squares neither overflow nor underflow: a rate scales it to its
+    SNR. ``points`` is the (M, n) complex array of all M = side^(2n)
+    symbols, built once at construction; the real dimensions are Re and Im
+    of each component, in the order of ``points.view(float)``. A circular Gaussian input has no constellation:
     the rates handle it in closed form.
     """
 
@@ -48,9 +50,9 @@ class Constellation:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         levels = np.asarray(self.pam_levels, dtype=float)
-        # isfinite first: the difference of two infinities warns.
-        if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all() or not (np.diff(levels) > 0).all():
-            raise ValueError(f"pam_levels must be a non-empty, finite, strictly increasing 1-D array, got {self.pam_levels!r}")
+        # isfinite first: the difference of two infinities warns. An empty or all-zero alphabet has no power.
+        if levels.ndim != 1 or not levels.any() or not np.isfinite(levels).all() or not (np.diff(levels) > 0).all():
+            raise ValueError(f"pam_levels must be a finite, strictly increasing 1-D array, not all zero, got {self.pam_levels!r}")
         object.__setattr__(self, "pam_levels", levels)
         object.__setattr__(self, "points", np.array(list(itertools.product(levels, repeat=2 * self.n))).view(complex))
 
@@ -59,20 +61,17 @@ class Constellation:
         return self.points.shape[0]
 
 
-def make_constellation(kind: str, n: int, eta: float) -> Constellation:
-    """Build a constellation at per-channel SNR ``eta`` (unit noise variance).
+def make_constellation(kind: str, n: int) -> Constellation:
+    """Build a scale-free constellation: the raw PAM levels [-1, 1] or [-3, -1, 1, 3].
 
     dp_qpsk and dp_16qam are the products of PAM-2 and PAM-4 levels over
     the real dimensions of n = 2 polarizations: each polarization is a
-    square QAM of average power ``eta``.
+    square QAM. :func:`~polair.air.air_discrete_paired_mc` scales it to its
+    per-channel SNR.
     """
     check_constellation_args(kind, n)
-    check_positive("eta", eta)
     side = 2 if kind == "dp_qpsk" else 4
-    levels = np.arange(-(side - 1), side, 2, dtype=float)  # [-1, 1] or [-3, -1, 1, 3]
-    # Normalize by the mean power of one polarization's square QAM, a + jb over levels x levels.
-    qam = (levels[:, None] + 1j * levels).ravel()
-    return Constellation(n, levels * np.sqrt(eta / np.mean(np.abs(qam) ** 2)))
+    return Constellation(n, np.arange(-(side - 1), side, 2, dtype=float))
 
 
 def check_constellation_args(kind: str, n: int) -> None:
@@ -98,18 +97,19 @@ def check_pilot_args(n: int, L: int) -> None:
         raise ValueError(f"L must be a multiple of n, got L={L}, n={n}")
 
 
-def make_pilots(n: int, L: int, power: float) -> np.ndarray:
-    """Deterministic n x L pilot matrix D with the orthogonality property.
+def make_pilots(n: int, L: int, eta: float) -> np.ndarray:
+    """Deterministic n x L pilot matrix D at per-channel SNR ``eta``, with the orthogonality property.
 
     Block-repeats a scaled n x n Hadamard matrix with QPSK entries
-    (+-1 +- 1j)/sqrt(2) * sqrt(P/n), which guarantees
-    D D^dagger = (P L / n) I_n exactly. For n not a power of two a DFT
-    matrix is used instead (unit-modulus but not QPSK entries).
+    (+-1 +- 1j)/sqrt(2) * sqrt(eta), whose rows are orthogonal, so
+    D D^dagger = c I_n with c = eta L, the scale the estimators take. For n
+    not a power of two a DFT matrix is used instead (unit-modulus but not
+    QPSK entries).
 
     Requires L >= n and L a multiple of n.
     """
     check_pilot_args(n, L)
-    check_positive("power", power)
+    check_positive("eta", eta)
     if n & (n - 1) == 0:
         base = np.array([[1.0]])
         while base.shape[0] < n:
@@ -118,5 +118,4 @@ def make_pilots(n: int, L: int, power: float) -> np.ndarray:
     else:
         j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         base = np.exp(2j * np.pi * j * k / n)
-    base = base * np.sqrt(power / n)
-    return np.tile(base, (1, L // n))
+    return np.tile(base * np.sqrt(eta), (1, L // n))

@@ -3,7 +3,7 @@
 Every estimator reads the received pilots X only through the n x n statistic
 A = X D^dagger, the only function of X in the Gaussian pilot likelihood
 ||X - H D||_F^2. With the orthogonal pilots of
-:func:`~polair.channel.make_pilots`, D D^dagger = c I, c = P L / n. Two
+:func:`~polair.channel.make_pilots`, D D^dagger = c I, c = eta L. Two
 estimators are provided, as plain functions vectorized over stacked
 statistics:
 
@@ -75,13 +75,21 @@ def statistic_sampler(n: int, eta: float, L: int):
     return draw, c
 
 
+def _statistic(A) -> np.ndarray:
+    """``A`` as a complex array; raise ``ValueError`` unless it is one n x n statistic or a stack (..., n, n), n >= 1."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
+        raise ValueError(f"A must be n x n or a stack (..., n, n), got shape {A.shape}")
+    return A
+
+
 def estimate_ls(A, c: float) -> np.ndarray:
     """Least-squares channel estimate A / c from the pilot statistic A = X D^dagger, D D^dagger = c I.
 
     ``A`` may be one n x n statistic or a stack (..., n, n); ``c`` must be finite and > 0.
     """
     check_positive("c", c)
-    return np.asarray(A, dtype=complex) / c
+    return _statistic(A) / c
 
 
 def estimate_kabsch(A) -> np.ndarray:
@@ -93,15 +101,15 @@ def estimate_kabsch(A) -> np.ndarray:
     largest |Re| or |Im| entry part, which is finite for every finite A, so
     that no square overflows or underflows (the polar factor does not
     change under scaling), and A = 0 becomes I, whose polar factor is I, as
-    the SVD gives. A non-finite A, alone or in a stack, raises
-    ``ValueError``. For n = 2 the polar factor is the closed form of
+    the SVD gives. A non-finite A, alone or in a stack, or one not n x n,
+    raises ``ValueError``. For n = 2 the polar factor is the closed form of
     :func:`_polar_2x2`; for n > 2 the Newton-Schulz iteration of
     :func:`_polar_newton_schulz`, which agrees with U V^dagger to round-off
     and hands a singular or ill-conditioned A to the SVD. Either way each
     matrix of a stack gets the bits it gets alone, whatever the stack's
     memory layout, and the output is unitary.
     """
-    A = np.asarray(A, dtype=complex)
+    A = _statistic(A)
     n = A.shape[-1]
     # A copy, scaled in place below: for a batch-last view of contiguous (n, n, B) memory the
     # transpose is itself contiguous, and np.ascontiguousarray would return the caller's memory.

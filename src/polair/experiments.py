@@ -230,7 +230,7 @@ def _rate_rows(config: ExperimentConfig, eta_db: float, eta: float, L: int, rng:
         estimates = air_gaussian_paired_mc(n, eta, L, config.trials, rng, kinds=config.estimators)
         reference = capacity_perfect(n, eta).value
     else:
-        constellation = make_constellation(config.input, n, eta)
+        constellation = make_constellation(config.input, n)
         estimates = air_discrete_paired_mc(constellation, eta, L, config.trials, rng, kinds=config.estimators)
         reference = estimates["perfect"].value
     return [SweepRow(kind, eta_db, L, 0.0, estimates[kind], reference) for kind in config.estimators]

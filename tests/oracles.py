@@ -7,7 +7,8 @@ information given an arbitrary channel H, the Theorem-1 AIR of an arbitrary
 channel and estimate, Corollary 1 of a unitary channel from ``slogdet`` and
 ``inv``, the information density from the full (B, M, n) distances, the
 scalar AWGN mutual information by quadrature, and Monte Carlo averages of
-the last ones given a fixed channel. Tests compare a production kernel fed
+the last ones given a fixed channel, on an alphabet scaled to its SNR from
+its points' mean power (:func:`at_snr`). Tests compare a production kernel fed
 the rotated estimate U^dagger H_hat with a form here fed (U, H_hat).
 The error covariance R_E, which no CSV column reports, is averaged here
 over the production draws, so its entries can be checked one by one.
@@ -22,6 +23,7 @@ them.
 import numpy as np
 
 from polair.air import AirEstimate
+from polair.channel import Constellation
 from polair.estimators import ESTIMATORS, statistic_sampler
 from polair.linalg import mc_blocks, sample_cgauss
 
@@ -155,6 +157,19 @@ def scalar_awgn_mi_quadrature(points, sigma2):
 def _sample_mean(values) -> AirEstimate:
     std_error = float(values.std(ddof=1) / np.sqrt(values.size))
     return AirEstimate(value=float(values.mean()), std_error=std_error, trials=values.size)
+
+
+def at_snr(constellation, eta) -> Constellation:
+    """The alphabet of ``constellation`` scaled so that its points' complex components have mean power ``eta``.
+
+    The power is averaged over the points themselves, where
+    :func:`~polair.air.air_discrete_paired_mc` takes it from the levels; on
+    the raw DP-QPSK and DP-16-QAM levels both are exact, so both give the
+    same scaled points bit for bit.
+    """
+    points = constellation.points
+    power = np.mean(points.real**2 + points.imag**2)
+    return Constellation(constellation.n, constellation.pam_levels * np.sqrt(eta / power))
 
 
 def mi_discrete_given_H(H, constellation, sigma2, trials, rng) -> AirEstimate:

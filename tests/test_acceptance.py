@@ -27,6 +27,7 @@ from polair.linalg import haar_unitary, sample_cgauss
 
 from oracles import (
     air_theorem1,
+    at_snr,
     dagger,
     error_covariance,
     fro_norm,
@@ -86,7 +87,7 @@ def test_criterion_02_ls_covariance_reference_law():
 
 def test_criterion_03_kabsch_unitarity_and_recovery():
     rng = np.random.default_rng(1003)
-    D = make_pilots(2, 8, 2.0)
+    D = make_pilots(2, 8, 1.0)
     worst_gram = 0.0
     for sigma2 in (0.01, 1.0, 100.0):
         H = haar_unitary(2, rng, size=700)
@@ -105,13 +106,13 @@ def test_criterion_03_kabsch_unitarity_and_recovery():
 def test_criterion_04_half_dof_error_ratio():
     failures = []
     for eta_db in (10.0, 15.0, 20.0):
-        power = 2 * 10.0 ** (eta_db / 10.0)  # P = n eta
-        D = make_pilots(2, 8, power)
+        eta = 10.0 ** (eta_db / 10.0)
+        D = make_pilots(2, 8, eta)
         rng = np.random.default_rng(1004)
         H = haar_unitary(2, rng, size=10_000)
         X = H @ D + sample_cgauss((10_000, 2, 8), 1.0, rng)
-        A = X @ dagger(D)  # the pilot statistic; D D^dagger = (P L / n) I
-        t_ls = np.sum(np.abs(H - estimate_ls(A, power * 8 / 2)) ** 2)
+        A = X @ dagger(D)  # the pilot statistic; D D^dagger = eta L I
+        t_ls = np.sum(np.abs(H - estimate_ls(A, eta * 8)) ** 2)
         t_k = np.sum(np.abs(H - estimate_kabsch(A)) ** 2)
         ratio = t_k / t_ls
         if not (0.4 <= ratio <= 0.6):
@@ -134,7 +135,7 @@ def test_criterion_06_discrete_input_ordering_and_saturation():
     failures = []
     for eta_db in (-2.0, 4.0, 10.0, 16.0, 20.0):
         eta = 10.0 ** (eta_db / 10.0)
-        c = make_constellation("dp_16qam", 2, eta)
+        c = make_constellation("dp_16qam", 2)
         out = air_discrete_paired_mc(c, eta, 8, 20_000, np.random.default_rng(1006), kinds=("ls", "kabsch"))
         d = out["ls-kabsch"]  # ls - kabsch, want <= 0 within noise
         if d.value > 3 * d.std_error:
@@ -143,7 +144,7 @@ def test_criterion_06_discrete_input_ordering_and_saturation():
             dp = out[f"{kind}-perfect"]
             if dp.value > 3 * dp.std_error:
                 failures.append(f"{eta_db:g} dB: {kind} above perfect by {dp.value:.4f}")
-    c = make_constellation("dp_16qam", 2, 1000.0)
+    c = at_snr(make_constellation("dp_16qam", 2), 1000.0)
     H = haar_unitary(2, np.random.default_rng(1106))
     sat = mi_discrete_given_H(H, c, 1.0, 20_000, np.random.default_rng(1107)).value
     if abs(sat - 8.0) > 0.05:

@@ -10,6 +10,7 @@ from polair.air import (
     AirEstimate,
     _corollary1_values,
     _corollary4_values,
+    _decoded,
     _decoding_metric,
     _discrete_values,
     _metric_weights,
@@ -34,6 +35,7 @@ from polair.linalg import MC_BLOCK, haar_unitary, mc_blocks, sample_cgauss
 
 from oracles import (
     air_theorem1,
+    at_snr,
     corollary1_reference,
     dagger,
     error_covariance,
@@ -53,7 +55,7 @@ def random_complex(shape, rng, scale=1.0):
 
 
 def statistic(X, D, c):
-    """The pilot statistic A = X D^dagger and its scale c = P L / n, D D^dagger = c I."""
+    """The pilot statistic A = X D^dagger and its scale c = eta L, D D^dagger = c I."""
     return X @ dagger(D), c
 
 
@@ -153,7 +155,7 @@ class TestCorollary1Kernel:
         n, L, b = 2, 8, 2048
         eta = 10.0 ** (eta_db / 10.0)
         rng = np.random.default_rng(int(eta_db) + 100)
-        D = make_pilots(n, L, n * eta)
+        D = make_pilots(n, L, eta)
         H = haar_unitary(n, rng, size=b)
         X = H @ D + sample_cgauss((b, n, L), 1.0, rng)
         A, c = statistic(X, D, eta * L)
@@ -256,7 +258,7 @@ class TestTwoByTwoKernelLayout:
 
     def test_decoding_metric(self):
         eta, estimates = self.estimates()
-        c = make_constellation("dp_16qam", 2, eta)
+        c = at_snr(make_constellation("dp_16qam", 2), eta)
         rng = np.random.default_rng(44)
         x = c.points[rng.integers(0, 256, MC_BLOCK + 7)] + sample_cgauss((MC_BLOCK + 7, 2), 1.0, rng)
         weights = _metric_weights(c.points)
@@ -327,6 +329,14 @@ class TestSyntheticModels:
         tr = np.mean(np.sum(np.abs(E) ** 2, axis=(1, 2)))
         assert tr == pytest.approx(n * 2 * n**2 * e2, rel=0.02)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_zero_error_gives_capacity_exactly(self, n):
+        # A zero error is perfect CSI: the capacity to the last bit, with no spread.
+        for eta_db in np.linspace(-10.0, 40.0, 51):
+            eta = 10.0 ** (eta_db / 10.0)
+            est = air_synthetic_mc(n, 0.0, eta, 200, np.random.default_rng(16))
+            assert est == AirEstimate(capacity_perfect(n, eta).value, trials=200), eta_db
+
     def test_zero_error_returns_channel(self):
         H_hat = synthetic_estimates(2, 0.0, 3, np.random.default_rng(17))
         assert H_hat.shape == (3, 2, 2) and H_hat.dtype == complex
@@ -346,14 +356,14 @@ class TestDiscreteMi:
 
     def test_saturates_at_high_snr(self):
         eta = 1000.0
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = at_snr(make_constellation("dp_qpsk", 2), eta)
         H = haar_unitary(2, np.random.default_rng(18))
         est = mi_discrete_given_H(H, c, 1.0, 20_000, np.random.default_rng(19))
         assert est.value == pytest.approx(4.0, abs=0.02)
 
     def test_vanishes_at_low_snr(self):
         eta = 0.001
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = at_snr(make_constellation("dp_qpsk", 2), eta)
         H = haar_unitary(2, np.random.default_rng(20))
         est = mi_discrete_given_H(H, c, 1.0, 20_000, np.random.default_rng(21))
         assert est.value == pytest.approx(0.0, abs=0.02)
@@ -367,7 +377,7 @@ class TestDiscreteMi:
 
     def test_bounded(self):
         eta = 10.0**0.5
-        c = make_constellation("dp_16qam", 2, eta)
+        c = at_snr(make_constellation("dp_16qam", 2), eta)
         H = haar_unitary(2, np.random.default_rng(23))
         est = mi_discrete_given_H(H, c, 1.0, 5000, np.random.default_rng(24))
         assert -3 * est.std_error <= est.value <= np.log2(256) + 3 * est.std_error
@@ -376,16 +386,16 @@ class TestDiscreteMi:
 class TestDiscreteAir:
     def test_perfect_stub_matches_mi(self):
         eta = 10.0**0.8
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = make_constellation("dp_qpsk", 2)
         air = air_discrete_paired_mc(c, eta, 8, 30_000, np.random.default_rng(25), kinds=())["perfect"]
         H = haar_unitary(2, np.random.default_rng(26))
-        mi = mi_discrete_given_H(H, c, 1.0, 30_000, np.random.default_rng(27))
+        mi = mi_discrete_given_H(H, at_snr(c, eta), 1.0, 30_000, np.random.default_rng(27))
         margin = 3 * np.hypot(air.std_error, mi.std_error)
         assert abs(air.value - mi.value) <= margin
 
     def test_estimators_bounded_by_perfect_and_ordered(self):
         eta = 10.0
-        c = make_constellation("dp_16qam", 2, eta)
+        c = make_constellation("dp_16qam", 2)
         out = air_discrete_paired_mc(c, eta, 8, 20_000, np.random.default_rng(28), kinds=("ls", "kabsch"))
         assert out["ls"].value <= out["perfect"].value
         assert out["kabsch"].value <= out["perfect"].value
@@ -394,14 +404,33 @@ class TestDiscreteAir:
         ls_vs_kabsch = out["ls-kabsch"]
         assert -ls_vs_kabsch.value >= -3 * ls_vs_kabsch.std_error  # kabsch >= ls
 
+    @pytest.mark.parametrize("factor", [1e-3, 0.1, 7.0, 1e4])
+    def test_alphabet_scale_is_free(self, factor):
+        # The rate scales the alphabet to eta itself: any multiple of the levels gives the same rates.
+        eta, raw = 10.0**0.4, make_constellation("dp_16qam", 2)
+        want = air_discrete_paired_mc(raw, eta, 8, 3000, np.random.default_rng(33))
+        got = air_discrete_paired_mc(Constellation(2, factor * raw.pam_levels), eta, 8, 3000, np.random.default_rng(33))
+        assert got.keys() == want.keys()
+        for key, est in want.items():
+            assert abs(got[key].value - est.value) <= 1e-12, key
+
+    @pytest.mark.parametrize("eta_db", [0.0, 10.0])
+    def test_any_alphabet_is_at_eta(self, eta_db):
+        # An asymmetric alphabet at per-component mean power eta: the perfect-CSI MI is that of its scaled levels.
+        eta = 10.0 ** (eta_db / 10.0)
+        c = Constellation(2, [-1.0, 0.0, 2.0])
+        perfect = air_discrete_paired_mc(c, eta, 8, 20_000, np.random.default_rng(34), kinds=())["perfect"]
+        oracle = 2 * c.n * scalar_awgn_mi_quadrature(at_snr(c, eta).pam_levels, 1.0)
+        assert abs(perfect.value - oracle) <= 4 * perfect.std_error
+
     @pytest.mark.parametrize("eta_db", [-2.0, 4.0, 14.0])
     @pytest.mark.parametrize("kind", ["dp_qpsk", "dp_16qam"])
     def test_perfect_matches_quadrature_oracle(self, kind, eta_db):
         # The perfect-CSI reference is the MI of 2n independent real PAM channels of noise variance 1/2.
         eta = 10.0 ** (eta_db / 10.0)
-        c = make_constellation(kind, 2, eta)
+        c = make_constellation(kind, 2)
         perfect = air_discrete_paired_mc(c, eta, 8, 20_000, np.random.default_rng(29), kinds=())["perfect"]
-        oracle = 2 * c.n * scalar_awgn_mi_quadrature(c.pam_levels, 1.0)
+        oracle = 2 * c.n * scalar_awgn_mi_quadrature(at_snr(c, eta).pam_levels, 1.0)
         bound = 4 * perfect.std_error + 1e-6
         if perfect.std_error < 1e-4:
             # Saturated (DP-QPSK at 14 dB): the loss below log2(M), 4.7e-6 bits, comes from noise tails of
@@ -461,10 +490,10 @@ class TestDiscreteKernel:
     def test_matches_reference(self, input_kind):
         for eta_db in range(-10, 41, 5):
             eta = 10.0 ** (eta_db / 10.0)
-            c = make_constellation(input_kind, 2, eta)
+            c = at_snr(make_constellation(input_kind, 2), eta)
             points = c.points
             weights = _metric_weights(points)
-            D = make_pilots(2, 8, 2 * eta)
+            D = make_pilots(2, 8, eta)
             H, N, idx, w = haar_draws(c, 8, 512, np.random.default_rng(100 + eta_db))
             X = H @ D + N
             x = np.einsum("bij,bj->bi", H, points[idx]) + w
@@ -481,12 +510,22 @@ class TestDiscreteKernel:
             want = reference_density(xs, Hs, idx, points, 1.0)
             assert np.abs(got - want).max() <= 1e-12, (input_kind, eta_db, "shared")
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_decoded_entry_by_entry(self, n):
+        # Per-sample decoders and one decoder broadcast over the stack, against the stacked product.
+        rng = np.random.default_rng(40 + n)
+        H_dec, x = random_complex((300, n, n), rng), random_complex((300, n), rng)
+        for H in (H_dec, np.broadcast_to(H_dec[0], H_dec.shape)):
+            got = _decoded(H, x)
+            assert got.flags.c_contiguous
+            assert np.abs(got - decode(H, x)).max() <= 1e-14
+
     @pytest.mark.parametrize("input_kind", ["dp_qpsk", "dp_16qam"])
     def test_separable_matches_full_metric(self, input_kind):
         # The unitary decoders of the Monte Carlo: Kabsch estimates per trial and the shared identity.
         for eta_db in range(-10, 41, 5):
             eta = 10.0 ** (eta_db / 10.0)
-            c = make_constellation(input_kind, 2, eta)
+            c = at_snr(make_constellation(input_kind, 2), eta)
             points = c.points
             A, _, idx, x = paired_draws(c, eta, 8, 512, 700 + eta_db)
             weights = _metric_weights(points)
@@ -510,9 +549,10 @@ class TestDiscreteKernel:
 
         monkeypatch.setattr(polair.air, "mc_blocks", recording)
         eta = 10.0**1.2
-        c = make_constellation("dp_16qam", 2, eta)
+        raw = make_constellation("dp_16qam", 2)
+        c = at_snr(raw, eta)
         kinds = () if kind == "perfect" else (kind,)
-        out = air_discrete_paired_mc(c, eta, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=kinds)
+        out = air_discrete_paired_mc(raw, eta, 8, MC_BLOCK + 952, np.random.default_rng(31), kinds=kinds)
         A, c_scale, idx, x = paired_draws(c, eta, 8, MC_BLOCK + 952, 31)
         H_dec = {"ls": estimate_ls(A, c_scale), "kabsch": estimate_kabsch(A), "perfect": np.eye(2)}[kind]
         want = reference_density(x, H_dec, idx, c.points, 1.0).mean()
@@ -527,9 +567,10 @@ class TestDiscreteKernel:
     def test_nonunitary_estimate_gets_gram_energy(self, monkeypatch):
         # A per-sample 1.1 U estimate is not unitary: LS must not use ||s||^2.
         eta = 10.0**1.2
-        c = make_constellation("dp_16qam", 2, eta)
+        raw = make_constellation("dp_16qam", 2)
+        c = at_snr(raw, eta)
         monkeypatch.setattr(polair.estimators, "estimate_ls", lambda A, c: 1.1 * estimate_kabsch(A))
-        out = air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(32), kinds=("ls",))
+        out = air_discrete_paired_mc(raw, eta, 8, 1000, np.random.default_rng(32), kinds=("ls",))
         A, _, idx, x = paired_draws(c, eta, 8, 1000, 32)
         H_dec = 1.1 * estimate_kabsch(A)
         want = reference_density(x, H_dec, idx, c.points, 1.0).mean()
@@ -548,8 +589,8 @@ class TestIdentityChannelCoupling:
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
     def test_per_trial_values_match(self, eta_db):
         eta = 10.0 ** (eta_db / 10.0)
-        c = make_constellation("dp_16qam", 2, eta)
-        D, c_scale, eye = make_pilots(2, 8, 2 * eta), eta * 8, np.eye(2)
+        c = at_snr(make_constellation("dp_16qam", 2), eta)
+        D, c_scale, eye = make_pilots(2, 8, eta), eta * 8, np.eye(2)
         H, N, idx, w = haar_draws(c, 8, 1024, np.random.default_rng(300 + int(eta_db)))
         s, Hd = c.points[idx], dagger(H)
         X, x = H @ D + N, np.einsum("bij,bj->bi", H, s) + w
@@ -571,7 +612,7 @@ class TestIdentityChannelCoupling:
 class TestPilotStatisticCoupling:
     """Estimates from (D, D + N), D n x L, equal estimates from the direct draw A = c I + sqrt(c) Z.
 
-    With c = P L / n, (D + N) D^dagger = c I + N D^dagger, the statistic every
+    With c = eta L, (D + N) D^dagger = c I + N D^dagger, the statistic every
     registry kind reads, and Z = N D^dagger / sqrt(c) is again i.i.d.
     CN(0, 1). This is what lets every Monte Carlo step draw the n x n
     statistic with no pilots.
@@ -580,7 +621,7 @@ class TestPilotStatisticCoupling:
     @staticmethod
     def coupled(n, L, eta, trials, seed):
         c = eta * L
-        D = make_pilots(n, L, n * eta)
+        D = make_pilots(n, L, eta)
         N = sample_cgauss((trials, n, L), 1.0, np.random.default_rng(seed))
         Z = N @ dagger(D) / np.sqrt(c)
         return D, D + N, c * np.eye(n) + np.sqrt(c) * Z
@@ -608,7 +649,7 @@ class TestPilotStatisticCoupling:
     @pytest.mark.parametrize("eta_db", [-10.0, 4.0, 14.0, 40.0])
     def test_rates_and_densities_match_at_n2(self, eta_db, L):
         eta, eye, b = 10.0 ** (eta_db / 10.0), np.eye(2), 1024
-        c = make_constellation("dp_16qam", 2, eta)
+        c = at_snr(make_constellation("dp_16qam", 2), eta)
         D, X, A0 = self.coupled(2, L, eta, b, 500 + int(eta_db) + L)
         c_scale = eta * L
         rng = np.random.default_rng(600 + int(eta_db) + L)
@@ -642,7 +683,7 @@ class TestPilotStatisticCoupling:
     def test_large_L_builds_no_pilot_block(self, entry):
         # The n x L pilots would take 32 bytes per pilot at n = 2: 128 MB at L = 2**22.
         eta, L = 10.0, 2**22
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = make_constellation("dp_qpsk", 2)
         calls = {
             "gaussian": lambda: air_gaussian_paired_mc(2, eta, L, 100, np.random.default_rng(0)),
             "discrete": lambda: air_discrete_paired_mc(c, eta, L, 1000, np.random.default_rng(0)),
@@ -669,7 +710,7 @@ class TestSharedDraws:
 
     def test_discrete_ls_independent_of_other_kinds(self):
         eta = 10.0**0.8
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = make_constellation("dp_qpsk", 2)
         alone = air_discrete_paired_mc(c, eta, 8, 3000, np.random.default_rng(41), kinds=("ls",))
         for kinds in (("ls", "kabsch"), ("kabsch", "ls")):
             out = air_discrete_paired_mc(c, eta, 8, 3000, np.random.default_rng(41), kinds=kinds)
@@ -679,7 +720,7 @@ class TestSharedDraws:
         # Both rates reject it; the discrete rate returns the perfect-CSI
         # reference for any kinds without its being named.
         eta = 10.0**0.6
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = make_constellation("dp_qpsk", 2)
         with pytest.raises(ValueError):
             air_gaussian_paired_mc(2, eta, 8, 200, np.random.default_rng(0), kinds=("perfect",))
         plain = air_discrete_paired_mc(c, eta, 8, 1000, np.random.default_rng(0), kinds=("ls",))
@@ -690,7 +731,7 @@ class TestSharedDraws:
     @pytest.mark.parametrize("kinds", [(), ("ls", "ls"), ("ls", "kabsch", "ls")], ids=["empty", "ls-ls", "ls-kabsch-ls"])
     def test_empty_or_repeated_kinds_rejected(self, kinds):
         eta = 10.0**0.6
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = make_constellation("dp_qpsk", 2)
         with pytest.raises(ValueError, match="^kinds must be nonempty and distinct"):
             air_gaussian_paired_mc(2, eta, 8, 100, np.random.default_rng(0), kinds=kinds)
         with pytest.raises(ValueError, match="^kinds must be nonempty and distinct"):
@@ -701,7 +742,7 @@ class TestSharedDraws:
 
     def test_unknown_kind_is_value_error(self):
         eta = 10.0**0.6
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = make_constellation("dp_qpsk", 2)
         with pytest.raises(ValueError):
             air_gaussian_paired_mc(2, eta, 8, 200, np.random.default_rng(0), kinds=("ls", "mmse"))
         with pytest.raises(ValueError):
@@ -806,14 +847,14 @@ class TestStderrCalibration:
     )
     def test_spread_matches_stderr(self, kind, eta_db, trials):
         eta = 10.0 ** (eta_db / 10.0)
-        constellation = make_constellation(kind, 2, eta)
+        constellation = make_constellation(kind, 2)
         runs = [air_discrete_paired_mc(constellation, eta, 8, trials, np.random.default_rng(seed)) for seed in range(20)]
         for estimate in ("ls", "kabsch", "perfect", "ls-kabsch", "ls-perfect", "kabsch-perfect"):
             spread = np.std([run[estimate].value for run in runs], ddof=1)
             ratio = spread / np.median([run[estimate].std_error for run in runs])
             assert 1 / 3 <= ratio <= 3, (estimate, ratio)
         # Each run's own stderr against the exact MI: the z-scores have mean 0 and sd 1.
-        exact = 2 * constellation.n * scalar_awgn_mi_quadrature(constellation.pam_levels, 1.0)
+        exact = 2 * constellation.n * scalar_awgn_mi_quadrature(at_snr(constellation, eta).pam_levels, 1.0)
         z = np.array([(run["perfect"].value - exact) / run["perfect"].std_error for run in runs])
         assert abs(z.mean()) <= 3 / np.sqrt(len(z)), z.mean()
         assert 1 / 3 <= np.std(z, ddof=1) <= 3, np.std(z, ddof=1)
@@ -835,7 +876,7 @@ class TestAirEstimate:
     def test_mc_requires_trials(self):
         # Monte Carlo estimates are checked for enough trials where they are made.
         eta = 10.0
-        c = make_constellation("dp_qpsk", 2, eta)
+        c = make_constellation("dp_qpsk", 2)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             air_gaussian_paired_mc(2, eta, 8, 10, rng)

@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import polair
 from polair.air import (
     air_corollary4,
     air_corollary4_paired_mc,
@@ -21,10 +25,9 @@ from polair.estimators import statistic_sampler
 from oracles import dagger, fro_norm
 
 
-# Every entry point that takes an SNR, as the per-channel eta or (make_pilots only) the pilot power P = n eta.
+# Every entry point that takes an SNR, as the per-channel eta.
 SNR_ENTRIES = {
     "make_pilots": lambda value: make_pilots(2, 8, value),
-    "make_constellation": lambda value: make_constellation("dp_qpsk", 2, value),
     "capacity_perfect": lambda value: capacity_perfect(2, value),
     "air_corollary4": lambda value: air_corollary4(2, value, 0.1),
     "air_synthetic_mc": lambda value: air_synthetic_mc(2, 0.01, value, 200, np.random.default_rng(0)),
@@ -32,9 +35,18 @@ SNR_ENTRIES = {
     "air_gaussian_paired_mc": lambda value: air_gaussian_paired_mc(2, value, 8, 100, np.random.default_rng(0)),
     "air_corollary4_paired_mc": lambda value: air_corollary4_paired_mc(2, value, 8, 100, np.random.default_rng(0)),
     "air_discrete_paired_mc": lambda value: air_discrete_paired_mc(
-        make_constellation("dp_qpsk", 2, 1.0), value, 8, 1000, np.random.default_rng(0)
+        make_constellation("dp_qpsk", 2), value, 8, 1000, np.random.default_rng(0)
     ),
 }
+
+
+def public_functions():
+    """Every public function defined in a ``polair`` module, by name."""
+    for info in pkgutil.iter_modules(polair.__path__):
+        module = importlib.import_module(f"polair.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_"):
+                yield name, obj
 
 
 class TestSnrChecks:
@@ -42,9 +54,13 @@ class TestSnrChecks:
     @pytest.mark.parametrize("entry", SNR_ENTRIES)
     def test_nonpositive_or_nonfinite_rejected(self, entry, value):
         # One rule and one message everywhere, naming the argument the caller passed; no RuntimeWarning first.
-        name = "power" if entry == "make_pilots" else "eta"
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        with pytest.raises(ValueError, match="^eta must be finite and > 0"):
             SNR_ENTRIES[entry](value)
+
+    def test_entries_are_every_function_taking_eta(self):
+        # The SNR has one name: a public function takes it as eta or not at all, and every such function is checked above.
+        takes_eta = {name for name, f in public_functions() if "eta" in inspect.signature(f).parameters}
+        assert takes_eta == set(SNR_ENTRIES)
 
     @pytest.mark.parametrize("entry", ["make_pilots", "air_gaussian_paired_mc", "air_corollary4_paired_mc", "air_synthetic_mc"])
     def test_single_dimension_rejected(self, entry):
@@ -66,21 +82,21 @@ class TestSnrChecks:
 
 class TestConstellation:
     def test_dp_qpsk_constant_modulus(self):
-        c = make_constellation("dp_qpsk", 2, 1.0)  # total symbol power n eta = 2
+        c = make_constellation("dp_qpsk", 2)  # scale-free: the raw levels -1, 1
         assert c.size == 16
-        energies = np.sum(np.abs(c.points) ** 2, axis=1)
-        assert np.allclose(energies, 2.0, atol=1e-12)
+        energies = np.sum(c.points.view(float) ** 2, axis=1)
+        assert np.array_equal(energies, np.full(16, 4.0))
 
     def test_dp_16qam_energy_and_mean(self):
-        c = make_constellation("dp_16qam", 2, 1.0)
+        c = make_constellation("dp_16qam", 2)  # the raw levels -3, -1, 1, 3: mean power 2 * 5 per component
         assert c.size == 256
-        assert np.mean(np.sum(np.abs(c.points) ** 2, axis=1)) == pytest.approx(2.0, abs=1e-12)
-        assert np.abs(c.points.sum(axis=0)).max() < 1e-12
+        assert np.mean(np.sum(c.points.view(float) ** 2, axis=1)) == 20.0
+        assert not c.points.sum(axis=0).any()
 
     def test_gaussian_kind_raises(self):
         # A Gaussian input is handled in closed form and has no constellation.
         with pytest.raises(ValueError, match="unsupported constellation kind"):
-            make_constellation("gaussian", 2, 2.0)
+            make_constellation("gaussian", 2)
 
     @pytest.mark.parametrize(
         "levels",
@@ -96,27 +112,29 @@ class TestConstellation:
         with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             Constellation(n=n, pam_levels=[1.0])
 
+    def test_all_zero_alphabet_rejected(self):
+        # Its power is 0, so no scale takes it to an SNR.
+        with pytest.raises(ValueError, match="not all zero, got \\[0.0\\]$"):
+            Constellation(n=2, pam_levels=[0.0])
+
     def test_points_match_square_qam_product(self):
-        # Reference: normalize one polarization's complex square QAM, then take its product over the two; bit for bit.
+        # Reference: one polarization's complex square QAM on the raw levels, its product over the two; bit for bit.
         for kind, side in [("dp_qpsk", 2), ("dp_16qam", 4)]:
             levels = np.arange(-(side - 1), side, 2, dtype=float)
             re, im = np.meshgrid(levels, levels, indexing="ij")
             qam = (re + 1j * im).ravel()
-            for eta_db in np.linspace(-10.0, 40.0, 101):
-                eta = 10.0 ** (eta_db / 10.0)
-                per_pol = qam * np.sqrt(eta / np.mean(np.abs(qam) ** 2))
-                want = np.array(list(itertools.product(per_pol, repeat=2)), dtype=complex)
-                assert np.array_equal(make_constellation(kind, 2, eta).points, want), (kind, eta_db)
+            want = np.array(list(itertools.product(qam, repeat=2)), dtype=complex)
+            assert np.array_equal(make_constellation(kind, 2).points, want), kind
 
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):
-            make_constellation("dp_qpsk", 4, 2.0)
+            make_constellation("dp_qpsk", 4)
         with pytest.raises(ValueError):
-            make_constellation("8psk", 2, 2.0)
+            make_constellation("8psk", 2)
 
     @pytest.mark.parametrize("kind, side", [("dp_qpsk", 2), ("dp_16qam", 4)])
     def test_pam_levels_of_product_inputs(self, kind, side):
-        c = make_constellation(kind, 2, 2.0)
+        c = make_constellation(kind, 2)
         levels = c.pam_levels
         assert levels.size == side and np.all(np.diff(levels) > 0)
         assert np.allclose(levels, -levels[::-1], atol=1e-15)  # symmetric PAM
@@ -126,22 +144,22 @@ class TestConstellation:
 
 class TestPilots:
     def test_minimal_pilot_block(self):
-        # n=2, L=2: D = [[a, a], [a, -a]] with a = (1+i)/sqrt(2) satisfies
+        # n=2, L=2, eta=1: D = [[a, a], [a, -a]] with a = (1+i)/sqrt(2) satisfies
         # D D^dagger = 2 I (direct multiplication).
-        D = make_pilots(2, 2, 2.0)
+        D = make_pilots(2, 2, 1.0)
         a = (1 + 1j) / np.sqrt(2)
         assert np.allclose(D, np.array([[a, a], [a, -a]]), atol=1e-12)
         assert np.allclose(D @ dagger(D), 2.0 * np.eye(2), atol=1e-12)
 
     def test_gram_identity(self):
-        D = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 1.0)
         assert fro_norm(D @ dagger(D) - 8.0 * np.eye(2)) < 1e-12
 
     @pytest.mark.parametrize("n,L", [(2, 4), (2, 16), (4, 8), (8, 16), (3, 9)])
     def test_gram_identity_general(self, n, L):
-        P = 3.0
-        D = make_pilots(n, L, P)
-        assert fro_norm(D @ dagger(D) - (P * L / n) * np.eye(n)) <= 1e-10
+        eta = 3.0
+        D = make_pilots(n, L, eta)
+        assert fro_norm(D @ dagger(D) - (eta * L) * np.eye(n)) <= 1e-10
 
     def test_not_multiple_rejected(self):
         with pytest.raises(ValueError, match="^L must be a multiple of n, got L=3, n=2$"):
@@ -155,8 +173,8 @@ class TestPilots:
         assert np.array_equal(make_pilots(2, 8, 2.0), make_pilots(2, 8, 2.0))
 
     def test_qpsk_alphabet(self):
-        D = make_pilots(2, 8, 2.0)
-        # every entry is (+-1 +- i)/sqrt(2) scaled to per-channel power P/n
+        D = make_pilots(2, 8, 1.0)
+        # every entry is (+-1 +- i)/sqrt(2) scaled to the per-channel SNR eta
         mags = np.abs(D)
         assert np.allclose(mags, 1.0, atol=1e-12)
         phases = np.angle(D) / (np.pi / 4)

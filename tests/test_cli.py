@@ -418,7 +418,7 @@ class TestErrorCov:
 
 
 def _discrete_rate(trials):
-    return air_discrete_paired_mc(make_constellation("dp_16qam", 2, 10.0), 10.0, 8, trials, np.random.default_rng(0))
+    return air_discrete_paired_mc(make_constellation("dp_16qam", 2), 10.0, 8, trials, np.random.default_rng(0))
 
 
 class TestOneMessagePerRule:
@@ -435,7 +435,7 @@ class TestOneMessagePerRule:
             ("fig2", dict(n=1), lambda: make_pilots(1, 2, 1.0)),
             ("fig3a", dict(L_grid=(3,)), lambda: make_pilots(2, 3, 1.0)),
             ("fig4", dict(L_grid=(8, 1)), lambda: make_pilots(2, 1, 1.0)),
-            ("fig3b", dict(input="dp_qpsk", n=3, L_grid=(3,), trials=1000), lambda: make_constellation("dp_qpsk", 3, 10.0)),
+            ("fig3b", dict(input="dp_qpsk", n=3, L_grid=(3,), trials=1000), lambda: make_constellation("dp_qpsk", 3)),
             ("fig3a", dict(trials=50), lambda: air_gaussian_paired_mc(2, 10.0, 8, 50, np.random.default_rng(0))),
             ("fig3b", dict(trials=500), lambda: _discrete_rate(500)),
             ("fig4", dict(input="dp_qpsk", trials=50), lambda: _discrete_rate(50)),

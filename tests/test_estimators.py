@@ -1,4 +1,5 @@
 
+import re
 import warnings
 
 import numpy as np
@@ -21,24 +22,23 @@ from oracles import dagger, error_covariance, fro_norm
 
 
 def statistic(X, D, c):
-    """The pilot statistic A = X D^dagger and its scale c = P L / n, D D^dagger = c I."""
+    """The pilot statistic A = X D^dagger and its scale c = eta L, D D^dagger = c I."""
     return X @ dagger(D), c
 
 
 def pilot_block(n=2, L=8, eta=10.0, seed=0):
-    """A received n x L pilot block at SNR eta; returns the pilot power P = n eta, D, H, X and the rng."""
-    power = n * eta
+    """A received n x L pilot block at SNR eta; returns the scale c = eta L, D, H, X and the rng."""
     rng = np.random.default_rng(seed)
-    D = make_pilots(n, L, power)
+    D = make_pilots(n, L, eta)
     H = haar_unitary(n, rng)
     X = H @ D + sample_cgauss((n, L), 1.0, rng)
-    return power, D, H, X, rng
+    return eta * L, D, H, X, rng
 
 
 class TestLeastSquares:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(1)
-        D = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 1.0)
         for _ in range(20):
             H = haar_unitary(2, rng)
             assert fro_norm(estimate_ls(*statistic(H @ D, D, 8.0)) - H) < 1e-10
@@ -46,27 +46,27 @@ class TestLeastSquares:
     @pytest.mark.parametrize("L", [2, 4, 16])
     def test_noiseless_recovery_any_length(self, L):
         rng = np.random.default_rng(2)
-        D = make_pilots(2, L, 2.0)
+        D = make_pilots(2, L, 1.0)
         H = haar_unitary(2, rng)
-        assert fro_norm(estimate_ls(*statistic(H @ D, D, 2.0 * L / 2)) - H) < 1e-10
+        assert fro_norm(estimate_ls(*statistic(H @ D, D, 1.0 * L)) - H) < 1e-10
 
     def test_matches_gram_shortcut(self):
-        power, D, H, X, _ = pilot_block(L=8)
-        shortcut = (2 / (power * 8)) * X @ dagger(D)
-        assert fro_norm(estimate_ls(*statistic(X, D, power * 8 / 2)) - shortcut) < 1e-12
+        c, D, H, X, _ = pilot_block(L=8)
+        shortcut = (1 / c) * X @ dagger(D)
+        assert fro_norm(estimate_ls(*statistic(X, D, c)) - shortcut) < 1e-12
 
     @pytest.mark.parametrize("n, L", [(2, 8), (2, 64), (4, 8)])
     def test_matches_two_matmul_form(self, n, L):
         # Reference: the two batched matmuls X D^dagger (D D^dagger)^-1, on a
         # single block and on stacks with one and two leading axes.
-        power = n * 10.0
-        D = make_pilots(n, L, power)
+        eta = 10.0
+        D = make_pilots(n, L, eta)
         rng = np.random.default_rng(10 + n + L)
         H = haar_unitary(n, rng, size=96)
         X = H @ D + sample_cgauss((96, n, L), 1.0, rng)
         for block in (X[0], X, X.reshape(8, 12, n, L)):
             ref = block @ dagger(D) @ np.linalg.inv(D @ dagger(D))
-            got = estimate_ls(*statistic(block, D, power * L / n))
+            got = estimate_ls(*statistic(block, D, eta * L))
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
@@ -86,7 +86,7 @@ class TestLeastSquares:
                 assert np.allclose(R_E, expected, atol=atol)
                 assert np.trace(R_E).real == pytest.approx(n * n / (eta * L), rel=0.05)
 
-                D = make_pilots(n, L, n * eta)
+                D = make_pilots(n, L, eta)
                 g = np.random.default_rng(17).standard_normal((2, trials, n, L))
                 Z = np.sqrt(0.5) * (g[0] + 1j * g[1])
                 E = Z @ dagger(D) @ np.linalg.inv(D @ dagger(D))
@@ -108,14 +108,14 @@ class TestLeastSquares:
 class TestKabsch:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(3)
-        D = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 1.0)
         for _ in range(20):
             H = haar_unitary(2, rng)
             assert fro_norm(estimate_kabsch(H @ D @ dagger(D)) - H) < 1e-10
 
     def test_always_unitary(self):
         rng = np.random.default_rng(4)
-        D = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 1.0)
         # heavy noise, and a pathological all-zero block
         blocks = [haar_unitary(2, rng) @ D + sample_cgauss((2, 8), s2, rng) for s2 in (0.1, 10.0, 1000.0)]
         for X in blocks + [np.zeros((2, 8), dtype=complex)]:
@@ -126,7 +126,7 @@ class TestKabsch:
     def test_degenerate_blocks_in_a_stack(self):
         # A normal block, a rank-1 X D^dagger (det 0) and an all-zero block, stacked.
         rng = np.random.default_rng(6)
-        D = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 1.0)
         normal = haar_unitary(2, rng) @ D + sample_cgauss((2, 8), 0.1, rng)
         row = (1.0 - 0.5j) * D[0] + 0.5j * D[1]
         rank1 = np.stack([row, 2.0 * row])  # rows r and 2r: det(X D^dagger) is exactly 0
@@ -168,7 +168,7 @@ class TestKabsch:
         assert fro_norm(H_hat[9] - np.diag([1.0] * (n - 1) + [1j])) <= 1e-12
 
     def test_rank_deficient_input_still_unitary(self):
-        D = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 1.0)
         X = np.zeros((2, 8), dtype=complex)
         X[0] = D[0]
         H_hat = estimate_kabsch(X @ dagger(D))
@@ -179,7 +179,7 @@ class TestKabsch:
         # the reciprocal of a subnormal largest entry (1e-310) would overflow;
         # the polar factor does not depend on the scale of X.
         rng = np.random.default_rng(8)
-        D = make_pilots(2, 8, 2.0)
+        D = make_pilots(2, 8, 1.0)
         X = haar_unitary(2, rng) @ D + sample_cgauss((2, 8), 1.0, rng)
         U, _, Vh = np.linalg.svd(X @ dagger(D))
         for scale in (1e-310, 1e-160, 1e160):
@@ -189,12 +189,12 @@ class TestKabsch:
         # Paired trials: both estimators see the same channel/noise draws.
         n, L, trials = 2, 8, 10_000
         for eta_db in (10.0, 20.0):
-            power = n * 10.0 ** (eta_db / 10.0)
+            eta = 10.0 ** (eta_db / 10.0)
             rng = np.random.default_rng(11)
-            D = make_pilots(n, L, power)
+            D = make_pilots(n, L, eta)
             H = haar_unitary(n, rng, size=trials)
             X = H @ D + sample_cgauss((trials, n, L), 1.0, rng)
-            A, c = statistic(X, D, power * L / n)
+            A, c = statistic(X, D, eta * L)
             e_ls = H - estimate_ls(A, c)
             e_k = H - estimate_kabsch(A)
             t_ls = np.sum(np.abs(e_ls) ** 2)
@@ -209,7 +209,7 @@ class TestKabschCrossCheck:
         n, L, per_snr = 2, 8, 512
         rng = np.random.default_rng(21)
         for eta_db in np.linspace(-10.0, 40.0, 9):  # 4608 blocks
-            D = make_pilots(n, L, n * 10.0 ** (eta_db / 10.0))
+            D = make_pilots(n, L, 10.0 ** (eta_db / 10.0))
             H = haar_unitary(n, rng, size=per_snr)
             X = H @ D + sample_cgauss((per_snr, n, L), 1.0, rng)
             U, _, Vh = np.linalg.svd(X @ dagger(D))
@@ -221,7 +221,7 @@ class TestKabschCrossCheck:
         rng = np.random.default_rng(22)
         for eta_db in np.linspace(-10.0, 40.0, 9):
             for L in (n, 4 * n):
-                D = make_pilots(n, L, n * 10.0 ** (eta_db / 10.0))
+                D = make_pilots(n, L, 10.0 ** (eta_db / 10.0))
                 H = haar_unitary(n, rng, size=per_snr)
                 X = H @ D + sample_cgauss((per_snr, n, L), 1.0, rng)
                 U, _, Vh = np.linalg.svd(X @ dagger(D))
@@ -311,7 +311,7 @@ class TestKabschLargerN:
     @pytest.mark.parametrize("n", [3, 4])
     def test_extreme_scales_match_svd(self, n):
         rng = np.random.default_rng(9)
-        D = make_pilots(n, 2 * n, 2.0)
+        D = make_pilots(n, 2 * n, 1.0)
         X = haar_unitary(n, rng, size=16) @ D + sample_cgauss((16, n, 2 * n), 1.0, rng)
         U, _, Vh = np.linalg.svd(X @ dagger(D))
         for scale in (1e-310, 1e-160, 1e160):
@@ -400,10 +400,17 @@ class TestRegistry:
         assert UNITARY_KINDS == {"kabsch"}
 
     def test_entries_match_functions(self):
-        power, D, _, X, _ = pilot_block(L=8, seed=22)
-        A, c = statistic(X, D, power * 8 / 2)
+        c, D, _, X, _ = pilot_block(L=8, seed=22)
+        A, c = statistic(X, D, c)
         assert np.array_equal(ESTIMATORS["ls"](A, c), estimate_ls(A, c))
         assert np.array_equal(ESTIMATORS["kabsch"](A, c), estimate_kabsch(A))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 2, 3), (0, 0)])
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_statistic_must_be_square(self, kind, shape):
+        # One shape rule for every kind: one n x n statistic or a stack of them, n >= 1.
+        with pytest.raises(ValueError, match=re.escape(f"A must be n x n or a stack (..., n, n), got shape {shape}")):
+            ESTIMATORS[kind](np.ones(shape), 1.0)
 
     def test_perfect_is_not_a_pilot_estimator(self):
         # The perfect-CSI reference belongs to the discrete rate, not to the registry.

@@ -66,7 +66,7 @@ def test_steps_estimate_through_the_traced_names(entry, n, monkeypatch):
     if entry == "gaussian":
         air_gaussian_paired_mc(n, eta, 2 * n, trials, rng)
     elif entry == "discrete":
-        air_discrete_paired_mc(make_constellation("dp_qpsk", n, eta), eta, 2 * n, trials, rng)
+        air_discrete_paired_mc(make_constellation("dp_qpsk", n), eta, 2 * n, trials, rng)
     else:
         air_corollary4_paired_mc(n, eta, 2 * n, trials, rng)
     blocks = [(MC_BLOCK, n, n), (952, n, n)]  # one call per kind and Monte Carlo block
